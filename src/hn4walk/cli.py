@@ -22,11 +22,12 @@ from .engine import (
 )
 from .experiments import (
     NoPeakError,
-    density_experiment,
-    resolve_na,
-    scaling_experiment,
+    density_jobs,
+    map_jobs,
     step_budget,
     sweep_self_loop,
+    trial_jobs,
+    trial_record,
 )
 from .fitting import FitError, fit_scaling, parse_model
 from .reporting import (
@@ -192,7 +193,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         else args.steps
     )
     logger.info(
-        "state memory: %d bytes (two buffers)",
+        "walk memory: %d bytes (two state buffers and the shift table)",
         memory_requirement(topology, config.edge_mode),
     )
     manifest = RunManifest.begin("simulate", _manifest_params(args), seed=args.seed)
@@ -231,23 +232,12 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     if any(m < 1 for m in m_values):
         raise ValueError("target counts must be >= 1")
     na_rule = args.na if args.na is not None else args.na_rule
-    resolve_na(na_rule, 1)  # validate the rule shape before any run
     manifest = RunManifest.begin("scale", _manifest_params(args), seed=args.seed, workers=workers)
-    records = []
-    for m in m_values:
-        records.extend(
-            scaling_experiment(
-                args.sides,
-                m,
-                na_rule,
-                args.trials,
-                args.seed,
-                edge_mode=EdgeMode(args.mode),
-                policy=args.policy,
-                workers=workers,
-            )
-        )
-    write_records_csv(args.out, records)
+    jobs = trial_jobs(
+        [(side, m) for m in m_values for side in args.sides], na_rule, args.trials, args.seed,
+        edge_mode=EdgeMode(args.mode), policy=args.policy,
+    )
+    write_records_csv(args.out, map_jobs(trial_record, jobs, workers))
     write_manifest(args.out, manifest.finish())
     return EXIT_OK
 
@@ -257,14 +247,9 @@ def _cmd_density(args: argparse.Namespace) -> int:
     manifest = RunManifest.begin(
         "density", _manifest_params(args), seed=args.seed, workers=workers
     )
-    records = density_experiment(
-        args.sides,
-        args.fraction,
-        args.trials,
-        args.seed,
-        policy=args.policy,
-        workers=workers,
-    )
+    jobs = density_jobs(args.sides, args.fraction, args.trials, args.seed, policy=args.policy)
+    write_records_csv(args.out, map_jobs(trial_record, jobs, workers))
+    records = read_records_csv(args.out)
     for side in args.sides:
         cell = [r.peak_probability for r in records if r.side == side]
         logger.info(
@@ -273,7 +258,6 @@ def _cmd_density(args: argparse.Namespace) -> int:
         )
     mean = sum(r.peak_probability for r in records) / len(records)
     manifest.extra["mean_peak_probability"] = mean
-    write_records_csv(args.out, records)
     write_manifest(args.out, manifest.finish())
     return EXIT_OK
 

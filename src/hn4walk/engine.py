@@ -56,12 +56,12 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Refuse to allocate state buffers beyond this many bytes unless overridden.
+#: Refuse to build engines needing more than this many bytes unless overridden.
 DEFAULT_MEMORY_LIMIT = 8 * 2**30
 
 
 class ResourceLimitError(RuntimeError):
-    """Estimated state memory exceeds the configured limit."""
+    """Estimated engine memory exceeds the configured limit."""
 
 
 class CoinDirection(IntEnum):
@@ -258,29 +258,17 @@ def apply_shift(state: np.ndarray, permutation: np.ndarray, out: np.ndarray) -> 
     return out
 
 
-def step(
-    state: np.ndarray,
-    config: WalkConfig,
-    *,
-    permutation: np.ndarray | None = None,
-    weights: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def step(state: np.ndarray, config: WalkConfig) -> np.ndarray:
     """One evolution step (oracle, coin, shift) of an arbitrary state.
 
-    Mutates ``state`` through the oracle and coin stages and returns the
-    shifted result in ``out``.  Convenience entry point for analysis; the
-    engine below keeps the precomputed pieces hot across many steps.
+    Returns the evolved state as a new array and leaves ``state`` untouched.
+    Convenience entry point for analysis; loops should keep a
+    :class:`WalkEngine`, which builds the shift table once.
     """
-    if permutation is None:
-        permutation = shift_permutation(config.topology, config.edge_mode)
-    if weights is None:
-        weights = coin_weights(config.loop_weight, config.edge_mode)
-    if out is None:
-        out = np.empty_like(state)
-    apply_oracle(state, target_indices(config))
-    apply_coin(state, weights)
-    return apply_shift(state, permutation, out)
+    engine = WalkEngine(config)
+    engine.set_amplitudes(state)
+    engine.advance()
+    return engine.amplitudes
 
 
 def success_probability(state: np.ndarray, indices: np.ndarray) -> float:
@@ -299,8 +287,10 @@ def amplified_cost(peak_step: int, peak_probability: float) -> float:
 
 
 def memory_requirement(topology: TopologyParams, edge_mode: EdgeMode) -> int:
-    """Bytes for both state buffers: 2 * 16 * C * N (16 bytes per amplitude)."""
-    return 2 * 16 * len(directions(edge_mode)) * topology.n_vertices
+    """Bytes a :class:`WalkEngine` allocates: two state buffers of C * N complex128
+    amplitudes (2 * 16 * C * N) plus the int64 shift table (8 * C * N)."""
+    slots = len(directions(edge_mode)) * topology.n_vertices
+    return 2 * 16 * slots + 8 * slots
 
 
 @dataclass(frozen=True)
@@ -341,7 +331,7 @@ class WalkEngine:
         needed = memory_requirement(config.topology, config.edge_mode)
         if memory_limit is not None and needed > memory_limit:
             raise ResourceLimitError(
-                f"state buffers need {needed} bytes, limit is {memory_limit}"
+                f"state buffers and shift table need {needed} bytes, limit is {memory_limit}"
             )
         for t in config.targets:
             if is_exceptional(t, config.topology.n, "line"):
@@ -389,6 +379,14 @@ class WalkEngine:
         """Success probability of the current state."""
         return success_probability(self._state, self._targets)
 
+    def trace(self, steps: int) -> Iterator[float]:
+        """Yield the success probability now and after each of ``steps`` more
+        steps: the one P(t) loop behind :func:`run` and the experiment protocols."""
+        yield self.probability()
+        for _ in range(steps):
+            self.advance()
+            yield self.probability()
+
     def advance(self, steps: int = 1) -> None:
         """Apply the evolution operator ``steps`` times."""
         state, scratch = self._state, self._scratch
@@ -417,12 +415,8 @@ def run(
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     engine = WalkEngine(config, memory_limit=memory_limit)
     probabilities = np.empty(t_max + 1, dtype=np.float64)
-    probabilities[0] = engine.probability()
-    if sink is not None:
-        sink.write(f"0,{float(probabilities[0])!r}\n")
-    for t in range(1, t_max + 1):
-        engine.advance()
-        probabilities[t] = engine.probability()
+    for t, p in enumerate(engine.trace(t_max)):
+        probabilities[t] = p
         if sink is not None:
-            sink.write(f"{t},{float(probabilities[t])!r}\n")
+            sink.write(f"{t},{p!r}\n")
     return ProbabilityTrace(probabilities)

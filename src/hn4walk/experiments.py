@@ -2,10 +2,12 @@
 
 Covers first-peak detection on probability traces, self-loop-weight sweeps,
 randomized target ensembles, scaling runs over lattice size and target
-count, and fixed-density runs.  Trials and sweep points are independent jobs
-dispatched to a bounded process pool; results are always ordered by
-(configuration, trial index), never by completion time, so a run is
-reproducible for a fixed seed regardless of worker count.
+count, and fixed-density runs.  Scaling and density trials are
+:class:`TrialJob` specs that :func:`trial_record` turns into records;
+:func:`map_jobs` runs any job list through one bounded process pool and
+yields results in submission order as they arrive, so a run is reproducible
+for a fixed seed regardless of worker count, and a failing job leaves every
+earlier result delivered.
 
 Randomness comes from numpy's PCG64 generator.  Per-job seeds are derived
 from the master seed in two documented stages,
@@ -19,8 +21,9 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,8 +54,13 @@ __all__ = [
     "TargetEnsemble",
     "ScalingRecord",
     "resolve_na",
+    "TrialJob",
+    "trial_record",
+    "trial_jobs",
     "scaling_experiment",
+    "density_jobs",
     "density_experiment",
+    "map_jobs",
 ]
 
 logger = logging.getLogger(__name__)
@@ -107,6 +115,10 @@ class NoPeakError(RuntimeError):
     def __init__(self, message: str, max_probability: float):
         super().__init__(message)
         self.max_probability = max_probability
+
+    def __reduce__(self):
+        # both arguments, so an error raised in a pool worker re-raises in the parent
+        return type(self), (str(self), self.max_probability)
 
 
 def _qualifies(probs: Sequence[float], t: int, rule: PeakRule) -> bool:
@@ -167,11 +179,9 @@ def run_to_first_peak(
     if t_max is None:
         t_max = step_budget(config.topology.n_vertices, config.target_count, config.edge_mode)
     kwargs = {} if memory_limit is None else {"memory_limit": memory_limit}
-    engine = WalkEngine(config, **kwargs)
-    probs: list[float] = [engine.probability()]
-    for t in range(1, t_max + 1):
-        engine.advance()
-        probs.append(engine.probability())
+    probs: list[float] = []
+    for t, p in enumerate(WalkEngine(config, **kwargs).trace(t_max)):
+        probs.append(p)
         candidate = t - rule.decline_run * rule.stride
         if candidate >= 1 and _qualifies(probs, candidate, rule):
             return (
@@ -238,13 +248,7 @@ def sweep_self_loop(
     values = [na_min + i * na_step for i in range(count)]
     targets = tuple(GridVertex(*t) for t in targets)
     jobs = [(side, targets, na, edge_mode, t_max, rule) for na in values]
-    points = []
-    for point in _pool_map(_sweep_job, jobs, workers):
-        logger.info(
-            "sweep na=%g: peak_step=%d peak_probability=%.6f",
-            point.na, point.peak_step, point.peak_probability,
-        )
-        points.append(point)
+    points = list(map_jobs(_sweep_job, jobs, workers))
     best = max(range(len(points)), key=lambda i: (points[i].peak_probability, -i))
     return SweepResult(tuple(points), best)
 
@@ -321,24 +325,69 @@ def resolve_na(na_rule: float | str, m: int) -> float:
     return float(na_rule)
 
 
-def _scaling_job(args: tuple) -> ScalingRecord:
-    side, m, na, edge_mode, policy, seed, trial, rule, t_max = args
-    topology = TopologyParams.from_side(side)
-    targets = random_target_set(m, topology, seed, policy)
-    config = WalkConfig.with_na(topology, na, targets, edge_mode)
-    peak, _ = run_to_first_peak(config, t_max=t_max, rule=rule)
+@dataclass(frozen=True)
+class TrialJob:
+    """One randomized trial: draw ``m`` targets from ``seed``, then walk.
+
+    With a peak ``rule`` the walk runs to its first peak within ``t_max``
+    steps (None: :func:`step_budget`).  With ``rule=None`` it runs the fixed
+    density horizon round(1.75 * sqrt(N/M)) and records the trace maximum.
+    """
+
+    side: int
+    m: int
+    na: float
+    seed: int
+    trial: int
+    edge_mode: EdgeMode = EdgeMode.HN4
+    policy: str = "line"
+    rule: PeakRule | None = DEFAULT_PEAK_RULE
+    t_max: int | None = None
+
+
+def trial_record(job: TrialJob) -> ScalingRecord:
+    """Run one trial and describe its peak as a record."""
+    topology = TopologyParams.from_side(job.side)
+    targets = random_target_set(job.m, topology, job.seed, job.policy)
+    config = WalkConfig.with_na(topology, job.na, targets, job.edge_mode)
+    if job.rule is None:
+        horizon = int(1.75 * math.sqrt(topology.n_vertices / job.m) + 0.5)
+        probs = run(config, horizon).probabilities
+        peak_step = int(np.argmax(probs))
+        peak_probability = float(probs[peak_step])
+    else:
+        peak, _ = run_to_first_peak(config, t_max=job.t_max, rule=job.rule)
+        peak_step, peak_probability = peak.peak_step, peak.peak_probability
     return ScalingRecord(
-        side=side,
+        side=job.side,
         n_elements=topology.n_vertices,
-        m=m,
-        na=na,
-        mode=EdgeMode(edge_mode).value,
-        seed=seed,
-        trial=trial,
-        peak_step=peak.peak_step,
-        peak_probability=peak.peak_probability,
-        amplified_cost=amplified_cost(peak.peak_step, peak.peak_probability),
+        m=job.m,
+        na=job.na,
+        mode=EdgeMode(job.edge_mode).value,
+        seed=job.seed,
+        trial=job.trial,
+        peak_step=peak_step,
+        peak_probability=peak_probability,
+        amplified_cost=amplified_cost(peak_step, peak_probability),
     )
+
+
+def trial_jobs(
+    cells: Iterable[tuple[int, int]], na_rule: float | str, trials: int, seed: int, **fields
+) -> list[TrialJob]:
+    """Seeded trials of each (side, m) cell, ordered by (cell, trial); ``fields``
+    sets the remaining :class:`TrialJob` fields of every job."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    jobs = []
+    for side, m in cells:
+        side_seed = derive_seed(seed, side, m)
+        na = resolve_na(na_rule, m)
+        jobs += [
+            TrialJob(side, m, na, derive_seed(side_seed, trial), trial, **fields)
+            for trial in range(trials)
+        ]
+    return jobs
 
 
 def scaling_experiment(
@@ -354,46 +403,27 @@ def scaling_experiment(
     workers: int = 1,
 ) -> list[ScalingRecord]:
     """First-peak records over lattice sizes, with fresh random targets per trial."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    na = resolve_na(na_rule, m)
-    jobs = []
-    for side in sides:
-        side_seed = derive_seed(seed, side, m)
-        for trial in range(trials):
-            trial_seed = derive_seed(side_seed, trial)
-            jobs.append((side, m, na, edge_mode, policy, trial_seed, trial, rule, t_max))
-    records = []
-    for record in _pool_map(_scaling_job, jobs, workers):
-        logger.info(
-            "scale side=%d m=%d trial=%d: peak_step=%d peak_probability=%.6f",
-            record.side, record.m, record.trial, record.peak_step, record.peak_probability,
-        )
-        records.append(record)
-    return records
-
-
-def _density_job(args: tuple) -> ScalingRecord:
-    side, m, na, policy, seed, trial = args
-    topology = TopologyParams.from_side(side)
-    targets = random_target_set(m, topology, seed, policy)
-    config = WalkConfig.with_na(topology, na, targets, EdgeMode.HN4)
-    t_run = int(1.75 * math.sqrt(topology.n_vertices / m) + 0.5)
-    trace = run(config, t_run)
-    peak_step = int(np.argmax(trace.probabilities))
-    peak_probability = float(trace.probabilities[peak_step])
-    return ScalingRecord(
-        side=side,
-        n_elements=topology.n_vertices,
-        m=m,
-        na=na,
-        mode=EdgeMode.HN4.value,
-        seed=seed,
-        trial=trial,
-        peak_step=peak_step,
-        peak_probability=peak_probability,
-        amplified_cost=amplified_cost(peak_step, peak_probability),
+    jobs = trial_jobs(
+        [(side, m) for side in sides], na_rule, trials, seed,
+        edge_mode=edge_mode, policy=policy, rule=rule, t_max=t_max,
     )
+    return list(map_jobs(trial_record, jobs, workers))
+
+
+def density_jobs(
+    sides: Sequence[int],
+    fraction: float,
+    trials: int,
+    seed: int,
+    policy: str = "line",
+    na_rule: float | str = "8.5M",
+) -> list[TrialJob]:
+    """Fixed-horizon trials marking round(fraction * N) vertices on each side."""
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
+    cells = [(side, int(fraction * TopologyParams.from_side(side).n_vertices + 0.5))
+             for side in sides]
+    return trial_jobs(cells, na_rule, trials, seed, policy=policy, rule=None)
 
 
 def density_experiment(
@@ -413,37 +443,26 @@ def density_experiment(
     early cannot satisfy the first-peak rule's gain threshold (P(0) is
     already the marked fraction), so the trace maximum stands in for it.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    jobs = []
-    for side in sides:
-        n_vertices = TopologyParams.from_side(side).n_vertices
-        m = int(fraction * n_vertices + 0.5)
-        na = resolve_na(na_rule, m)
-        side_seed = derive_seed(seed, side, m)
-        for trial in range(trials):
-            trial_seed = derive_seed(side_seed, trial)
-            jobs.append((side, m, na, policy, trial_seed, trial))
-    records = []
-    for record in _pool_map(_density_job, jobs, workers):
-        logger.info(
-            "density side=%d m=%d trial=%d: peak_step=%d peak_probability=%.6f",
-            record.side, record.m, record.trial, record.peak_step, record.peak_probability,
-        )
-        records.append(record)
-    return records
+    jobs = density_jobs(sides, fraction, trials, seed, policy, na_rule)
+    return list(map_jobs(trial_record, jobs, workers))
 
 
 # ---------------------------------------------------------------------------
-# Worker pool
+# Job pipeline
 
 
-def _pool_map(func: Callable, jobs: Iterable[tuple], workers: int) -> list:
-    """Map jobs preserving submission order; workers <= 1 stays in-process."""
-    jobs = list(jobs)
-    if workers <= 1 or len(jobs) <= 1:
-        return [func(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, jobs))
+def map_jobs(func: Callable, jobs: Sequence, workers: int) -> Iterator:
+    """Yield ``func(job)`` for every job in submission order, logging each result.
+
+    All jobs share one process pool of ``workers`` processes; ``workers <= 1``
+    stays in-process.  A failing job raises at its own position, after every
+    earlier result has been yielded.
+    """
+    with ExitStack() as stack:
+        results = map(func, jobs)
+        if workers > 1 and len(jobs) > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(func, jobs)
+        for i, result in enumerate(results, 1):
+            logger.info("job %d/%d: %s", i, len(jobs), result)
+            yield result

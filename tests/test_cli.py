@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from hn4walk.cli import main
 from hn4walk.fitting import model_scale, RuntimeModel
 from hn4walk.reporting import read_records_csv, write_records_csv
@@ -186,10 +188,32 @@ def test_density_command(tmp_path):
                  "--out", str(tmp_path / "d.csv")]) == 2
 
 
-def test_scale_workers_flag_matches_serial(tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scale", "--sides", "16", "--m", "1", "--na", "8.5", "--trials", "2", "--seed", "11"],
+        ["scale", "--sides", "16", "--m-list", "1,2", "--na-rule", "8.5M", "--trials", "2",
+         "--seed", "11"],
+        ["density", "--sides", "16", "--fraction", "0.1", "--trials", "2", "--seed", "5"],
+    ],
+    ids=["scale", "scale-m-list", "density"],
+)
+def test_scale_workers_flag_matches_serial(tmp_path, argv):
     serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
-    base = ["scale", "--sides", "16", "--m", "1", "--na", "8.5", "--trials", "2",
-            "--seed", "11"]
-    assert main(base + ["--workers", "1", "--out", str(serial)]) == 0
-    assert main(base + ["--workers", "2", "--out", str(pooled)]) == 0
+    assert main(argv + ["--workers", "1", "--out", str(serial)]) == 0
+    assert main(argv + ["--workers", "2", "--out", str(pooled)]) == 0
     assert serial.read_bytes() == pooled.read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_scale_keeps_records_before_a_failed_job(tmp_path, workers):
+    # side 4 with four targets has no qualifying peak; the side-16 trials before it stay
+    out = tmp_path / "records.csv"
+    code = main([
+        "scale", "--sides", "16,4", "--m", "4", "--na-rule", "8.5M", "--trials", "2",
+        "--seed", "3", "--workers", workers, "--out", str(out),
+    ])
+    assert code == 3
+    records = read_records_csv(out)
+    assert [(r.side, r.trial) for r in records] == [(16, 0), (16, 1)]
+    assert not (tmp_path / "records.manifest.json").exists()

@@ -1,11 +1,13 @@
 import io
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hn4walk.engine import (
+    DEFAULT_MEMORY_LIMIT,
     CoinDirection,
     EdgeMode,
     ProbabilityTrace,
@@ -255,13 +257,29 @@ def test_run_streams_rows_to_sink():
 
 def test_memory_requirement_and_limit():
     topo = TopologyParams.from_side(16)
-    assert memory_requirement(topo, EdgeMode.HN4) == 2 * 16 * 9 * 256
-    assert memory_requirement(topo, EdgeMode.GRID) == 2 * 16 * 5 * 256
+    assert memory_requirement(topo, EdgeMode.HN4) == 2 * 16 * 9 * 256 + 8 * 9 * 256
+    assert memory_requirement(topo, EdgeMode.GRID) == 2 * 16 * 5 * 256 + 8 * 5 * 256
+    assert memory_requirement(TopologyParams.from_side(4096), EdgeMode.HN4) <= DEFAULT_MEMORY_LIMIT
     config = WalkConfig.with_na(topo, 8.5, ((1, 6),))
     with pytest.raises(ResourceLimitError):
         WalkEngine(config, memory_limit=1024)
     with pytest.raises(ResourceLimitError):
         run(config, 5, memory_limit=1024)
+
+
+@pytest.mark.parametrize("mode", list(EdgeMode))
+def test_memory_requirement_covers_engine_allocations(mode):
+    # every allocation that scales with N must be counted by the guard
+    topo = TopologyParams.from_side(64)
+    config = WalkConfig.with_na(topo, 8.5, ((1, 6),), mode)
+    tracemalloc.start()
+    try:
+        engine = WalkEngine(config)  # noqa: F841  (alive while the snapshot is taken)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    large = sum(t.size for t in snapshot.traces if t.size >= topo.n_vertices)
+    assert large <= memory_requirement(topo, mode)
 
 
 def test_engine_counts_steps_and_resets():
