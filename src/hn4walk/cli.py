@@ -193,7 +193,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         else args.steps
     )
     logger.info(
-        "walk memory: %d bytes (two state buffers and the shift table)",
+        "walk memory: %d bytes (two state buffers and the step's overlap and row buffers)",
         memory_requirement(topology, config.edge_mode),
     )
     manifest = RunManifest.begin("simulate", _manifest_params(args), seed=args.seed)

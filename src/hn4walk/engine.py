@@ -1,12 +1,15 @@
 """State-vector evolution of the lackadaisical walk.
 
 The walker state lives on (coin direction, vertex) pairs and is stored as a
-C x N complex128 array, C = 9 with long-range edges and 5 without.  One step
-applies, in order, the phase oracle over the marked vertices, the weighted
-Grover coin, and the flip-flop shift.  The shift is a fixed permutation of
-the C * N slots and is precomputed once as a flat gather table; applying it
-is a single branch-free pass, and the table being a bijection is exactly the
-unitarity of the shift.
+C x N float64 array, C = 9 with long-range edges and 5 without; every
+operator is real, so a real state stays real.  Complex states, loaded for
+analysis, evolve through the same code.  One step applies, in order, the
+phase oracle over the marked vertices, the weighted Grover coin, and the
+flip-flop shift.  The shift follows the lattice: on the C x L x L view of the
+state, each grid move is two slice copies (the wraparound), each long-range
+move an L-entry gather along one axis, and hold a plain copy.  The engine
+fuses the coin into the shift, one destination row at a time, so a step
+needs no table and only two N-sized buffers beside the state.
 
 Evolution never renormalises: norm drift is a measured property, not a
 silently corrected one.
@@ -179,12 +182,15 @@ def coin_weights(loop_weight: float, edge_mode: EdgeMode) -> np.ndarray:
     return weights
 
 
-def initial_state(config: WalkConfig) -> np.ndarray:
-    """Product of the weighted coin state and the uniform vertex state."""
+def _initial_column(config: WalkConfig) -> np.ndarray:
+    """Amplitudes of every vertex in the initial state, as a C x 1 column."""
     weights = coin_weights(config.loop_weight, config.edge_mode)
-    n_vertices = config.topology.n_vertices
-    column = (weights / math.sqrt(n_vertices)).astype(np.complex128)
-    return np.repeat(column[:, None], n_vertices, axis=1)
+    return (weights / math.sqrt(config.topology.n_vertices))[:, None]
+
+
+def initial_state(config: WalkConfig) -> np.ndarray:
+    """Product of the weighted coin state and the uniform vertex state (float64)."""
+    return np.repeat(_initial_column(config), config.topology.n_vertices, axis=1)
 
 
 def target_indices(config: WalkConfig) -> np.ndarray:
@@ -194,46 +200,71 @@ def target_indices(config: WalkConfig) -> np.ndarray:
     return np.asarray(idx, dtype=np.int64)
 
 
+def _long_range_lines(topology: TopologyParams) -> tuple[np.ndarray, np.ndarray]:
+    """0-based long-range successor and predecessor of each of the L line coordinates."""
+    n = topology.n
+    lines = range(1, topology.side + 1)
+    lr_next = np.asarray([long_range_neighbor(c, +1, n) - 1 for c in lines], dtype=np.intp)
+    lr_prev = np.asarray([long_range_neighbor(c, -1, n) - 1 for c in lines], dtype=np.intp)
+    return lr_next, lr_prev
+
+
+def _move(
+    direction: CoinDirection,
+    src: np.ndarray,
+    dst: np.ndarray,
+    lr_next: np.ndarray,
+    lr_prev: np.ndarray,
+) -> None:
+    """Shift one destination row: ``dst[y, x] = src`` at the vertex that moves
+    onto (x, y) along ``direction``.
+
+    ``src`` and ``dst`` are L x L views indexed [y, x] (vertex x + L * y);
+    ``src`` is the row of the reversed direction.  The gathers index only
+    valid coordinates, so mode "clip" skips numpy's buffered bounds check.
+    """
+    match direction:
+        case CoinDirection.X_PLUS:
+            dst[:, :-1] = src[:, 1:]
+            dst[:, -1] = src[:, 0]
+        case CoinDirection.X_MINUS:
+            dst[:, 1:] = src[:, :-1]
+            dst[:, 0] = src[:, -1]
+        case CoinDirection.Y_PLUS:
+            dst[:-1] = src[1:]
+            dst[-1] = src[0]
+        case CoinDirection.Y_MINUS:
+            dst[1:] = src[:-1]
+            dst[0] = src[-1]
+        case CoinDirection.LX_PLUS:
+            np.take(src, lr_next, axis=1, out=dst, mode="clip")
+        case CoinDirection.LX_MINUS:
+            np.take(src, lr_prev, axis=1, out=dst, mode="clip")
+        case CoinDirection.LY_PLUS:
+            np.take(src, lr_next, axis=0, out=dst, mode="clip")
+        case CoinDirection.LY_MINUS:
+            np.take(src, lr_prev, axis=0, out=dst, mode="clip")
+        case CoinDirection.HOLD:
+            dst[...] = src
+
+
 def shift_permutation(topology: TopologyParams, edge_mode: EdgeMode) -> np.ndarray:
     """Flat gather table of the flip-flop shift: new[slot] = old[table[slot]].
 
     Slot layout is row * N + vertex with rows ordered per
-    :func:`directions`.  Every destination row receives from the reversed
-    coin direction at the unique source vertex that moves onto it, so the
-    table is a permutation by construction; tests verify the bijection.
+    :func:`directions`.  The table is the engine's structured shift applied
+    to the slot numbers themselves, so checking that it is a bijection checks
+    the moves every step runs.  Every destination row receives from the
+    reversed coin direction at the unique source vertex that moves onto it.
     """
-    n = topology.n
     side = topology.side
-    n_vertices = topology.n_vertices
     dirs = directions(edge_mode)
     row = {d: r for r, d in enumerate(dirs)}
-
-    v = np.arange(n_vertices, dtype=np.int64)
-    x = v % side
-    y = v // side
-    lr_next = np.asarray(
-        [long_range_neighbor(c + 1, +1, n) - 1 for c in range(side)], dtype=np.int64
-    )
-    lr_prev = np.asarray(
-        [long_range_neighbor(c + 1, -1, n) - 1 for c in range(side)], dtype=np.int64
-    )
-
-    d = CoinDirection
-    source_vertex = {
-        d.X_PLUS: (x + 1) % side + side * y,
-        d.X_MINUS: (x - 1) % side + side * y,
-        d.Y_PLUS: x + side * ((y + 1) % side),
-        d.Y_MINUS: x + side * ((y - 1) % side),
-        d.LX_PLUS: lr_next[x] + side * y,
-        d.LX_MINUS: lr_prev[x] + side * y,
-        d.LY_PLUS: x + side * lr_next[y],
-        d.LY_MINUS: x + side * lr_prev[y],
-        d.HOLD: v,
-    }
-
-    table = np.empty((len(dirs), n_vertices), dtype=np.int64)
-    for direction in dirs:
-        table[row[direction]] = row[flip(direction)] * n_vertices + source_vertex[direction]
+    lr_next, lr_prev = _long_range_lines(topology)
+    slots = np.arange(len(dirs) * topology.n_vertices, dtype=np.int64).reshape(-1, side, side)
+    table = np.empty_like(slots)
+    for r, direction in enumerate(dirs):
+        _move(direction, slots[row[flip(direction)]], table[r], lr_next, lr_prev)
     return table.reshape(-1)
 
 
@@ -243,13 +274,33 @@ def apply_oracle(state: np.ndarray, indices: np.ndarray) -> None:
         state[:, indices] *= -1.0
 
 
+def _coined_rows(
+    state: np.ndarray, weights: np.ndarray, overlap: np.ndarray, row: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (r, row r of the coined state) for every coin row r.
+
+    The coin is 2|w><w| - I per vertex: row r becomes
+    2 * w_r * overlap - state[r] with overlap = sum_r w_r * state[r], built
+    by per-row multiply-add into ``overlap``.  Each coined row is written to
+    ``row`` (N entries, overwritten by the next one); ``state`` is only read,
+    so a caller may store row r back into ``state[r]`` before the next.
+    """
+    np.multiply(state[0], weights[0], out=overlap)
+    for r in range(1, len(weights)):
+        np.multiply(state[r], weights[r], out=row)
+        overlap += row
+    for r, w in enumerate(weights):
+        np.multiply(overlap, 2.0 * w, out=row)
+        row -= state[r]
+        yield r, row
+
+
 def apply_coin(state: np.ndarray, weights: np.ndarray) -> None:
     """Reflect each vertex's coin block about the weighted coin state, in place."""
-    overlap = weights @ state
-    for r, w in enumerate(weights):
-        amps = state[r]
-        amps *= -1.0
-        amps += (2.0 * w) * overlap
+    overlap = np.empty(state.shape[1:], dtype=state.dtype)
+    row = np.empty_like(overlap)
+    for r, coined in _coined_rows(state, weights, overlap, row):
+        state[r] = coined
 
 
 def apply_shift(state: np.ndarray, permutation: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -263,7 +314,7 @@ def step(state: np.ndarray, config: WalkConfig) -> np.ndarray:
 
     Returns the evolved state as a new array and leaves ``state`` untouched.
     Convenience entry point for analysis; loops should keep a
-    :class:`WalkEngine`, which builds the shift table once.
+    :class:`WalkEngine`, which allocates its buffers once.
     """
     engine = WalkEngine(config)
     engine.set_amplitudes(state)
@@ -276,7 +327,9 @@ def success_probability(state: np.ndarray, indices: np.ndarray) -> float:
     if not len(indices):
         return 0.0
     block = state[:, indices]
-    return float(np.sum(block.real**2 + block.imag**2))
+    if np.iscomplexobj(block):
+        return float(np.sum(block.real**2 + block.imag**2))
+    return float(np.sum(block**2))
 
 
 def amplified_cost(peak_step: int, peak_probability: float) -> float:
@@ -286,11 +339,18 @@ def amplified_cost(peak_step: int, peak_probability: float) -> float:
     return peak_step / math.sqrt(peak_probability)
 
 
+def _held_bytes(topology: TopologyParams, edge_mode: EdgeMode, dtype: type) -> int:
+    """Bytes of an engine's buffers for amplitudes of ``dtype``: two C x N state
+    buffers plus the fused step's N-sized overlap and row buffers."""
+    return 2 * (len(directions(edge_mode)) + 1) * topology.n_vertices * np.dtype(dtype).itemsize
+
+
 def memory_requirement(topology: TopologyParams, edge_mode: EdgeMode) -> int:
-    """Bytes a :class:`WalkEngine` allocates: two state buffers of C * N complex128
-    amplitudes (2 * 16 * C * N) plus the int64 shift table (8 * C * N)."""
-    slots = len(directions(edge_mode)) * topology.n_vertices
-    return 2 * 16 * slots + 8 * slots
+    """Bytes a :class:`WalkEngine` allocates for a real state: two state buffers
+    of C * N float64 amplitudes (2 * 8 * C * N) plus the overlap and row
+    buffers of the fused step (8 * N each).  A complex state loaded with
+    :meth:`WalkEngine.set_amplitudes` needs twice this."""
+    return _held_bytes(topology, edge_mode, np.float64)
 
 
 @dataclass(frozen=True)
@@ -322,17 +382,17 @@ class ProbabilityTrace:
 class WalkEngine:
     """Owns the evolving state vector of one walk.
 
-    Ping-pongs between two preallocated buffers; the shift gathers from one
-    into the other.  A single engine must be driven by one thread at a time
-    but may be handed between threads between steps.
+    Ping-pongs between two preallocated state buffers: each step coins the
+    current one row by row and moves every coined row into the other.  The
+    state is float64 unless a complex one is loaded with
+    :meth:`set_amplitudes`.  A single engine must be driven by one thread at
+    a time but may be handed between threads between steps.
     """
 
     def __init__(self, config: WalkConfig, memory_limit: int | None = DEFAULT_MEMORY_LIMIT):
-        needed = memory_requirement(config.topology, config.edge_mode)
-        if memory_limit is not None and needed > memory_limit:
-            raise ResourceLimitError(
-                f"state buffers and shift table need {needed} bytes, limit is {memory_limit}"
-            )
+        self._config = config
+        self._memory_limit = memory_limit
+        self._allocate(np.float64)
         for t in config.targets:
             if is_exceptional(t, config.topology.n, "line"):
                 logger.warning(
@@ -340,13 +400,31 @@ class WalkEngine:
                     "degenerate to self-loops)",
                     tuple(t),
                 )
-        self._config = config
         self._weights = coin_weights(config.loop_weight, config.edge_mode)
-        self._permutation = shift_permutation(config.topology, config.edge_mode)
         self._targets = target_indices(config)
-        self._state = initial_state(config)
+        dirs = directions(config.edge_mode)
+        row = {d: r for r, d in enumerate(dirs)}
+        # the coined row r moves into the row of the reversed direction
+        self._moves = tuple((row[flip(d)], flip(d)) for d in dirs)
+        self._lr_next, self._lr_prev = _long_range_lines(config.topology)
+        self.reset()
+
+    def _allocate(self, dtype: type) -> None:
+        """(Re)allocate the state, scratch, overlap and row buffers for ``dtype``,
+        refusing when they would exceed the memory limit."""
+        topology, edge_mode = self._config.topology, self._config.edge_mode
+        needed = _held_bytes(topology, edge_mode, dtype)
+        if self._memory_limit is not None and needed > self._memory_limit:
+            raise ResourceLimitError(
+                f"state buffers and the step's overlap and row buffers need {needed} "
+                f"bytes, limit is {self._memory_limit}"
+            )
+        shape = (len(directions(edge_mode)), topology.n_vertices)
+        self._state = self._scratch = self._overlap = self._row = None  # free before allocating
+        self._state = np.empty(shape, dtype=dtype)
         self._scratch = np.empty_like(self._state)
-        self._steps = 0
+        self._overlap = np.empty(topology.n_vertices, dtype=dtype)
+        self._row = np.empty_like(self._overlap)
 
     @property
     def config(self) -> WalkConfig:
@@ -363,16 +441,25 @@ class WalkEngine:
         return self._state
 
     def set_amplitudes(self, values: np.ndarray) -> None:
-        """Load an arbitrary state (for analysis); resets the step counter."""
-        arr = np.asarray(values, dtype=np.complex128)
+        """Load an arbitrary state (for analysis); resets the step counter.
+
+        A complex array switches the buffers to complex128 and a real one
+        back to float64; the memory limit is checked before reallocating.
+        """
+        arr = np.asarray(values)
         if arr.shape != self._state.shape:
             raise ValueError(f"expected shape {self._state.shape}, got {arr.shape}")
+        dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
+        if self._state.dtype != dtype:
+            self._allocate(dtype)
         np.copyto(self._state, arr)
         self._steps = 0
 
     def reset(self) -> None:
-        """Return to the canonical initial state."""
-        np.copyto(self._state, initial_state(self._config))
+        """Return to the canonical (real) initial state."""
+        if self._state.dtype != np.float64:
+            self._allocate(np.float64)
+        self._state[...] = _initial_column(self._config)
         self._steps = 0
 
     def probability(self) -> float:
@@ -388,13 +475,18 @@ class WalkEngine:
             yield self.probability()
 
     def advance(self, steps: int = 1) -> None:
-        """Apply the evolution operator ``steps`` times."""
-        state, scratch = self._state, self._scratch
-        targets, weights, permutation = self._targets, self._weights, self._permutation
+        """Apply the evolution operator ``steps`` times: the oracle, then the
+        coin fused into the shift, one destination row at a time."""
+        state, scratch, overlap, row = self._state, self._scratch, self._overlap, self._row
+        targets, weights, moves = self._targets, self._weights, self._moves
+        lr_next, lr_prev = self._lr_next, self._lr_prev
+        side = self._config.topology.side
         for _ in range(steps):
             apply_oracle(state, targets)
-            apply_coin(state, weights)
-            apply_shift(state, permutation, scratch)
+            shifted = scratch.reshape(-1, side, side)
+            for r, coined in _coined_rows(state, weights, overlap, row):
+                dest, direction = moves[r]
+                _move(direction, coined.reshape(side, side), shifted[dest], lr_next, lr_prev)
             state, scratch = scratch, state
         self._state, self._scratch = state, scratch
         self._steps += steps

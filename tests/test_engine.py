@@ -193,6 +193,37 @@ def test_step_matches_dense_reference(mode):
     got = step(psi.copy(), config)
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
+    # a real state stays on the engine's float64 path
+    real = psi.real / np.linalg.norm(psi.real)
+    engine = WalkEngine(config)
+    engine.set_amplitudes(real)
+    engine.advance()
+    assert engine.amplitudes.dtype == np.float64
+    expected = (matrix.real @ real.reshape(-1)).reshape(n_coins, 16)
+    np.testing.assert_allclose(engine.amplitudes, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", list(EdgeMode))
+def test_engine_matches_public_stages(mode):
+    # the fused step against oracle -> coin -> gather by shift_permutation, with
+    # a target on the exceptional line x + 1 = 32 = 2**(n-1)
+    topo = TopologyParams.from_side(64)
+    config = WalkConfig.with_na(topo, 8.5, ((31, 5),), mode)
+    engine = WalkEngine(config)
+    engine.advance(50)
+
+    psi = initial_state(config)
+    out = np.empty_like(psi)
+    idx = target_indices(config)
+    weights = coin_weights(config.loop_weight, mode)
+    perm = shift_permutation(topo, mode)
+    for _ in range(50):
+        apply_oracle(psi, idx)
+        apply_coin(psi, weights)
+        apply_shift(psi, perm, out)
+        psi, out = out, psi
+    assert np.max(np.abs(engine.amplitudes - psi)) <= 1e-13
+
 
 def test_step_is_stationary_without_targets():
     for mode in EdgeMode:
@@ -257,14 +288,18 @@ def test_run_streams_rows_to_sink():
 
 def test_memory_requirement_and_limit():
     topo = TopologyParams.from_side(16)
-    assert memory_requirement(topo, EdgeMode.HN4) == 2 * 16 * 9 * 256 + 8 * 9 * 256
-    assert memory_requirement(topo, EdgeMode.GRID) == 2 * 16 * 5 * 256 + 8 * 5 * 256
+    assert memory_requirement(topo, EdgeMode.HN4) == 2 * 8 * 9 * 256 + 2 * 8 * 256
+    assert memory_requirement(topo, EdgeMode.GRID) == 2 * 8 * 5 * 256 + 2 * 8 * 256
     assert memory_requirement(TopologyParams.from_side(4096), EdgeMode.HN4) <= DEFAULT_MEMORY_LIMIT
     config = WalkConfig.with_na(topo, 8.5, ((1, 6),))
     with pytest.raises(ResourceLimitError):
         WalkEngine(config, memory_limit=1024)
     with pytest.raises(ResourceLimitError):
         run(config, 5, memory_limit=1024)
+    # a complex state doubles every buffer; loading one is guarded too
+    engine = WalkEngine(config, memory_limit=memory_requirement(topo, EdgeMode.HN4))
+    with pytest.raises(ResourceLimitError):
+        engine.set_amplitudes(random_state(9, 256))
 
 
 @pytest.mark.parametrize("mode", list(EdgeMode))
@@ -272,14 +307,22 @@ def test_memory_requirement_covers_engine_allocations(mode):
     # every allocation that scales with N must be counted by the guard
     topo = TopologyParams.from_side(64)
     config = WalkConfig.with_na(topo, 8.5, ((1, 6),), mode)
+    psi = random_state(len(directions(mode)), topo.n_vertices)
     tracemalloc.start()
     try:
-        engine = WalkEngine(config)  # noqa: F841  (alive while the snapshot is taken)
+        engine = WalkEngine(config)
         snapshot = tracemalloc.take_snapshot()
+        engine.set_amplitudes(psi)
+        complex_snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    large = sum(t.size for t in snapshot.traces if t.size >= topo.n_vertices)
-    assert large <= memory_requirement(topo, mode)
+
+    def large(snap):
+        return sum(t.size for t in snap.traces if t.size >= topo.n_vertices)
+
+    assert large(snapshot) <= memory_requirement(topo, mode)
+    assert engine.amplitudes.dtype == np.complex128
+    assert large(complex_snapshot) <= 2 * memory_requirement(topo, mode)
 
 
 def test_engine_counts_steps_and_resets():
@@ -290,6 +333,21 @@ def test_engine_counts_steps_and_resets():
     engine.reset()
     assert engine.t == 0
     assert engine.probability() == p0
+
+
+def test_engine_state_dtype_follows_loaded_amplitudes():
+    config = make_config(side=16, targets=((1, 6),))
+    engine = WalkEngine(config)
+    assert engine.amplitudes.dtype == np.float64
+    engine.advance(5)
+    assert engine.amplitudes.dtype == np.float64
+    engine.set_amplitudes(random_state(9, 256))
+    assert engine.amplitudes.dtype == np.complex128
+    engine.advance()
+    assert engine.amplitudes.dtype == np.complex128
+    engine.reset()
+    assert engine.amplitudes.dtype == np.float64
+    np.testing.assert_array_equal(engine.amplitudes, initial_state(config))
 
 
 def test_engine_warns_on_exceptional_target(caplog):
