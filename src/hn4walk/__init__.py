@@ -9,12 +9,10 @@ from .topology import (  # noqa: F401
     HierCoord,
     TopologyError,
     TopologyParams,
-    admissible_vertices,
     compose,
     decompose,
-    grid_neighbor,
-    is_exceptional,
-    long_range_neighbor,
+    exceptional_vertices,
+    long_range_lines,
 )
 from .engine import (  # noqa: F401
     CoinDirection,

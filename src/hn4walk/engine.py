@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import IO, Iterator
@@ -27,9 +28,10 @@ import numpy as np
 
 from .topology import (
     GridVertex,
+    TopologyError,
     TopologyParams,
-    is_exceptional,
-    long_range_neighbor,
+    exceptional_vertices,
+    long_range_lines,
     vertex_index,
 )
 
@@ -138,7 +140,10 @@ class WalkConfig:
         if not math.isfinite(self.loop_weight) or self.loop_weight < 0:
             raise ValueError(f"loop weight must be finite and >= 0, got {self.loop_weight!r}")
         object.__setattr__(self, "edge_mode", EdgeMode(self.edge_mode))
-        targets = tuple(GridVertex(*t) for t in self.targets)
+        try:
+            targets = tuple(GridVertex(*map(operator.index, t)) for t in self.targets)
+        except TypeError as exc:
+            raise TopologyError(f"targets must be pairs of integers: {exc}") from exc
         side = self.topology.side
         for t in targets:
             vertex_index(t, side)  # range check
@@ -195,18 +200,8 @@ def initial_state(config: WalkConfig) -> np.ndarray:
 
 def target_indices(config: WalkConfig) -> np.ndarray:
     """Sorted linear indices of the marked vertices."""
-    side = config.topology.side
-    idx = sorted(vertex_index(t, side) for t in config.targets)
-    return np.asarray(idx, dtype=np.int64)
-
-
-def _long_range_lines(topology: TopologyParams) -> tuple[np.ndarray, np.ndarray]:
-    """0-based long-range successor and predecessor of each of the L line coordinates."""
-    n = topology.n
-    lines = range(1, topology.side + 1)
-    lr_next = np.asarray([long_range_neighbor(c, +1, n) - 1 for c in lines], dtype=np.intp)
-    lr_prev = np.asarray([long_range_neighbor(c, -1, n) - 1 for c in lines], dtype=np.intp)
-    return lr_next, lr_prev
+    xy = np.asarray(config.targets, dtype=np.int64).reshape(-1, 2)
+    return np.sort(xy[:, 0] + config.topology.side * xy[:, 1])
 
 
 def _move(
@@ -260,7 +255,7 @@ def shift_permutation(topology: TopologyParams, edge_mode: EdgeMode) -> np.ndarr
     side = topology.side
     dirs = directions(edge_mode)
     row = {d: r for r, d in enumerate(dirs)}
-    lr_next, lr_prev = _long_range_lines(topology)
+    lr_next, lr_prev = long_range_lines(topology)
     slots = np.arange(len(dirs) * topology.n_vertices, dtype=np.int64).reshape(-1, side, side)
     table = np.empty_like(slots)
     for r, direction in enumerate(dirs):
@@ -393,20 +388,21 @@ class WalkEngine:
         self._config = config
         self._memory_limit = memory_limit
         self._allocate(np.float64)
-        for t in config.targets:
-            if is_exceptional(t, config.topology.n, "line"):
-                logger.warning(
-                    "target %s lies on an exceptional line (its long-range edges "
-                    "degenerate to self-loops)",
-                    tuple(t),
-                )
         self._weights = coin_weights(config.loop_weight, config.edge_mode)
         self._targets = target_indices(config)
+        side = config.topology.side
+        flagged = exceptional_vertices(config.topology, "line")[self._targets]
+        for index in self._targets[flagged].tolist():
+            logger.warning(
+                "target %s lies on an exceptional line (its long-range edges "
+                "degenerate to self-loops)",
+                (index % side, index // side),
+            )
         dirs = directions(config.edge_mode)
         row = {d: r for r, d in enumerate(dirs)}
         # the coined row r moves into the row of the reversed direction
         self._moves = tuple((row[flip(d)], flip(d)) for d in dirs)
-        self._lr_next, self._lr_prev = _long_range_lines(config.topology)
+        self._lr_next, self._lr_prev = long_range_lines(config.topology)
         self.reset()
 
     def _allocate(self, dtype: type) -> None:

@@ -35,7 +35,7 @@ from .engine import (
     amplified_cost,
     run,
 )
-from .topology import GridVertex, TopologyParams, admissible_vertices
+from .topology import GridVertex, TopologyParams, exceptional_vertices
 
 __all__ = [
     "PeakRule",
@@ -266,15 +266,16 @@ def random_target_set(
     m: int, topology: TopologyParams, seed: int, policy: str = "line"
 ) -> tuple[GridVertex, ...]:
     """Uniform sample of m distinct admissible vertices, in linear-index order."""
-    candidates = admissible_vertices(topology, policy)
+    candidates = np.flatnonzero(~exceptional_vertices(topology, policy))
     if not 1 <= m <= len(candidates):
         raise ValueError(
             f"m must lie in [1, {len(candidates)}] (admissible vertices under "
             f"policy {policy!r}), got {m}"
         )
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(candidates), size=m, replace=False)
-    return tuple(candidates[i] for i in sorted(chosen))
+    chosen = np.sort(candidates[rng.choice(len(candidates), size=m, replace=False)])
+    y, x = np.divmod(chosen, topology.side)
+    return tuple(map(GridVertex, x.tolist(), y.tolist()))
 
 
 @dataclass(frozen=True)
@@ -461,7 +462,9 @@ def map_jobs(func: Callable, jobs: Sequence, workers: int) -> Iterator:
     with ExitStack() as stack:
         results = map(func, jobs)
         if workers > 1 and len(jobs) > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=min(workers, len(jobs)))
+            )
             results = pool.map(func, jobs)
         for i, result in enumerate(results, 1):
             logger.info("job %d/%d: %s", i, len(jobs), result)

@@ -13,13 +13,20 @@ self-loops, which makes them "exceptional".
 
 Amplitudes elsewhere in the package are stored against 0-based grid
 coordinates (x in [0, L - 1]); the hierarchy map always applies to x + 1.
-Everything here is pure integer arithmetic and safe to call concurrently.
+:func:`decompose` and :func:`compose` give the hierarchy one coordinate at
+a time and serve as the scalar reference; :func:`long_range_lines` and
+:func:`exceptional_vertices` give the long-range moves and the exceptional
+vertices of the whole lattice as numpy arrays, the one definition the
+engine and the experiments read.  Nothing here holds state, so all of it
+is safe to call concurrently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 __all__ = [
     "TopologyError",
@@ -31,11 +38,8 @@ __all__ = [
     "level_size",
     "decompose",
     "compose",
-    "grid_neighbor",
-    "long_range_neighbor",
-    "is_exceptional_coordinate",
-    "is_exceptional",
-    "admissible_vertices",
+    "long_range_lines",
+    "exceptional_vertices",
     "vertex_index",
 ]
 
@@ -129,62 +133,36 @@ def compose(coord: HierCoord | tuple[int, int], n: int) -> int:
     return (1 << level) * (2 * rank + 1)
 
 
-def grid_neighbor(coord: int, step: int, side: int) -> int:
-    """Periodic nearest neighbour of a 0-based grid coordinate."""
-    if step not in (1, -1):
-        raise TopologyError(f"step must be +1 or -1, got {step}")
-    if not 0 <= coord < side:
-        raise TopologyError(f"coordinate must lie in [0, {side - 1}], got {coord}")
-    return (coord + step) % side
+def long_range_lines(params: TopologyParams) -> tuple[np.ndarray, np.ndarray]:
+    """0-based long-range successor and predecessor of each of the L line coordinates.
 
-
-def long_range_neighbor(coord: int, step: int, n: int) -> int:
-    """Long-range neighbour of a 1-based line coordinate.
-
-    Moves to the cyclically adjacent rank of the coordinate's own hierarchy
-    level; the level never changes.  At the exceptional levels n - 1 and n
-    the edge is a self-loop, so the coordinate is returned unchanged.
+    For the 1-based coordinate c, step = 2**level is the lowest set bit of c,
+    its level holds max(L / (2 * step), 1) coordinates and its rank is
+    (c / step - 1) / 2; the move goes to the cyclically adjacent rank
+    of the same level.  At levels n - 1 and n the level holds one
+    coordinate, so the move is a fixed point (a self-loop).
     """
-    if step not in (1, -1):
-        raise TopologyError(f"step must be +1 or -1, got {step}")
-    level, rank = decompose(coord, n)
-    if level >= n - 1:
-        return coord
-    size = level_size(level, n)
-    return compose(HierCoord(level, (rank + step) % size), n)
+    c = np.arange(1, params.side + 1, dtype=np.intp)
+    step = c & -c
+    size = np.maximum(params.side // (2 * step), 1)
+    rank = (c // step - 1) // 2
+    lr_next, lr_prev = (step * (2 * ((rank + d) % size) + 1) - 1 for d in (1, -1))
+    return lr_next, lr_prev
 
 
-def is_exceptional_coordinate(coord: int, n: int) -> bool:
-    """True when the 0-based coordinate's 1-based image sits at level n - 1 or n."""
-    return decompose(coord + 1, n).level >= n - 1
+def exceptional_vertices(params: TopologyParams, policy: str = "line") -> np.ndarray:
+    """Boolean mask over the N vertices, in linear-index order, of the exceptional ones.
 
-
-def is_exceptional(vertex: GridVertex | tuple[int, int], n: int, policy: str = "line") -> bool:
-    """Classify a vertex as exceptional under the given policy.
-
-    Exceptional vertices have degenerate (self-loop) long-range edges on at
-    least one line through them.  Policy "line" flags a vertex when either
-    coordinate is exceptional; "intersection" only when both are.
+    A line coordinate is exceptional when its long-range move is a fixed
+    point.  Policy "line" flags a vertex when either of its coordinates is
+    exceptional; "intersection" only when both are.
     """
     if policy not in EXCEPTIONAL_POLICIES:
         raise TopologyError(f"unknown exceptional policy {policy!r}")
-    x, y = vertex
-    ex_x = is_exceptional_coordinate(x, n)
-    ex_y = is_exceptional_coordinate(y, n)
-    if policy == "line":
-        return ex_x or ex_y
-    return ex_x and ex_y
-
-
-def admissible_vertices(params: TopologyParams, policy: str = "line") -> tuple[GridVertex, ...]:
-    """All non-exceptional vertices in linear-index order."""
-    side = params.side
-    return tuple(
-        GridVertex(x, y)
-        for y in range(side)
-        for x in range(side)
-        if not is_exceptional(GridVertex(x, y), params.n, policy)
-    )
+    lr_next, _ = long_range_lines(params)
+    line = lr_next == np.arange(params.side)
+    combine = np.logical_or if policy == "line" else np.logical_and
+    return combine.outer(line, line).reshape(-1)  # [y, x] flattens to x + L * y
 
 
 def vertex_index(vertex: GridVertex | tuple[int, int], side: int) -> int:

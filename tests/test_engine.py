@@ -29,7 +29,7 @@ from hn4walk.engine import (
     success_probability,
     target_indices,
 )
-from hn4walk.topology import TopologyParams
+from hn4walk.topology import TopologyError, TopologyParams
 
 from dense_reference import dense_step
 
@@ -67,6 +67,8 @@ def test_config_validation():
         WalkConfig(topo, 0.5, ((0, 0), (0, 0)))
     with pytest.raises(Exception):
         WalkConfig(topo, 0.5, ((4, 0),))
+    with pytest.raises(TopologyError):
+        WalkConfig.with_na(topo, 8.0, [(1.5, 2), (1, 2)])
     config = WalkConfig.with_na(topo, 8.0, [(1, 2)])
     assert config.loop_weight == 0.5
     assert config.na == 8.0
@@ -350,10 +352,18 @@ def test_engine_state_dtype_follows_loaded_amplitudes():
     np.testing.assert_array_equal(engine.amplitudes, initial_state(config))
 
 
-def test_engine_warns_on_exceptional_target(caplog):
+@pytest.mark.parametrize(
+    "target, warns",
+    [((7, 3), True), ((6, 7), True), ((15, 0), True), ((1, 6), False)],
+    ids=["x-half", "y-half", "x-last", "regular"],
+)
+def test_engine_warns_on_exceptional_target(caplog, target, warns):
+    # side 16: x + 1 or y + 1 equal to 8 = 2**(n-1) or 16 = 2**n is exceptional
     with caplog.at_level(logging.WARNING, logger="hn4walk.engine"):
-        WalkEngine(make_config(side=16, targets=((6, 7),)))  # y + 1 = 8 = 2**(n-1)
-    assert any("exceptional" in rec.message for rec in caplog.records)
+        WalkEngine(make_config(side=16, targets=((1, 2), target)))
+    messages = [rec.message for rec in caplog.records if "exceptional" in rec.message]
+    assert messages == ([f"target {target} lies on an exceptional line (its long-range "
+                         "edges degenerate to self-loops)"] if warns else [])
 
 
 def test_amplified_cost():

@@ -16,9 +16,11 @@ from hn4walk.experiments import (
     scaling_experiment,
     step_budget,
     sweep_self_loop,
+    trial_jobs,
 )
+from hn4walk import experiments
 from hn4walk.fitting import RuntimeModel, fit_scaling
-from hn4walk.topology import TopologyParams, admissible_vertices, is_exceptional
+from hn4walk.topology import GridVertex, TopologyParams, exceptional_vertices
 
 
 def test_detect_first_peak_synthetic_unimodal():
@@ -111,15 +113,17 @@ def test_random_target_set_reproducible_and_admissible():
     b = random_target_set(5, topo, seed=42)
     assert a == b
     assert len(set(a)) == 5
-    assert all(not is_exceptional(v, topo.n, "line") for v in a)
+    exceptional = exceptional_vertices(topo, "line")
+    assert not any(exceptional[x + topo.side * y] for x, y in a)
     c = random_target_set(5, topo, seed=43)
     assert a != c
 
 
 def test_random_target_set_full_draw_and_overflow():
     topo = TopologyParams.from_side(16)
-    admissible = admissible_vertices(topo, "line")
-    assert set(random_target_set(len(admissible), topo, seed=7)) == set(admissible)
+    admissible = np.flatnonzero(~exceptional_vertices(topo, "line"))
+    drawn = random_target_set(len(admissible), topo, seed=7)
+    assert [x + topo.side * y for x, y in drawn] == admissible.tolist()
     with pytest.raises(ValueError):
         random_target_set(len(admissible) + 1, topo, seed=7)
     with pytest.raises(ValueError):
@@ -128,7 +132,7 @@ def test_random_target_set_full_draw_and_overflow():
 
 def test_random_target_set_intersection_policy():
     topo = TopologyParams.from_side(16)
-    n_admissible = len(admissible_vertices(topo, "intersection"))
+    n_admissible = int(np.count_nonzero(~exceptional_vertices(topo, "intersection")))
     assert n_admissible == 256 - 4
     targets = random_target_set(n_admissible, topo, seed=3, policy="intersection")
     assert len(targets) == n_admissible
@@ -137,17 +141,33 @@ def test_random_target_set_intersection_policy():
 def test_random_target_set_uniformity_chi_square():
     # 1e4 single-target draws on 16x16: chi-square against uniform within 5 sigma
     topo = TopologyParams.from_side(16)
-    admissible = admissible_vertices(topo, "line")
-    counts = {v: 0 for v in admissible}
+    admissible = np.flatnonzero(~exceptional_vertices(topo, "line"))
+    counts = {int(v): 0 for v in admissible}
     draws = 10_000
     for i in range(draws):
-        (v,) = random_target_set(1, topo, seed=derive_seed(505, i))
-        counts[v] += 1
+        ((x, y),) = random_target_set(1, topo, seed=derive_seed(505, i))
+        counts[x + topo.side * y] += 1
     expected = draws / len(admissible)
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     dof = len(admissible) - 1
     sigma = np.sqrt(2 * dof)
     assert abs(chi2 - dof) < 5 * sigma
+
+
+def test_random_target_set_pinned_draws():
+    # existing seeds must keep drawing the same targets, so records stay reproducible
+    side16, side512 = TopologyParams.from_side(16), TopologyParams.from_side(512)
+    drawn = random_target_set(5, side16, seed=42)
+    assert drawn == ((3, 1), (0, 6), (1, 6), (0, 10), (10, 11))
+    assert all(type(v) is GridVertex and type(v.x) is type(v.y) is int for v in drawn)
+    assert random_target_set(5, side16, seed=3, policy="intersection") == (
+        (5, 1), (12, 2), (13, 2), (11, 3), (11, 12),
+    )
+    (job,) = trial_jobs([(512, 4)], "8.5M", 1, 602)
+    assert job.seed == 3559554422
+    assert random_target_set(4, side512, job.seed) == (
+        (128, 182), (150, 248), (106, 454), (108, 454),
+    )
 
 
 def test_target_ensemble():
@@ -208,6 +228,29 @@ def test_scaling_experiment_worker_count_does_not_change_results():
     serial = scaling_experiment([16], 1, 8.5, trials=3, seed=5)
     pooled = scaling_experiment([16], 1, 8.5, trials=3, seed=5, workers=2)
     assert pooled == serial
+
+
+def test_map_jobs_pool_never_exceeds_job_count(monkeypatch):
+    # a recording stand-in: the real pool forks all its workers at the first submit
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, jobs):
+            return map(func, jobs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    assert list(experiments.map_jobs(abs, [-1, -2], 6)) == [1, 2]
+    assert list(experiments.map_jobs(abs, [-1, -2, -3], 2)) == [1, 2, 3]
+    assert sizes == [2, 2]
 
 
 def test_scaling_experiment_na_rule():

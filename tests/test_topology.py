@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,13 +7,11 @@ from hn4walk.topology import (
     HierCoord,
     TopologyError,
     TopologyParams,
-    admissible_vertices,
     compose,
     decompose,
-    grid_neighbor,
-    is_exceptional,
+    exceptional_vertices,
     level_size,
-    long_range_neighbor,
+    long_range_lines,
     rank_limit,
     vertex_index,
 )
@@ -86,89 +85,77 @@ def test_round_trip_property(n, data):
 
 
 def test_long_range_examples():
-    assert long_range_neighbor(3, +1, 4) == 5
-    assert long_range_neighbor(15, +1, 4) == 1  # cyclic wrap within level 0
-    assert long_range_neighbor(8, +1, 4) == 8  # level n-1 self-loop
-    assert long_range_neighbor(8, -1, 4) == 8
-    assert long_range_neighbor(16, +1, 4) == 16  # level n self-loop
+    # 0-based: the 1-based move 3 -> 5 is 2 -> 4
+    lr_next, lr_prev = long_range_lines(TopologyParams(4))
+    assert lr_next[2] == 4
+    assert lr_next[14] == 0  # cyclic wrap within level 0
+    assert lr_next[7] == lr_prev[7] == 7  # level n-1 self-loop
+    assert lr_next[15] == lr_prev[15] == 15  # level n self-loop
+    assert lr_next.dtype == lr_prev.dtype == np.intp
 
 
 def test_long_range_round_trip_and_level():
-    for n in range(2, 9):
+    for n in range(2, 11):
+        lr_next, lr_prev = long_range_lines(TopologyParams(n))
+        assert np.array_equal(lr_prev[lr_next], np.arange(1 << n))
         for x in range(1, (1 << n) + 1):
-            fwd = long_range_neighbor(x, +1, n)
-            assert long_range_neighbor(fwd, -1, n) == x
-            assert decompose(fwd, n).level == decompose(x, n).level
+            level, rank = decompose(x, n)
+            size = 1 if level >= n - 1 else level_size(level, n)
+            assert lr_next[x - 1] + 1 == compose((level, (rank + 1) % size), n)
+            assert decompose(int(lr_next[x - 1]) + 1, n).level == level
 
 
 def test_long_range_single_cycle_per_level():
-    for n in range(2, 9):
+    for n in range(2, 11):
+        side = 1 << n
+        lr_next, _ = long_range_lines(TopologyParams(n))
         for level in range(n - 1):
             size = level_size(level, n)
-            start = compose(HierCoord(level, 0), n)
+            start = compose(HierCoord(level, 0), n) - 1
             seen = [start]
             while True:
-                nxt = long_range_neighbor(seen[-1], +1, n)
+                nxt = int(lr_next[seen[-1]])
                 if nxt == start:
                     break
                 seen.append(nxt)
             assert len(seen) == size
             assert len(set(seen)) == size
-
-
-def test_grid_neighbor_examples():
-    assert grid_neighbor(0, -1, 16) == 15
-    assert grid_neighbor(15, +1, 16) == 0
-    assert grid_neighbor(7, +1, 16) == 8
-
-
-def test_grid_neighbor_order():
-    for side in (4, 8, 16):
-        for start in range(side):
-            c = start
-            for _ in range(side):
-                c = grid_neighbor(c, +1, side)
-            assert c == start
-
-
-def test_grid_neighbor_validation():
-    with pytest.raises(TopologyError):
-        grid_neighbor(16, +1, 16)
-    with pytest.raises(TopologyError):
-        grid_neighbor(3, 2, 16)
+        fixed = np.flatnonzero(lr_next == np.arange(side))
+        assert fixed.tolist() == [side // 2 - 1, side - 1]
 
 
 def test_is_exceptional_examples():
-    assert is_exceptional(GridVertex(7, 3), 4, "line")  # x + 1 = 8 = 2**(n-1)
-    assert not is_exceptional(GridVertex(0, 6), 4, "line")
+    line = exceptional_vertices(TopologyParams(4), "line")
+    assert line[7 + 16 * 3]  # x + 1 = 8 = 2**(n-1)
+    assert line[6 + 16 * 7]  # y + 1 = 8
+    assert line[15 + 16 * 0]  # x + 1 = 16 = 2**n
+    assert not line[0 + 16 * 6]
     with pytest.raises(TopologyError):
-        is_exceptional(GridVertex(0, 0), 4, "diagonal")
+        exceptional_vertices(TopologyParams(4), "diagonal")
 
 
 def test_exceptional_counts_by_enumeration():
     for n in range(2, 7):
         side = 1 << n
-        line = sum(
-            is_exceptional(GridVertex(x, y), n, "line")
-            for x in range(side)
-            for y in range(side)
-        )
-        meet = sum(
-            is_exceptional(GridVertex(x, y), n, "intersection")
-            for x in range(side)
-            for y in range(side)
-        )
-        assert line == 4 * side - 4
-        assert meet == 4
+        line = exceptional_vertices(TopologyParams(n), "line")
+        meet = exceptional_vertices(TopologyParams(n), "intersection")
+        assert line.shape == meet.shape == (side * side,)
+        assert line.sum() == 4 * side - 4
+        assert meet.sum() == 4
 
 
 def test_admissible_vertices():
-    params = TopologyParams(4)
-    admissible = admissible_vertices(params, "line")
-    assert len(admissible) == 256 - 60
-    assert all(not is_exceptional(v, 4, "line") for v in admissible)
-    indices = [vertex_index(v, params.side) for v in admissible]
-    assert indices == sorted(indices)
+    # the mask agrees with the scalar hierarchy, vertex by vertex in linear order
+    for n in range(2, 7):
+        side = 1 << n
+        for policy, combine in (("line", any), ("intersection", all)):
+            expected = [
+                combine(decompose(c + 1, n).level >= n - 1 for c in (x, y))
+                for y in range(side)
+                for x in range(side)
+            ]
+            mask = exceptional_vertices(TopologyParams(n), policy)
+            assert mask.tolist() == expected
 
 
 def test_vertex_index_bijection():
