@@ -5,7 +5,6 @@ protocols, runtime-model fitting, and a CLI."""
 from .reporting import ENGINE_VERSION as __version__  # noqa: F401
 
 from .topology import (  # noqa: F401
-    GridVertex,
     HierCoord,
     TopologyError,
     TopologyParams,
@@ -32,7 +31,6 @@ from .experiments import (  # noqa: F401
     PeakRule,
     ScalingRecord,
     SweepResult,
-    TargetEnsemble,
     density_experiment,
     detect_first_peak,
     random_target_set,
@@ -44,6 +42,5 @@ from .fitting import (  # noqa: F401
     FitError,
     FitResult,
     RuntimeModel,
-    compare_models,
     fit_scaling,
 )

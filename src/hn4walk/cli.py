@@ -39,7 +39,7 @@ from .reporting import (
     write_fit_json,
     write_sweep_csv,
 )
-from .topology import GridVertex, TopologyParams, TopologyError
+from .topology import EXCEPTIONAL_POLICIES, TopologyParams, TopologyError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -65,7 +65,7 @@ def _side_list(text: str) -> list[int]:
     return sides
 
 
-def _target_list(text: str) -> tuple[GridVertex, ...]:
+def _target_list(text: str) -> tuple[tuple[int, int], ...]:
     pairs = [tok for tok in text.split(";") if tok.strip()]
     if not pairs:
         raise argparse.ArgumentTypeError("target list must not be empty")
@@ -73,7 +73,7 @@ def _target_list(text: str) -> tuple[GridVertex, ...]:
     for pair in pairs:
         try:
             x, y = pair.split(",")
-            targets.append(GridVertex(int(x), int(y)))
+            targets.append((int(x), int(y)))
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"malformed target {pair!r}; expected 'x,y;x,y;...'"
@@ -107,15 +107,7 @@ def _default_workers() -> int:
 
 
 def _manifest_params(args: argparse.Namespace) -> dict:
-    skip = {"func"}
-    params = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        if isinstance(value, tuple):
-            value = [list(v) for v in value]
-        params[key] = value
-    return params
+    return {key: value for key, value in sorted(vars(args).items()) if key != "func"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     na_group.add_argument("--na-rule", help="heuristic total weight, e.g. 8.5M")
     scl.add_argument("--trials", type=int, default=10)
     scl.add_argument("--mode", choices=[m.value for m in EdgeMode], default="hn4")
-    scl.add_argument("--policy", choices=["line", "intersection"], default="line")
+    scl.add_argument("--policy", choices=EXCEPTIONAL_POLICIES, default="line")
     scl.add_argument("--out", required=True)
     scl.add_argument("--seed", type=int, default=0)
     scl.add_argument("--workers", type=int, default=None)
@@ -169,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     den.add_argument("--sides", type=_side_list, required=True)
     den.add_argument("--fraction", type=float, required=True)
     den.add_argument("--trials", type=int, default=10)
-    den.add_argument("--policy", choices=["line", "intersection"], default="line")
+    den.add_argument("--policy", choices=EXCEPTIONAL_POLICIES, default="line")
     den.add_argument("--out", required=True)
     den.add_argument("--seed", type=int, default=0)
     den.add_argument("--workers", type=int, default=None)

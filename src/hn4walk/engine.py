@@ -19,21 +19,14 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import IO, Iterator
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from .topology import (
-    GridVertex,
-    TopologyError,
-    TopologyParams,
-    exceptional_vertices,
-    long_range_lines,
-    vertex_index,
-)
+from .topology import TopologyError, TopologyParams, exceptional_vertices, long_range_lines
 
 __all__ = [
     "CoinDirection",
@@ -122,18 +115,20 @@ def flip(direction: CoinDirection) -> CoinDirection:
     return _FLIP[direction]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalkConfig:
     """Full description of one walk: lattice, self-loop weight, targets, mode.
 
     ``loop_weight`` is the per-vertex weight a; experiment code usually works
     with the scale-free product N*a and should construct configs through
-    :meth:`with_na`.
+    :meth:`with_na`.  ``targets`` accepts any array-like of integer (x, y)
+    pairs and is stored as a read-only (M, 2) ``intp`` copy whose rows are
+    sorted by linear index x + L * y.
     """
 
     topology: TopologyParams
     loop_weight: float
-    targets: tuple[GridVertex, ...] = ()
+    targets: np.ndarray = ()
     edge_mode: EdgeMode = EdgeMode.HN4
 
     def __post_init__(self) -> None:
@@ -141,26 +136,41 @@ class WalkConfig:
             raise ValueError(f"loop weight must be finite and >= 0, got {self.loop_weight!r}")
         object.__setattr__(self, "edge_mode", EdgeMode(self.edge_mode))
         try:
-            targets = tuple(GridVertex(*map(operator.index, t)) for t in self.targets)
-        except TypeError as exc:
+            xy = np.asarray(self.targets)
+        except ValueError as exc:  # ragged input
             raise TopologyError(f"targets must be pairs of integers: {exc}") from exc
+        if xy.shape == (0,):  # no targets
+            xy = xy.astype(np.intp).reshape(0, 2)
+        if xy.ndim != 2 or xy.shape[1] != 2 or xy.dtype.kind not in "iu":
+            raise TopologyError(
+                f"targets must be (x, y) pairs of integers, got shape {xy.shape} "
+                f"and dtype {xy.dtype}"
+            )
         side = self.topology.side
-        for t in targets:
-            vertex_index(t, side)  # range check
-        if len(set(targets)) != len(targets):
+        outside = (xy < 0) | (xy >= side)
+        if outside.any():
+            vertex = tuple(xy[outside.any(axis=1)][0].tolist())
+            raise TopologyError(f"vertex {vertex} outside [0, {side - 1}]^2")
+        xy = xy.astype(np.intp, copy=False)
+        index = xy[:, 0] + side * xy[:, 1]
+        order = np.argsort(index)
+        index = index[order]
+        if np.any(index[1:] == index[:-1]):
             raise ValueError("duplicate target vertices")
-        object.__setattr__(self, "targets", targets)
+        xy = np.take(xy, order, axis=0)  # a new array: the caller's is never frozen or aliased
+        xy.flags.writeable = False
+        object.__setattr__(self, "targets", xy)
 
     @classmethod
     def with_na(
         cls,
         topology: TopologyParams,
         na: float,
-        targets: tuple[GridVertex, ...] | list[tuple[int, int]] = (),
+        targets: ArrayLike = (),
         edge_mode: EdgeMode = EdgeMode.HN4,
     ) -> "WalkConfig":
         """Build a config from the total weight N*a, the knob experiments tune."""
-        return cls(topology, na / topology.n_vertices, tuple(targets), edge_mode)
+        return cls(topology, na / topology.n_vertices, targets, edge_mode)
 
     @property
     def na(self) -> float:
@@ -200,8 +210,8 @@ def initial_state(config: WalkConfig) -> np.ndarray:
 
 def target_indices(config: WalkConfig) -> np.ndarray:
     """Sorted linear indices of the marked vertices."""
-    xy = np.asarray(config.targets, dtype=np.int64).reshape(-1, 2)
-    return np.sort(xy[:, 0] + config.topology.side * xy[:, 1])
+    t = config.targets
+    return t[:, 0] + config.topology.side * t[:, 1]
 
 
 def _move(
@@ -365,14 +375,6 @@ class ProbabilityTrace:
     def __getitem__(self, t: int) -> float:
         return float(self.probabilities[t])
 
-    @property
-    def final_step(self) -> int:
-        return len(self) - 1
-
-    def rows(self) -> Iterator[tuple[int, float]]:
-        for t, p in enumerate(self.probabilities):
-            yield t, float(p)
-
 
 class WalkEngine:
     """Owns the evolving state vector of one walk.
@@ -390,13 +392,13 @@ class WalkEngine:
         self._allocate(np.float64)
         self._weights = coin_weights(config.loop_weight, config.edge_mode)
         self._targets = target_indices(config)
-        side = config.topology.side
         flagged = exceptional_vertices(config.topology, "line")[self._targets]
-        for index in self._targets[flagged].tolist():
+        if flagged.any():
             logger.warning(
-                "target %s lies on an exceptional line (its long-range edges "
-                "degenerate to self-loops)",
-                (index % side, index // side),
+                "%d of %d targets lie on an exceptional line (their long-range edges "
+                "degenerate to self-loops), first %s",
+                np.count_nonzero(flagged), len(flagged),
+                tuple(config.targets[np.argmax(flagged)].tolist()),
             )
         dirs = directions(config.edge_mode)
         row = {d: r for r, d in enumerate(dirs)}

@@ -1,8 +1,8 @@
 """Experiment protocols built on the walk engine.
 
 Covers first-peak detection on probability traces, self-loop-weight sweeps,
-randomized target ensembles, scaling runs over lattice size and target
-count, and fixed-density runs.  Scaling and density trials are
+random target sets, scaling runs over lattice size and target count, and
+fixed-density runs.  Scaling and density trials are
 :class:`TrialJob` specs that :func:`trial_record` turns into records;
 :func:`map_jobs` runs any job list through one bounded process pool and
 yields results in submission order as they arrive, so a run is reproducible
@@ -35,7 +35,7 @@ from .engine import (
     amplified_cost,
     run,
 )
-from .topology import GridVertex, TopologyParams, exceptional_vertices
+from .topology import TopologyParams, exceptional_vertices
 
 __all__ = [
     "PeakRule",
@@ -51,7 +51,6 @@ __all__ = [
     "sweep_self_loop",
     "derive_seed",
     "random_target_set",
-    "TargetEnsemble",
     "ScalingRecord",
     "resolve_na",
     "TrialJob",
@@ -246,7 +245,6 @@ def sweep_self_loop(
     if count < 1:
         raise ValueError(f"empty sweep range [{na_min}, {na_max}]")
     values = [na_min + i * na_step for i in range(count)]
-    targets = tuple(GridVertex(*t) for t in targets)
     jobs = [(side, targets, na, edge_mode, t_max, rule) for na in values]
     points = list(map_jobs(_sweep_job, jobs, workers))
     best = max(range(len(points)), key=lambda i: (points[i].peak_probability, -i))
@@ -254,7 +252,7 @@ def sweep_self_loop(
 
 
 # ---------------------------------------------------------------------------
-# Random target ensembles
+# Random target sets
 
 
 def derive_seed(*parts: int) -> int:
@@ -264,8 +262,9 @@ def derive_seed(*parts: int) -> int:
 
 def random_target_set(
     m: int, topology: TopologyParams, seed: int, policy: str = "line"
-) -> tuple[GridVertex, ...]:
-    """Uniform sample of m distinct admissible vertices, in linear-index order."""
+) -> np.ndarray:
+    """Uniform sample of m distinct admissible vertices: an (m, 2) array of
+    (x, y) rows in linear-index order."""
     candidates = np.flatnonzero(~exceptional_vertices(topology, policy))
     if not 1 <= m <= len(candidates):
         raise ValueError(
@@ -275,25 +274,7 @@ def random_target_set(
     rng = np.random.default_rng(seed)
     chosen = np.sort(candidates[rng.choice(len(candidates), size=m, replace=False)])
     y, x = np.divmod(chosen, topology.side)
-    return tuple(map(GridVertex, x.tolist(), y.tolist()))
-
-
-@dataclass(frozen=True)
-class TargetEnsemble:
-    """Reproducible collection of random target sets of a fixed size."""
-
-    sets: tuple[tuple[GridVertex, ...], ...]
-    set_seeds: tuple[int, ...]
-    seed: int
-    policy: str
-
-    @classmethod
-    def generate(
-        cls, m: int, topology: TopologyParams, trials: int, seed: int, policy: str = "line"
-    ) -> "TargetEnsemble":
-        set_seeds = tuple(derive_seed(seed, trial) for trial in range(trials))
-        sets = tuple(random_target_set(m, topology, s, policy) for s in set_seeds)
-        return cls(sets, set_seeds, seed, policy)
+    return np.stack((x, y), axis=1)
 
 
 # ---------------------------------------------------------------------------

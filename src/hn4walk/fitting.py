@@ -23,7 +23,6 @@ __all__ = [
     "FitResult",
     "FitError",
     "fit_scaling",
-    "compare_models",
 ]
 
 
@@ -96,8 +95,3 @@ def fit_scaling(records: Sequence[ScalingRecord], model: RuntimeModel) -> FitRes
         / len(records)
     )
     return FitResult(model, coefficient, residual, len(records))
-
-
-def compare_models(records: Sequence[ScalingRecord]) -> dict[RuntimeModel, FitResult]:
-    """Fit both runtime models and report both residuals, with no verdict."""
-    return {model: fit_scaling(records, model) for model in RuntimeModel}

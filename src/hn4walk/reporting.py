@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Sequence
 
 from .experiments import ScalingRecord, SweepResult
-from .engine import ProbabilityTrace
 from .fitting import FitResult
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "RunManifest",
     "manifest_path",
     "write_manifest",
-    "write_trace_csv",
     "write_sweep_csv",
     "write_records_csv",
     "read_records_csv",
@@ -107,13 +105,6 @@ def write_manifest(out_path: str | Path, manifest: RunManifest) -> Path:
     path = manifest_path(out_path)
     path.write_text(json.dumps(manifest.to_json(), indent=2) + "\n")
     return path
-
-
-def write_trace_csv(path: str | Path, trace: ProbabilityTrace) -> None:
-    with open(path, "w", newline="") as handle:
-        handle.write(TRACE_HEADER + "\n")
-        for t, p in trace.rows():
-            handle.write(f"{t},{_fmt(p)}\n")
 
 
 def write_sweep_csv(path: str | Path, sweep: SweepResult) -> None:

@@ -32,7 +32,6 @@ __all__ = [
     "TopologyError",
     "TopologyParams",
     "HierCoord",
-    "GridVertex",
     "EXCEPTIONAL_POLICIES",
     "rank_limit",
     "level_size",
@@ -40,7 +39,6 @@ __all__ = [
     "compose",
     "long_range_lines",
     "exceptional_vertices",
-    "vertex_index",
 ]
 
 #: Supported classifications of exceptional vertices.  "line" flags a vertex
@@ -58,13 +56,6 @@ class HierCoord(NamedTuple):
 
     level: int
     rank: int
-
-
-class GridVertex(NamedTuple):
-    """0-based grid vertex; the linear storage index is x + L * y."""
-
-    x: int
-    y: int
 
 
 @dataclass(frozen=True)
@@ -163,11 +154,3 @@ def exceptional_vertices(params: TopologyParams, policy: str = "line") -> np.nda
     line = lr_next == np.arange(params.side)
     combine = np.logical_or if policy == "line" else np.logical_and
     return combine.outer(line, line).reshape(-1)  # [y, x] flattens to x + L * y
-
-
-def vertex_index(vertex: GridVertex | tuple[int, int], side: int) -> int:
-    """Linear storage index of a vertex."""
-    x, y = vertex
-    if not (0 <= x < side and 0 <= y < side):
-        raise TopologyError(f"vertex {(x, y)} outside [0, {side - 1}]^2")
-    return x + side * y

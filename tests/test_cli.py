@@ -4,9 +4,11 @@ import math
 import pytest
 
 from hn4walk.cli import main
+from hn4walk.engine import WalkConfig, run
 from hn4walk.fitting import model_scale, RuntimeModel
 from hn4walk.reporting import read_records_csv, write_records_csv
 from hn4walk.experiments import ScalingRecord
+from hn4walk.topology import TopologyParams
 
 
 def test_simulate_writes_trace_and_manifest(tmp_path):
@@ -19,7 +21,9 @@ def test_simulate_writes_trace_and_manifest(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "step,probability"
     assert lines[1] == "0,0.00390625"  # P(0) = M/N = 1/256
-    assert len(lines) == 42
+    config = WalkConfig.with_na(TopologyParams.from_side(16), 8.5, ((1, 6),))
+    probabilities = run(config, 40).probabilities
+    assert lines[1:] == [f"{t},{p!r}" for t, p in enumerate(probabilities.tolist())]
     doc = json.loads((tmp_path / "trace.manifest.json").read_text())
     assert doc["command"] == "simulate"
     assert doc["parameters"]["na"] == 8.5

@@ -10,7 +10,6 @@ from hn4walk.engine import (
     DEFAULT_MEMORY_LIMIT,
     CoinDirection,
     EdgeMode,
-    ProbabilityTrace,
     ResourceLimitError,
     WalkConfig,
     WalkEngine,
@@ -65,13 +64,24 @@ def test_config_validation():
         WalkConfig(topo, -0.1)
     with pytest.raises(ValueError):
         WalkConfig(topo, 0.5, ((0, 0), (0, 0)))
-    with pytest.raises(Exception):
+    with pytest.raises(TopologyError):
         WalkConfig(topo, 0.5, ((4, 0),))
     with pytest.raises(TopologyError):
         WalkConfig.with_na(topo, 8.0, [(1.5, 2), (1, 2)])
+    with pytest.raises(TopologyError):
+        WalkConfig(topo, 0.5, np.zeros((2, 3), dtype=np.int64))
+    with pytest.raises(TopologyError):
+        WalkConfig(topo, 0.5, [(True, False)])
     config = WalkConfig.with_na(topo, 8.0, [(1, 2)])
     assert config.loop_weight == 0.5
     assert config.na == 8.0
+    assert WalkConfig(topo, 0.5, ()).targets.shape == (0, 2)
+    given = np.array([[3, 3], [2, 0], [1, 2]], dtype=np.int64)
+    config = WalkConfig(topo, 0.5, given)
+    assert config.targets.tolist() == [[2, 0], [1, 2], [3, 3]]
+    assert config.targets.dtype == np.intp
+    assert not config.targets.flags.writeable
+    assert given.flags.writeable and given.tolist() == [[3, 3], [2, 0], [1, 2]]
 
 
 def test_initial_state_zero_loop_weight():
@@ -353,17 +363,24 @@ def test_engine_state_dtype_follows_loaded_amplitudes():
 
 
 @pytest.mark.parametrize(
-    "target, warns",
-    [((7, 3), True), ((6, 7), True), ((15, 0), True), ((1, 6), False)],
-    ids=["x-half", "y-half", "x-last", "regular"],
+    "targets, count, first",
+    [
+        (((1, 2), (7, 3)), "1 of 2", (7, 3)),
+        (((1, 2), (6, 7)), "1 of 2", (6, 7)),
+        (((1, 2), (15, 0)), "1 of 2", (15, 0)),
+        (((1, 2), (1, 6)), None, None),
+        (((6, 7), (1, 2), (15, 0)), "2 of 3", (15, 0)),
+    ],
+    ids=["x-half", "y-half", "x-last", "regular", "two-exceptional"],
 )
-def test_engine_warns_on_exceptional_target(caplog, target, warns):
-    # side 16: x + 1 or y + 1 equal to 8 = 2**(n-1) or 16 = 2**n is exceptional
+def test_engine_warns_on_exceptional_target(caplog, targets, count, first):
+    # side 16: x + 1 or y + 1 equal to 8 = 2**(n-1) or 16 = 2**n is exceptional;
+    # one message per engine, naming the first flagged target in linear-index order
     with caplog.at_level(logging.WARNING, logger="hn4walk.engine"):
-        WalkEngine(make_config(side=16, targets=((1, 2), target)))
+        WalkEngine(make_config(side=16, targets=targets))
     messages = [rec.message for rec in caplog.records if "exceptional" in rec.message]
-    assert messages == ([f"target {target} lies on an exceptional line (its long-range "
-                         "edges degenerate to self-loops)"] if warns else [])
+    assert messages == ([f"{count} targets lie on an exceptional line (their long-range "
+                         f"edges degenerate to self-loops), first {first}"] if count else [])
 
 
 def test_amplified_cost():
@@ -373,9 +390,3 @@ def test_amplified_cost():
         amplified_cost(100, 0.0)
     with pytest.raises(ValueError):
         amplified_cost(100, 1.5)
-
-
-def test_probability_trace_rows():
-    trace = ProbabilityTrace(np.array([0.1, 0.2, 0.3]))
-    assert list(trace.rows()) == [(0, 0.1), (1, 0.2), (2, 0.3)]
-    assert trace.final_step == 2

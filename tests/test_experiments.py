@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from hn4walk.engine import EdgeMode, WalkConfig, run
+from hn4walk.engine import EdgeMode, WalkConfig, run, target_indices
 from hn4walk.experiments import (
     DEFAULT_PEAK_RULE,
     NoPeakError,
     PeakRule,
-    TargetEnsemble,
     density_experiment,
     derive_seed,
     detect_first_peak,
@@ -20,7 +19,7 @@ from hn4walk.experiments import (
 )
 from hn4walk import experiments
 from hn4walk.fitting import RuntimeModel, fit_scaling
-from hn4walk.topology import GridVertex, TopologyParams, exceptional_vertices
+from hn4walk.topology import TopologyParams, exceptional_vertices
 
 
 def test_detect_first_peak_synthetic_unimodal():
@@ -111,12 +110,12 @@ def test_random_target_set_reproducible_and_admissible():
     topo = TopologyParams.from_side(16)
     a = random_target_set(5, topo, seed=42)
     b = random_target_set(5, topo, seed=42)
-    assert a == b
-    assert len(set(a)) == 5
-    exceptional = exceptional_vertices(topo, "line")
-    assert not any(exceptional[x + topo.side * y] for x, y in a)
+    assert np.array_equal(a, b)
+    index = a[:, 0] + topo.side * a[:, 1]
+    assert len(np.unique(index)) == 5
+    assert not exceptional_vertices(topo, "line")[index].any()
     c = random_target_set(5, topo, seed=43)
-    assert a != c
+    assert not np.array_equal(a, c)
 
 
 def test_random_target_set_full_draw_and_overflow():
@@ -158,26 +157,25 @@ def test_random_target_set_pinned_draws():
     # existing seeds must keep drawing the same targets, so records stay reproducible
     side16, side512 = TopologyParams.from_side(16), TopologyParams.from_side(512)
     drawn = random_target_set(5, side16, seed=42)
-    assert drawn == ((3, 1), (0, 6), (1, 6), (0, 10), (10, 11))
-    assert all(type(v) is GridVertex and type(v.x) is type(v.y) is int for v in drawn)
-    assert random_target_set(5, side16, seed=3, policy="intersection") == (
-        (5, 1), (12, 2), (13, 2), (11, 3), (11, 12),
-    )
+    assert drawn.tolist() == [[3, 1], [0, 6], [1, 6], [0, 10], [10, 11]]
+    assert drawn.shape == (5, 2) and drawn.dtype.kind == "i"
+    assert random_target_set(5, side16, seed=3, policy="intersection").tolist() == [
+        [5, 1], [12, 2], [13, 2], [11, 3], [11, 12],
+    ]
     (job,) = trial_jobs([(512, 4)], "8.5M", 1, 602)
     assert job.seed == 3559554422
-    assert random_target_set(4, side512, job.seed) == (
-        (128, 182), (150, 248), (106, 454), (108, 454),
-    )
+    assert random_target_set(4, side512, job.seed).tolist() == [
+        [128, 182], [150, 248], [106, 454], [108, 454],
+    ]
 
 
-def test_target_ensemble():
-    topo = TopologyParams.from_side(16)
-    ens = TargetEnsemble.generate(3, topo, trials=4, seed=11)
-    assert len(ens.sets) == 4
-    assert len(ens.set_seeds) == 4
-    assert all(len(s) == 3 for s in ens.sets)
-    again = TargetEnsemble.generate(3, topo, trials=4, seed=11)
-    assert again == ens
+def test_random_target_set_round_trips_through_config():
+    # the density cell M = 0.2 N at side 512: draw -> config -> linear indices
+    topo = TopologyParams.from_side(512)
+    drawn = random_target_set(52_429, topo, seed=9)
+    config = WalkConfig.with_na(topo, 8.5 * 52_429, drawn)
+    expected = np.sort(drawn[:, 0] + topo.side * drawn[:, 1])
+    assert np.array_equal(target_indices(config), expected)
 
 
 def test_resolve_na():

@@ -7,7 +7,6 @@ from hn4walk.experiments import ScalingRecord
 from hn4walk.fitting import (
     FitError,
     RuntimeModel,
-    compare_models,
     fit_scaling,
     model_scale,
     parse_model,
@@ -127,14 +126,3 @@ def test_closed_form_minimizes_squared_error():
             lo = a
     scanned = (lo + hi) / 2
     assert scanned == pytest.approx(fit.coefficient, rel=1e-9)
-
-
-def test_compare_models_prefers_matching_shape():
-    records = synthetic(3.0, RuntimeModel.SQRT)
-    report = compare_models(records)
-    assert report[RuntimeModel.SQRT].rms_relative_residual < 1e-2
-    assert (
-        report[RuntimeModel.SQRT].rms_relative_residual
-        < report[RuntimeModel.SQRT_LOG].rms_relative_residual
-    )
-    assert report[RuntimeModel.SQRT_LOG].rms_relative_residual > 0.01

@@ -1,9 +1,7 @@
 import json
 
-import numpy as np
 import pytest
 
-from hn4walk.engine import ProbabilityTrace
 from hn4walk.experiments import ScalingRecord, SweepPoint, SweepResult
 from hn4walk.fitting import FitResult, RuntimeModel
 from hn4walk.reporting import (
@@ -15,7 +13,6 @@ from hn4walk.reporting import (
     write_manifest,
     write_records_csv,
     write_sweep_csv,
-    write_trace_csv,
 )
 
 
@@ -59,12 +56,6 @@ def test_float_formatting_survives_round_trip(tmp_path):
     assert back.na == record.na
     assert back.peak_probability == record.peak_probability
     assert back.amplified_cost == record.amplified_cost
-
-
-def test_trace_csv(tmp_path):
-    path = tmp_path / "trace.csv"
-    write_trace_csv(path, ProbabilityTrace(np.array([0.25, 0.5])))
-    assert path.read_text() == "step,probability\n0,0.25\n1,0.5\n"
 
 
 def test_sweep_csv_marks_optimal_row(tmp_path):

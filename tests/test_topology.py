@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hn4walk.topology import (
-    GridVertex,
     HierCoord,
     TopologyError,
     TopologyParams,
@@ -13,7 +12,6 @@ from hn4walk.topology import (
     level_size,
     long_range_lines,
     rank_limit,
-    vertex_index,
 )
 
 
@@ -156,11 +154,3 @@ def test_admissible_vertices():
             ]
             mask = exceptional_vertices(TopologyParams(n), policy)
             assert mask.tolist() == expected
-
-
-def test_vertex_index_bijection():
-    side = 8
-    seen = {vertex_index(GridVertex(x, y), side) for x in range(side) for y in range(side)}
-    assert seen == set(range(side * side))
-    with pytest.raises(TopologyError):
-        vertex_index(GridVertex(8, 0), side)
