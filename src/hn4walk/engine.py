@@ -6,10 +6,17 @@ operator is real, so a real state stays real.  Complex states, loaded for
 analysis, evolve through the same code.  One step applies, in order, the
 phase oracle over the marked vertices, the weighted Grover coin, and the
 flip-flop shift.  The shift follows the lattice: on the C x L x L view of the
-state, each grid move is two slice copies (the wraparound), each long-range
-move an L-entry gather along one axis, and hold a plain copy.  The engine
-fuses the coin into the shift, one destination row at a time, so a step
-needs no table and only two N-sized buffers beside the state.
+state, each grid move is two slice writes (the wraparound), each long-range
+move an L-entry gather along x or a row scatter along y, and hold a plain
+write.
+
+Every edge direction has the same coin weight, so the coin turns each edge
+row r into g - state[r] with one term g per vertex that all edge rows share.
+The engine walks the grid in bands of consecutive y rows, sized so that the
+C source rows of a band (about 1 MiB) stay in cache between the two reads
+of it: one builds the band's g, the other writes every coined row straight
+into its destination in the other state buffer.  A step needs no table and,
+beside the two state buffers, two band-sized buffers.
 
 Evolution never renormalises: norm drift is a measured property, not a
 silently corrected one.
@@ -214,62 +221,109 @@ def target_indices(config: WalkConfig) -> np.ndarray:
     return t[:, 0] + config.topology.side * t[:, 1]
 
 
-def _move(
-    direction: CoinDirection,
+#: Bytes of the C float64 source rows of one band: about half of a core's
+#: 2 MiB L2, so a band read for its coin terms is still cached for its moves.
+_BAND_BYTES = 2**20
+
+
+def _bands(n_coins: int, side: int) -> tuple[tuple[int, int], ...]:
+    """(y0, y1) of every band, in order: each holds as many y rows as keep
+    its C float64 source rows within ``_BAND_BYTES`` (the whole grid up to
+    side 64 with long-range edges), at least one; only the last may be shorter."""
+    rows = min(side, max(1, _BAND_BYTES // (n_coins * side * 8)))
+    return tuple((y0, min(y0 + rows, side)) for y0 in range(0, side, rows))
+
+
+def _moves(edge_mode: EdgeMode) -> tuple[tuple[int, int, CoinDirection], ...]:
+    """(source row, destination row, direction) of every edge move: the
+    coined row of direction d moves along flip(d) into the row of flip(d)."""
+    dirs = directions(edge_mode)
+    row = {d: r for r, d in enumerate(dirs)}
+    return tuple((r, row[flip(d)], flip(d)) for r, d in enumerate(dirs[:-1]))
+
+
+def _shift_band(
     src: np.ndarray,
     dst: np.ndarray,
+    y0: int,
+    y1: int,
+    g: np.ndarray,
+    h: np.ndarray,
+    tmp: np.ndarray,
+    moves: tuple[tuple[int, int, CoinDirection], ...],
     lr_next: np.ndarray,
     lr_prev: np.ndarray,
 ) -> None:
-    """Shift one destination row: ``dst[y, x] = src`` at the vertex that moves
-    onto (x, y) along ``direction``.
+    """Write source rows y0:y1 of every coin row, coined, into their destinations.
 
-    ``src`` and ``dst`` are L x L views indexed [y, x] (vertex x + L * y);
-    ``src`` is the row of the reversed direction.  The gathers index only
-    valid coordinates, so mode "clip" skips numpy's buffered bounds check.
+    ``src`` and ``dst`` are C x L x L views indexed [row, y, x] (vertex
+    x + L * y).  The coined edge row r is g - src[r] and the coined hold row
+    h - src[-1], with ``g``, ``h`` and ``tmp`` (y1 - y0) x L.  Along
+    ``direction``, dst[q][y, x] receives the coined amplitude at the vertex
+    that moves onto (x, y).  ``tmp`` may be ``h``: the hold row is written
+    first.  The gathers index only valid coordinates, so mode "clip" skips
+    numpy's buffered bounds check.
     """
-    match direction:
-        case CoinDirection.X_PLUS:
-            dst[:, :-1] = src[:, 1:]
-            dst[:, -1] = src[:, 0]
-        case CoinDirection.X_MINUS:
-            dst[:, 1:] = src[:, :-1]
-            dst[:, 0] = src[:, -1]
-        case CoinDirection.Y_PLUS:
-            dst[:-1] = src[1:]
-            dst[-1] = src[0]
-        case CoinDirection.Y_MINUS:
-            dst[1:] = src[:-1]
-            dst[0] = src[-1]
-        case CoinDirection.LX_PLUS:
-            np.take(src, lr_next, axis=1, out=dst, mode="clip")
-        case CoinDirection.LX_MINUS:
-            np.take(src, lr_prev, axis=1, out=dst, mode="clip")
-        case CoinDirection.LY_PLUS:
-            np.take(src, lr_next, axis=0, out=dst, mode="clip")
-        case CoinDirection.LY_MINUS:
-            np.take(src, lr_prev, axis=0, out=dst, mode="clip")
-        case CoinDirection.HOLD:
-            dst[...] = src
+    side = src.shape[1]
+    np.subtract(h, src[-1, y0:y1], out=dst[-1, y0:y1])
+    for r, q, direction in moves:
+        s, d = src[r, y0:y1], dst[q]
+        match direction:
+            case CoinDirection.X_PLUS:
+                np.subtract(g[:, 1:], s[:, 1:], out=d[y0:y1, :-1])
+                np.subtract(g[:, 0], s[:, 0], out=d[y0:y1, -1])
+            case CoinDirection.X_MINUS:
+                np.subtract(g[:, :-1], s[:, :-1], out=d[y0:y1, 1:])
+                np.subtract(g[:, -1], s[:, -1], out=d[y0:y1, 0])
+            case CoinDirection.Y_PLUS:  # source row y lands on y - 1
+                if y0 == 0:
+                    np.subtract(g[0], s[0], out=d[-1])
+                    np.subtract(g[1:], s[1:], out=d[:y1 - 1])
+                else:
+                    np.subtract(g, s, out=d[y0 - 1:y1 - 1])
+            case CoinDirection.Y_MINUS:  # source row y lands on y + 1
+                if y1 == side:
+                    np.subtract(g[-1], s[-1], out=d[0])
+                    np.subtract(g[:-1], s[:-1], out=d[y0 + 1:])
+                else:
+                    np.subtract(g, s, out=d[y0 + 1:y1 + 1])
+            case CoinDirection.LX_PLUS:
+                np.subtract(g, s, out=tmp)
+                np.take(tmp, lr_next, axis=1, out=d[y0:y1], mode="clip")
+            case CoinDirection.LX_MINUS:
+                np.subtract(g, s, out=tmp)
+                np.take(tmp, lr_prev, axis=1, out=d[y0:y1], mode="clip")
+            case CoinDirection.LY_PLUS:  # lr_prev inverts lr_next: row y lands on lr_prev[y]
+                np.subtract(g, s, out=tmp)
+                d[lr_prev[y0:y1]] = tmp
+            case CoinDirection.LY_MINUS:
+                np.subtract(g, s, out=tmp)
+                d[lr_next[y0:y1]] = tmp
 
 
 def shift_permutation(topology: TopologyParams, edge_mode: EdgeMode) -> np.ndarray:
     """Flat gather table of the flip-flop shift: new[slot] = old[table[slot]].
 
     Slot layout is row * N + vertex with rows ordered per
-    :func:`directions`.  The table is the engine's structured shift applied
-    to the slot numbers themselves, so checking that it is a bijection checks
-    the moves every step runs.  Every destination row receives from the
-    reversed coin direction at the unique source vertex that moves onto it.
+    :func:`directions`.  The table is the engine's band moves, over the
+    engine's bands, applied to the negated slot numbers with zero coin terms
+    (0 - (-slot) = slot), so checking that it is a bijection checks the moves
+    every step runs.  Every destination row receives from the reversed coin
+    direction at the unique source vertex that moves onto it.
     """
     side = topology.side
-    dirs = directions(edge_mode)
-    row = {d: r for r, d in enumerate(dirs)}
-    lr_next, lr_prev = long_range_lines(topology)
-    slots = np.arange(len(dirs) * topology.n_vertices, dtype=np.int64).reshape(-1, side, side)
+    n_coins = len(directions(edge_mode))
+    slots = -np.arange(n_coins * topology.n_vertices, dtype=np.int64).reshape(-1, side, side)
     table = np.empty_like(slots)
-    for r, direction in enumerate(dirs):
-        _move(direction, slots[row[flip(direction)]], table[r], lr_next, lr_prev)
+    bands = _bands(n_coins, side)
+    zero = np.zeros((bands[0][1], side), dtype=np.int64)
+    tmp = np.empty_like(zero)
+    moves = _moves(edge_mode)
+    lr_next, lr_prev = long_range_lines(topology)
+    for y0, y1 in bands:
+        rows = y1 - y0
+        _shift_band(slots, table, y0, y1, zero[:rows], zero[:rows], tmp[:rows],
+                    moves, lr_next, lr_prev)
     return table.reshape(-1)
 
 
@@ -279,33 +333,34 @@ def apply_oracle(state: np.ndarray, indices: np.ndarray) -> None:
         state[:, indices] *= -1.0
 
 
-def _coined_rows(
-    state: np.ndarray, weights: np.ndarray, overlap: np.ndarray, row: np.ndarray
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (r, row r of the coined state) for every coin row r.
+def _coin_terms(state: np.ndarray, weights: np.ndarray, g: np.ndarray, h: np.ndarray) -> None:
+    """The per-vertex coin 2|w><w| - I as two terms shared by the coin rows.
 
-    The coin is 2|w><w| - I per vertex: row r becomes
-    2 * w_r * overlap - state[r] with overlap = sum_r w_r * state[r], built
-    by per-row multiply-add into ``overlap``.  Each coined row is written to
-    ``row`` (N entries, overwritten by the next one); ``state`` is only read,
-    so a caller may store row r back into ``state[r]`` before the next.
+    With overlap = w_e * (sum of the edge rows) + w_h * state[-1], the coin
+    turns every edge row r into g - state[r], g = 2 * w_e * overlap, and the
+    hold row into h - state[-1], h = 2 * w_h * overlap.  Every edge direction
+    carries the same weight w_e = weights[0] (see :func:`coin_weights`).
+    ``g`` and ``h`` take the shape of one row of ``state``, which is only read.
     """
-    np.multiply(state[0], weights[0], out=overlap)
-    for r in range(1, len(weights)):
-        np.multiply(state[r], weights[r], out=row)
-        overlap += row
-    for r, w in enumerate(weights):
-        np.multiply(overlap, 2.0 * w, out=row)
-        row -= state[r]
-        yield r, row
+    np.add.reduce(state[:-1], axis=0, out=g)
+    g *= weights[0]
+    np.multiply(state[-1], weights[-1], out=h)
+    g += h
+    np.multiply(g, 2.0 * weights[-1], out=h)
+    g *= 2.0 * weights[0]
 
 
 def apply_coin(state: np.ndarray, weights: np.ndarray) -> None:
-    """Reflect each vertex's coin block about the weighted coin state, in place."""
-    overlap = np.empty(state.shape[1:], dtype=state.dtype)
-    row = np.empty_like(overlap)
-    for r, coined in _coined_rows(state, weights, overlap, row):
-        state[r] = coined
+    """Reflect each vertex's coin block about the weighted coin state, in place.
+
+    ``weights`` are those of :func:`coin_weights`: one weight for every edge
+    direction, then the hold weight.
+    """
+    g = np.empty(state.shape[1:], dtype=state.dtype)
+    h = np.empty_like(g)
+    _coin_terms(state, weights, g, h)
+    np.subtract(g, state[:-1], out=state[:-1])
+    np.subtract(h, state[-1], out=state[-1])
 
 
 def apply_shift(state: np.ndarray, permutation: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -346,14 +401,17 @@ def amplified_cost(peak_step: int, peak_probability: float) -> float:
 
 def _held_bytes(topology: TopologyParams, edge_mode: EdgeMode, dtype: type) -> int:
     """Bytes of an engine's buffers for amplitudes of ``dtype``: two C x N state
-    buffers plus the fused step's N-sized overlap and row buffers."""
-    return 2 * (len(directions(edge_mode)) + 1) * topology.n_vertices * np.dtype(dtype).itemsize
+    buffers plus the step's overlap and row buffers of one band each."""
+    n_coins, side = len(directions(edge_mode)), topology.side
+    band = _bands(n_coins, side)[0][1] * side
+    return 2 * (n_coins * topology.n_vertices + band) * np.dtype(dtype).itemsize
 
 
 def memory_requirement(topology: TopologyParams, edge_mode: EdgeMode) -> int:
     """Bytes a :class:`WalkEngine` allocates for a real state: two state buffers
     of C * N float64 amplitudes (2 * 8 * C * N) plus the overlap and row
-    buffers of the fused step (8 * N each).  A complex state loaded with
+    buffers of the banded step, 8 * R * L each for a band of R y rows (R = L,
+    one band, up to side 64).  A complex state loaded with
     :meth:`WalkEngine.set_amplitudes` needs twice this."""
     return _held_bytes(topology, edge_mode, np.float64)
 
@@ -379,9 +437,10 @@ class ProbabilityTrace:
 class WalkEngine:
     """Owns the evolving state vector of one walk.
 
-    Ping-pongs between two preallocated state buffers: each step coins the
-    current one row by row and moves every coined row into the other.  The
-    state is float64 unless a complex one is loaded with
+    Ping-pongs between two preallocated state buffers: each step walks the
+    current one in bands of y rows, builds each band's shared coin terms and
+    writes every coined row of the band straight into its destination in the
+    other buffer.  The state is float64 unless a complex one is loaded with
     :meth:`set_amplitudes`.  A single engine must be driven by one thread at
     a time but may be handed between threads between steps.
     """
@@ -389,6 +448,7 @@ class WalkEngine:
     def __init__(self, config: WalkConfig, memory_limit: int | None = DEFAULT_MEMORY_LIMIT):
         self._config = config
         self._memory_limit = memory_limit
+        self._bands = _bands(len(directions(config.edge_mode)), config.topology.side)
         self._allocate(np.float64)
         self._weights = coin_weights(config.loop_weight, config.edge_mode)
         self._targets = target_indices(config)
@@ -400,10 +460,7 @@ class WalkEngine:
                 np.count_nonzero(flagged), len(flagged),
                 tuple(config.targets[np.argmax(flagged)].tolist()),
             )
-        dirs = directions(config.edge_mode)
-        row = {d: r for r, d in enumerate(dirs)}
-        # the coined row r moves into the row of the reversed direction
-        self._moves = tuple((row[flip(d)], flip(d)) for d in dirs)
+        self._moves = _moves(config.edge_mode)
         self._lr_next, self._lr_prev = long_range_lines(config.topology)
         self.reset()
 
@@ -414,14 +471,14 @@ class WalkEngine:
         needed = _held_bytes(topology, edge_mode, dtype)
         if self._memory_limit is not None and needed > self._memory_limit:
             raise ResourceLimitError(
-                f"state buffers and the step's overlap and row buffers need {needed} "
-                f"bytes, limit is {self._memory_limit}"
+                f"state buffers and the step's band-sized overlap and row buffers "
+                f"need {needed} bytes, limit is {self._memory_limit}"
             )
         shape = (len(directions(edge_mode)), topology.n_vertices)
         self._state = self._scratch = self._overlap = self._row = None  # free before allocating
         self._state = np.empty(shape, dtype=dtype)
         self._scratch = np.empty_like(self._state)
-        self._overlap = np.empty(topology.n_vertices, dtype=dtype)
+        self._overlap = np.empty((self._bands[0][1], topology.side), dtype=dtype)
         self._row = np.empty_like(self._overlap)
 
     @property
@@ -473,18 +530,20 @@ class WalkEngine:
             yield self.probability()
 
     def advance(self, steps: int = 1) -> None:
-        """Apply the evolution operator ``steps`` times: the oracle, then the
-        coin fused into the shift, one destination row at a time."""
+        """Apply the evolution operator ``steps`` times: the oracle, then band
+        by band the coin's shared terms g and h (in the overlap and row
+        buffers) and every coined row written into the other state buffer."""
         state, scratch, overlap, row = self._state, self._scratch, self._overlap, self._row
-        targets, weights, moves = self._targets, self._weights, self._moves
+        targets, weights, moves, bands = self._targets, self._weights, self._moves, self._bands
         lr_next, lr_prev = self._lr_next, self._lr_prev
         side = self._config.topology.side
         for _ in range(steps):
             apply_oracle(state, targets)
-            shifted = scratch.reshape(-1, side, side)
-            for r, coined in _coined_rows(state, weights, overlap, row):
-                dest, direction = moves[r]
-                _move(direction, coined.reshape(side, side), shifted[dest], lr_next, lr_prev)
+            src, dst = state.reshape(-1, side, side), scratch.reshape(-1, side, side)
+            for y0, y1 in bands:
+                g, h = overlap[:y1 - y0], row[:y1 - y0]
+                _coin_terms(src[:, y0:y1], weights, g, h)
+                _shift_band(src, dst, y0, y1, g, h, h, moves, lr_next, lr_prev)
             state, scratch = scratch, state
         self._state, self._scratch = state, scratch
         self._steps += steps

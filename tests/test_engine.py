@@ -40,6 +40,15 @@ def random_state(n_coins, n_vertices, rng=RNG):
     return psi / np.linalg.norm(psi)
 
 
+# side 64 is one band; side 512 takes 19 (HN4) or 11 (grid) bands of y rows,
+# a partial last band and both y-wrap bands among them
+BAND_CASES = [
+    pytest.param(mode, side, id=mode.value if side == 64 else f"{side}-{mode.value}")
+    for side in (64, 512)
+    for mode in EdgeMode
+]
+
+
 def make_config(side=4, na=8.5, targets=((1, 2),), mode=EdgeMode.HN4):
     return WalkConfig.with_na(TopologyParams.from_side(side), na, targets, mode)
 
@@ -161,7 +170,7 @@ def test_coin_involution():
 
 
 @pytest.mark.parametrize("mode", list(EdgeMode))
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", [*range(2, 7), 9])  # side 512 (n = 9) runs many bands
 def test_shift_permutation_is_bijection(mode, n):
     perm = shift_permutation(TopologyParams(n), mode)
     np.testing.assert_array_equal(np.sort(perm), np.arange(perm.size))
@@ -215,26 +224,51 @@ def test_step_matches_dense_reference(mode):
     np.testing.assert_allclose(engine.amplitudes, expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("mode", list(EdgeMode))
-def test_engine_matches_public_stages(mode):
-    # the fused step against oracle -> coin -> gather by shift_permutation, with
-    # a target on the exceptional line x + 1 = 32 = 2**(n-1)
-    topo = TopologyParams.from_side(64)
-    config = WalkConfig.with_na(topo, 8.5, ((31, 5),), mode)
-    engine = WalkEngine(config)
-    engine.advance(50)
-
-    psi = initial_state(config)
+def _public_stages(psi, config, steps):
+    """``steps`` steps of oracle -> coin -> gather by shift_permutation."""
     out = np.empty_like(psi)
     idx = target_indices(config)
-    weights = coin_weights(config.loop_weight, mode)
-    perm = shift_permutation(topo, mode)
-    for _ in range(50):
+    weights = coin_weights(config.loop_weight, config.edge_mode)
+    perm = shift_permutation(config.topology, config.edge_mode)
+    for _ in range(steps):
         apply_oracle(psi, idx)
         apply_coin(psi, weights)
         apply_shift(psi, perm, out)
         psi, out = out, psi
+    return psi
+
+
+@pytest.mark.parametrize("mode, side", BAND_CASES)
+def test_engine_matches_public_stages(mode, side):
+    # the banded step against the public stages, with a target on the
+    # exceptional line x + 1 = L/2 = 2**(n-1)
+    steps = 50 if side == 64 else 20
+    config = WalkConfig.with_na(TopologyParams.from_side(side), 8.5, ((side // 2 - 1, 5),), mode)
+    engine = WalkEngine(config)
+    engine.advance(steps)
+    psi = _public_stages(initial_state(config), config, steps)
     assert np.max(np.abs(engine.amplitudes - psi)) <= 1e-13
+
+
+def test_engine_matches_public_stages_complex_multi_band():
+    # a random complex state reaches every slot of every band with a distinct value
+    config = WalkConfig.with_na(TopologyParams.from_side(512), 8.5, ((255, 5), (3, 511)))
+    psi = random_state(9, config.topology.n_vertices)
+    engine = WalkEngine(config)
+    engine.set_amplitudes(psi)
+    engine.advance(3)
+    assert engine.amplitudes.dtype == np.complex128
+    assert np.max(np.abs(engine.amplitudes - _public_stages(psi, config, 3))) <= 1e-13
+
+
+@pytest.mark.parametrize("mode", list(EdgeMode))
+def test_norm_drift_over_long_run(mode):
+    # evolution never renormalises, so the drift of the norm is what the
+    # arithmetic leaves; both modes measure about 5e-13 after 2000 steps
+    config = make_config(side=64, targets=((1, 6), (31, 5)), mode=mode)
+    engine = WalkEngine(config)
+    engine.advance(2000)
+    assert abs(float(np.sum(engine.amplitudes**2)) - 1.0) <= 1e-11
 
 
 def test_step_is_stationary_without_targets():
@@ -314,12 +348,15 @@ def test_memory_requirement_and_limit():
         engine.set_amplitudes(random_state(9, 256))
 
 
-@pytest.mark.parametrize("mode", list(EdgeMode))
-def test_memory_requirement_covers_engine_allocations(mode):
-    # every allocation that scales with N must be counted by the guard
-    topo = TopologyParams.from_side(64)
+@pytest.mark.parametrize("mode, side", BAND_CASES)
+def test_memory_requirement_covers_engine_allocations(mode, side):
+    # every large allocation must be counted by the guard; "large" starts at
+    # the float64 band buffer (one band at side 64, a band of y rows at 512)
+    topo = TopologyParams.from_side(side)
+    n_coins = len(directions(mode))
     config = WalkConfig.with_na(topo, 8.5, ((1, 6),), mode)
-    psi = random_state(len(directions(mode)), topo.n_vertices)
+    band_bytes = (memory_requirement(topo, mode) - 2 * 8 * n_coins * topo.n_vertices) // 2
+    psi = random_state(n_coins, topo.n_vertices)
     tracemalloc.start()
     try:
         engine = WalkEngine(config)
@@ -330,9 +367,10 @@ def test_memory_requirement_covers_engine_allocations(mode):
         tracemalloc.stop()
 
     def large(snap):
-        return sum(t.size for t in snap.traces if t.size >= topo.n_vertices)
+        return sum(t.size for t in snap.traces if t.size >= band_bytes)
 
     assert large(snapshot) <= memory_requirement(topo, mode)
+    assert large(snapshot) >= 2 * 8 * n_coins * topo.n_vertices + 2 * band_bytes
     assert engine.amplitudes.dtype == np.complex128
     assert large(complex_snapshot) <= 2 * memory_requirement(topo, mode)
 
