@@ -28,7 +28,7 @@ from hn4walk.engine import (
     success_probability,
     target_indices,
 )
-from hn4walk.topology import TopologyError, TopologyParams
+from hn4walk.topology import TopologyError, TopologyParams, compose, level_size
 
 from dense_reference import dense_step
 
@@ -174,6 +174,47 @@ def test_coin_involution():
 def test_shift_permutation_is_bijection(mode, n):
     perm = shift_permutation(TopologyParams(n), mode)
     np.testing.assert_array_equal(np.sort(perm), np.arange(perm.size))
+
+
+def _expected_shift_table(topo, mode):
+    """The flip-flop gather table from the scalar hierarchy map alone.
+
+    Direction f at (x, y) receives the reversed direction's amplitude from
+    the vertex one move along f: (x + 1, y) for X+, (lr_next[x], y) for
+    LX+, (x, y + 1) for Y+, and so on; hold stays put.
+    """
+    n, side = topo.n, topo.side
+    ring_next = (np.arange(side) + 1) % side
+    ring_prev = (np.arange(side) - 1) % side
+    lr_next, lr_prev = np.arange(side), np.arange(side)  # exceptional lines: fixed points
+    for level in range(n - 1):
+        size = level_size(level, n)
+        for rank in range(size):
+            here = compose((level, rank), n) - 1
+            lr_next[here] = compose((level, (rank + 1) % size), n) - 1
+            lr_prev[here] = compose((level, (rank - 1) % size), n) - 1
+    x, y = np.meshgrid(np.arange(side), np.arange(side))  # [y, x]
+    d = CoinDirection
+    source = {
+        d.X_PLUS: (ring_next[x], y), d.X_MINUS: (ring_prev[x], y),
+        d.Y_PLUS: (x, ring_next[y]), d.Y_MINUS: (x, ring_prev[y]),
+        d.LX_PLUS: (lr_next[x], y), d.LX_MINUS: (lr_prev[x], y),
+        d.LY_PLUS: (x, lr_next[y]), d.LY_MINUS: (x, lr_prev[y]),
+        d.HOLD: (x, y),
+    }
+    dirs = directions(mode)
+    row = {f: r for r, f in enumerate(dirs)}
+    table = [
+        row[flip(f)] * topo.n_vertices + source[f][0] + side * source[f][1] for f in dirs
+    ]
+    return np.stack(table).reshape(-1)
+
+
+@pytest.mark.parametrize("mode", list(EdgeMode))
+@pytest.mark.parametrize("n", [2, 4, 9])  # side 512 (n = 9) runs many bands
+def test_shift_permutation_matches_scalar_hierarchy(mode, n):
+    topo = TopologyParams(n)
+    np.testing.assert_array_equal(shift_permutation(topo, mode), _expected_shift_table(topo, mode))
 
 
 @pytest.mark.parametrize("mode", list(EdgeMode))
