@@ -16,7 +16,6 @@ from .topology import (  # noqa: F401
 from .engine import (  # noqa: F401
     CoinDirection,
     EdgeMode,
-    ProbabilityTrace,
     ResourceLimitError,
     WalkConfig,
     WalkEngine,

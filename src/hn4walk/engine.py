@@ -5,18 +5,19 @@ C x N float64 array, C = 9 with long-range edges and 5 without; every
 operator is real, so a real state stays real.  Complex states, loaded for
 analysis, evolve through the same code.  One step applies, in order, the
 phase oracle over the marked vertices, the weighted Grover coin, and the
-flip-flop shift.  The shift follows the lattice: on the C x L x L view of the
-state, each grid move is two slice writes (the wraparound), each long-range
-move an L-entry gather along x or a row scatter along y, and hold a plain
-write.
+flip-flop shift.  The shift follows the lattice: every grid and long-range
+move permutes the L entries of a line, so on the C x L x L view of the state
+each is an L-entry gather along x or a row scatter along y, and hold is a
+plain write.
 
 Every edge direction has the same coin weight, so the coin turns each edge
 row r into g - state[r] with one term g per vertex that all edge rows share.
 The engine walks the grid in bands of consecutive y rows, sized so that the
 C source rows of a band (about 1 MiB) stay in cache between the two reads
-of it: one builds the band's g, the other writes every coined row straight
-into its destination in the other state buffer.  A step needs no table and,
-beside the two state buffers, two band-sized buffers.
+of it: one builds the band's g, the other coins each row into the row
+buffer and moves it into its destination in the other state buffer.  A
+step needs no table and, beside the two state buffers, two band-sized
+buffers.
 
 Evolution never renormalises: norm drift is a measured property, not a
 silently corrected one.
@@ -39,7 +40,6 @@ __all__ = [
     "CoinDirection",
     "EdgeMode",
     "WalkConfig",
-    "ProbabilityTrace",
     "ResourceLimitError",
     "WalkEngine",
     "directions",
@@ -234,12 +234,32 @@ def _bands(n_coins: int, side: int) -> tuple[tuple[int, int], ...]:
     return tuple((y0, min(y0 + rows, side)) for y0 in range(0, side, rows))
 
 
-def _moves(edge_mode: EdgeMode) -> tuple[tuple[int, int, CoinDirection], ...]:
-    """(source row, destination row, direction) of every edge move: the
-    coined row of direction d moves along flip(d) into the row of flip(d)."""
+def _moves(
+    topology: TopologyParams, edge_mode: EdgeMode
+) -> tuple[tuple[int, int, bool, np.ndarray], ...]:
+    """(source row, destination row, along x, line) of every edge move.
+
+    The coined row of direction d moves one step along d into the row of
+    flip(d), an L-entry permutation of every line: along x a gather,
+    dst[y, x] = coined[y, line[x]] with line[x] the neighbour of x along
+    flip(d), along y a row scatter, dst[line[y]] = coined[y] with line[y]
+    the neighbour of y along d.  A line is the ring successor or
+    predecessor for a grid move and ``lr_next`` or ``lr_prev`` for a
+    long-range one.
+    """
+    d = CoinDirection
+    side = topology.side
+    succ, pred = (np.arange(side) + 1) % side, (np.arange(side) - 1) % side
+    lr_next, lr_prev = long_range_lines(topology)
+    lines = {  # keyed by the destination row's direction
+        d.X_PLUS: (True, succ), d.X_MINUS: (True, pred),
+        d.Y_PLUS: (False, pred), d.Y_MINUS: (False, succ),
+        d.LX_PLUS: (True, lr_next), d.LX_MINUS: (True, lr_prev),
+        d.LY_PLUS: (False, lr_prev), d.LY_MINUS: (False, lr_next),
+    }
     dirs = directions(edge_mode)
-    row = {d: r for r, d in enumerate(dirs)}
-    return tuple((r, row[flip(d)], flip(d)) for r, d in enumerate(dirs[:-1]))
+    row = {f: r for r, f in enumerate(dirs)}
+    return tuple((r, row[flip(f)], *lines[flip(f)]) for r, f in enumerate(dirs[:-1]))
 
 
 def _shift_band(
@@ -250,55 +270,26 @@ def _shift_band(
     g: np.ndarray,
     h: np.ndarray,
     tmp: np.ndarray,
-    moves: tuple[tuple[int, int, CoinDirection], ...],
-    lr_next: np.ndarray,
-    lr_prev: np.ndarray,
+    moves: tuple[tuple[int, int, bool, np.ndarray], ...],
 ) -> None:
     """Write source rows y0:y1 of every coin row, coined, into their destinations.
 
     ``src`` and ``dst`` are C x L x L views indexed [row, y, x] (vertex
-    x + L * y).  The coined edge row r is g - src[r] and the coined hold row
-    h - src[-1], with ``g``, ``h`` and ``tmp`` (y1 - y0) x L.  Along
-    ``direction``, dst[q][y, x] receives the coined amplitude at the vertex
-    that moves onto (x, y).  ``tmp`` may be ``h``: the hold row is written
-    first.  The gathers index only valid coordinates, so mode "clip" skips
-    numpy's buffered bounds check.
+    x + L * y).  The coined hold row h - src[-1] is a plain write; every
+    coined edge row g - src[r] goes into ``tmp``, then by one of the
+    :func:`_moves` rules into dst[q]: an L-entry gather along x or a row
+    scatter along y.  ``g``, ``h`` and ``tmp`` are (y1 - y0) x L, and
+    ``tmp`` may be ``h``: the hold row is written first.  The gathers index
+    only valid coordinates, so mode "clip" skips numpy's buffered bounds
+    check.
     """
-    side = src.shape[1]
     np.subtract(h, src[-1, y0:y1], out=dst[-1, y0:y1])
-    for r, q, direction in moves:
-        s, d = src[r, y0:y1], dst[q]
-        match direction:
-            case CoinDirection.X_PLUS:
-                np.subtract(g[:, 1:], s[:, 1:], out=d[y0:y1, :-1])
-                np.subtract(g[:, 0], s[:, 0], out=d[y0:y1, -1])
-            case CoinDirection.X_MINUS:
-                np.subtract(g[:, :-1], s[:, :-1], out=d[y0:y1, 1:])
-                np.subtract(g[:, -1], s[:, -1], out=d[y0:y1, 0])
-            case CoinDirection.Y_PLUS:  # source row y lands on y - 1
-                if y0 == 0:
-                    np.subtract(g[0], s[0], out=d[-1])
-                    np.subtract(g[1:], s[1:], out=d[:y1 - 1])
-                else:
-                    np.subtract(g, s, out=d[y0 - 1:y1 - 1])
-            case CoinDirection.Y_MINUS:  # source row y lands on y + 1
-                if y1 == side:
-                    np.subtract(g[-1], s[-1], out=d[0])
-                    np.subtract(g[:-1], s[:-1], out=d[y0 + 1:])
-                else:
-                    np.subtract(g, s, out=d[y0 + 1:y1 + 1])
-            case CoinDirection.LX_PLUS:
-                np.subtract(g, s, out=tmp)
-                np.take(tmp, lr_next, axis=1, out=d[y0:y1], mode="clip")
-            case CoinDirection.LX_MINUS:
-                np.subtract(g, s, out=tmp)
-                np.take(tmp, lr_prev, axis=1, out=d[y0:y1], mode="clip")
-            case CoinDirection.LY_PLUS:  # lr_prev inverts lr_next: row y lands on lr_prev[y]
-                np.subtract(g, s, out=tmp)
-                d[lr_prev[y0:y1]] = tmp
-            case CoinDirection.LY_MINUS:
-                np.subtract(g, s, out=tmp)
-                d[lr_next[y0:y1]] = tmp
+    for r, q, along_x, line in moves:
+        np.subtract(g, src[r, y0:y1], out=tmp)
+        if along_x:
+            np.take(tmp, line, axis=1, out=dst[q, y0:y1], mode="clip")
+        else:
+            dst[q][line[y0:y1]] = tmp
 
 
 def shift_permutation(topology: TopologyParams, edge_mode: EdgeMode) -> np.ndarray:
@@ -318,12 +309,10 @@ def shift_permutation(topology: TopologyParams, edge_mode: EdgeMode) -> np.ndarr
     bands = _bands(n_coins, side)
     zero = np.zeros((bands[0][1], side), dtype=np.int64)
     tmp = np.empty_like(zero)
-    moves = _moves(edge_mode)
-    lr_next, lr_prev = long_range_lines(topology)
+    moves = _moves(topology, edge_mode)
     for y0, y1 in bands:
         rows = y1 - y0
-        _shift_band(slots, table, y0, y1, zero[:rows], zero[:rows], tmp[:rows],
-                    moves, lr_next, lr_prev)
+        _shift_band(slots, table, y0, y1, zero[:rows], zero[:rows], tmp[:rows], moves)
     return table.reshape(-1)
 
 
@@ -416,31 +405,13 @@ def memory_requirement(topology: TopologyParams, edge_mode: EdgeMode) -> int:
     return _held_bytes(topology, edge_mode, np.float64)
 
 
-@dataclass(frozen=True)
-class ProbabilityTrace:
-    """Success probability per step; entry t is P after t steps."""
-
-    probabilities: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "probabilities", np.asarray(self.probabilities, dtype=np.float64)
-        )
-
-    def __len__(self) -> int:
-        return int(self.probabilities.size)
-
-    def __getitem__(self, t: int) -> float:
-        return float(self.probabilities[t])
-
-
 class WalkEngine:
     """Owns the evolving state vector of one walk.
 
     Ping-pongs between two preallocated state buffers: each step walks the
     current one in bands of y rows, builds each band's shared coin terms and
-    writes every coined row of the band straight into its destination in the
-    other buffer.  The state is float64 unless a complex one is loaded with
+    moves every coined row of the band into its destination in the other
+    buffer.  The state is float64 unless a complex one is loaded with
     :meth:`set_amplitudes`.  A single engine must be driven by one thread at
     a time but may be handed between threads between steps.
     """
@@ -460,8 +431,7 @@ class WalkEngine:
                 np.count_nonzero(flagged), len(flagged),
                 tuple(config.targets[np.argmax(flagged)].tolist()),
             )
-        self._moves = _moves(config.edge_mode)
-        self._lr_next, self._lr_prev = long_range_lines(config.topology)
+        self._moves = _moves(config.topology, config.edge_mode)
         self.reset()
 
     def _allocate(self, dtype: type) -> None:
@@ -532,10 +502,9 @@ class WalkEngine:
     def advance(self, steps: int = 1) -> None:
         """Apply the evolution operator ``steps`` times: the oracle, then band
         by band the coin's shared terms g and h (in the overlap and row
-        buffers) and every coined row written into the other state buffer."""
+        buffers) and every coined row moved into the other state buffer."""
         state, scratch, overlap, row = self._state, self._scratch, self._overlap, self._row
         targets, weights, moves, bands = self._targets, self._weights, self._moves, self._bands
-        lr_next, lr_prev = self._lr_next, self._lr_prev
         side = self._config.topology.side
         for _ in range(steps):
             apply_oracle(state, targets)
@@ -543,7 +512,7 @@ class WalkEngine:
             for y0, y1 in bands:
                 g, h = overlap[:y1 - y0], row[:y1 - y0]
                 _coin_terms(src[:, y0:y1], weights, g, h)
-                _shift_band(src, dst, y0, y1, g, h, h, moves, lr_next, lr_prev)
+                _shift_band(src, dst, y0, y1, g, h, h, moves)
             state, scratch = scratch, state
         self._state, self._scratch = state, scratch
         self._steps += steps
@@ -554,8 +523,8 @@ def run(
     t_max: int,
     sink: IO[str] | None = None,
     memory_limit: int | None = DEFAULT_MEMORY_LIMIT,
-) -> ProbabilityTrace:
-    """Evolve from the initial state and record P(t) for t = 0 .. t_max.
+) -> np.ndarray:
+    """Evolve from the initial state and return P(t) for t = 0 .. t_max (float64).
 
     Deterministic for a fixed config.  When ``sink`` is given, each sample is
     streamed to it as a CSV row "t,P" as soon as it is computed.
@@ -568,4 +537,4 @@ def run(
         probabilities[t] = p
         if sink is not None:
             sink.write(f"{t},{p!r}\n")
-    return ProbabilityTrace(probabilities)
+    return probabilities

@@ -29,7 +29,6 @@ import numpy as np
 
 from .engine import (
     EdgeMode,
-    ProbabilityTrace,
     WalkConfig,
     WalkEngine,
     amplified_cost,
@@ -135,11 +134,9 @@ def _qualifies(probs: Sequence[float], t: int, rule: PeakRule) -> bool:
     )
 
 
-def detect_first_peak(
-    trace: ProbabilityTrace | Sequence[float], rule: PeakRule = DEFAULT_PEAK_RULE
-) -> PeakResult:
+def detect_first_peak(trace: Sequence[float], rule: PeakRule = DEFAULT_PEAK_RULE) -> PeakResult:
     """Earliest step of a trace that qualifies as a peak under ``rule``."""
-    probs = trace.probabilities if isinstance(trace, ProbabilityTrace) else np.asarray(trace)
+    probs = np.asarray(trace)
     if len(probs) < 3:
         raise ValueError(f"trace needs at least 3 samples, got {len(probs)}")
     for t in range(1, len(probs)):
@@ -165,8 +162,7 @@ def run_to_first_peak(
     config: WalkConfig,
     t_max: int | None = None,
     rule: PeakRule = DEFAULT_PEAK_RULE,
-    memory_limit: int | None = None,
-) -> tuple[PeakResult, ProbabilityTrace]:
+) -> tuple[PeakResult, np.ndarray]:
     """Evolve until the first peak is confirmed, stopping as early as possible.
 
     Returns the peak and the trace recorded so far, which always extends
@@ -177,16 +173,12 @@ def run_to_first_peak(
         raise ValueError("search runs need at least one target")
     if t_max is None:
         t_max = step_budget(config.topology.n_vertices, config.target_count, config.edge_mode)
-    kwargs = {} if memory_limit is None else {"memory_limit": memory_limit}
     probs: list[float] = []
-    for t, p in enumerate(WalkEngine(config, **kwargs).trace(t_max)):
+    for t, p in enumerate(WalkEngine(config).trace(t_max)):
         probs.append(p)
         candidate = t - rule.decline_run * rule.stride
         if candidate >= 1 and _qualifies(probs, candidate, rule):
-            return (
-                PeakResult(candidate, probs[candidate], rule),
-                ProbabilityTrace(np.asarray(probs)),
-            )
+            return PeakResult(candidate, probs[candidate], rule), np.asarray(probs)
     raise NoPeakError(
         f"no qualifying peak within {t_max} steps (max P = {max(probs):.6g})",
         max(probs),
@@ -334,7 +326,7 @@ def trial_record(job: TrialJob) -> ScalingRecord:
     config = WalkConfig.with_na(topology, job.na, targets, job.edge_mode)
     if job.rule is None:
         horizon = int(1.75 * math.sqrt(topology.n_vertices / job.m) + 0.5)
-        probs = run(config, horizon).probabilities
+        probs = run(config, horizon)
         peak_step = int(np.argmax(probs))
         peak_probability = float(probs[peak_step])
     else:

@@ -22,7 +22,7 @@ def test_simulate_writes_trace_and_manifest(tmp_path):
     assert lines[0] == "step,probability"
     assert lines[1] == "0,0.00390625"  # P(0) = M/N = 1/256
     config = WalkConfig.with_na(TopologyParams.from_side(16), 8.5, ((1, 6),))
-    probabilities = run(config, 40).probabilities
+    probabilities = run(config, 40)
     assert lines[1:] == [f"{t},{p!r}" for t, p in enumerate(probabilities.tolist())]
     doc = json.loads((tmp_path / "trace.manifest.json").read_text())
     assert doc["command"] == "simulate"
