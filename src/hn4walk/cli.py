@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Subcommands drive the library modules and emit CSV/JSON files, with a
-manifest JSON written beside every output.  Progress goes to stderr.
+Subcommands drive the library modules and emit CSV/JSON files.  Each
+returns its command-specific manifest fields, and :func:`main` writes the
+manifest JSON beside the output once the command has succeeded.  Progress
+goes to stderr.
 
 Exit codes: 0 success, 2 usage error, 3 no qualifying peak, 4 resource limit.
 """
@@ -10,8 +12,8 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
+from datetime import datetime, timezone
 
 from .engine import (
     EdgeMode,
@@ -31,7 +33,6 @@ from .experiments import (
 )
 from .fitting import FitError, fit_scaling, parse_model
 from .reporting import (
-    RunManifest,
     TRACE_HEADER,
     read_records_csv,
     write_manifest,
@@ -88,22 +89,18 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"malformed integer list {text!r}")
 
 
-def _steps(text: str) -> str | int:
-    if text == "auto":
-        return "auto"
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
-        if value < 1:
-            raise ValueError
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"steps must be 'auto' or a positive integer, got {text!r}"
-        )
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 
 
-def _default_workers() -> int:
-    return int(os.environ.get("HN4WALK_WORKERS", "1"))
+def _steps(text: str) -> str | int:
+    return "auto" if text == "auto" else _positive_int(text)
 
 
 def _manifest_params(args: argparse.Namespace) -> dict:
@@ -125,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--mode", choices=[m.value for m in EdgeMode], default="hn4")
     sim.add_argument("--steps", type=_steps, default="auto")
     sim.add_argument("--out", required=True)
-    sim.add_argument("--seed", type=int, default=0)
     sim.set_defaults(func=_cmd_simulate)
 
     swp = sub.add_parser("sweep", help="scan the self-loop weight and mark the optimum")
@@ -137,8 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--mode", choices=[m.value for m in EdgeMode], default="hn4")
     swp.add_argument("--steps", type=_steps, default="auto")
     swp.add_argument("--out", required=True)
-    swp.add_argument("--seed", type=int, default=0)
-    swp.add_argument("--workers", type=int, default=None)
+    swp.add_argument("--workers", type=_positive_int, default=1)
     swp.set_defaults(func=_cmd_sweep)
 
     scl = sub.add_parser("scale", help="first-peak records over lattice sizes")
@@ -154,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     scl.add_argument("--policy", choices=EXCEPTIONAL_POLICIES, default="line")
     scl.add_argument("--out", required=True)
     scl.add_argument("--seed", type=int, default=0)
-    scl.add_argument("--workers", type=int, default=None)
+    scl.add_argument("--workers", type=_positive_int, default=1)
     scl.set_defaults(func=_cmd_scale)
 
     den = sub.add_parser("density", help="runs with a fixed fraction of marked vertices")
@@ -164,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     den.add_argument("--policy", choices=EXCEPTIONAL_POLICIES, default="line")
     den.add_argument("--out", required=True)
     den.add_argument("--seed", type=int, default=0)
-    den.add_argument("--workers", type=int, default=None)
+    den.add_argument("--workers", type=_positive_int, default=1)
     den.set_defaults(func=_cmd_density)
 
     fit = sub.add_parser("fit", help="fit a runtime model to scaling records")
@@ -176,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> dict:
     topology = TopologyParams.from_side(args.side)
     config = WalkConfig.with_na(topology, args.na, args.targets, EdgeMode(args.mode))
     t_max = (
@@ -188,18 +183,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "walk memory: %d bytes (two state buffers and the step's overlap and row buffers)",
         memory_requirement(topology, config.edge_mode),
     )
-    manifest = RunManifest.begin("simulate", _manifest_params(args), seed=args.seed)
-    manifest.extra["resolved_steps"] = t_max
     with open(args.out, "w", newline="") as handle:
         handle.write(TRACE_HEADER + "\n")
         run(config, t_max, sink=handle)
-    write_manifest(args.out, manifest.finish())
-    return EXIT_OK
+    return {"resolved_steps": t_max}
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    workers = args.workers if args.workers is not None else _default_workers()
-    manifest = RunManifest.begin("sweep", _manifest_params(args), seed=args.seed, workers=workers)
+def _cmd_sweep(args: argparse.Namespace) -> dict:
     sweep = sweep_self_loop(
         args.side,
         args.targets,
@@ -208,39 +198,30 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         args.na_step,
         edge_mode=EdgeMode(args.mode),
         t_max=None if args.steps == "auto" else args.steps,
-        workers=workers,
+        workers=args.workers,
     )
-    manifest.extra["optimal_na"] = sweep.optimal.na
     write_sweep_csv(args.out, sweep)
-    write_manifest(args.out, manifest.finish())
     logger.info("optimal na=%g (peak_probability=%.6f)", sweep.optimal.na,
                 sweep.optimal.peak_probability)
-    return EXIT_OK
+    return {"optimal_na": sweep.optimal.na}
 
 
-def _cmd_scale(args: argparse.Namespace) -> int:
-    workers = args.workers if args.workers is not None else _default_workers()
+def _cmd_scale(args: argparse.Namespace) -> dict:
     m_values = args.m_list if args.m_list is not None else [args.m]
     if any(m < 1 for m in m_values):
         raise ValueError("target counts must be >= 1")
     na_rule = args.na if args.na is not None else args.na_rule
-    manifest = RunManifest.begin("scale", _manifest_params(args), seed=args.seed, workers=workers)
     jobs = trial_jobs(
         [(side, m) for m in m_values for side in args.sides], na_rule, args.trials, args.seed,
         edge_mode=EdgeMode(args.mode), policy=args.policy,
     )
-    write_records_csv(args.out, map_jobs(trial_record, jobs, workers))
-    write_manifest(args.out, manifest.finish())
-    return EXIT_OK
+    write_records_csv(args.out, map_jobs(trial_record, jobs, args.workers))
+    return {}
 
 
-def _cmd_density(args: argparse.Namespace) -> int:
-    workers = args.workers if args.workers is not None else _default_workers()
-    manifest = RunManifest.begin(
-        "density", _manifest_params(args), seed=args.seed, workers=workers
-    )
+def _cmd_density(args: argparse.Namespace) -> dict:
     jobs = density_jobs(args.sides, args.fraction, args.trials, args.seed, policy=args.policy)
-    write_records_csv(args.out, map_jobs(trial_record, jobs, workers))
+    write_records_csv(args.out, map_jobs(trial_record, jobs, args.workers))
     records = read_records_csv(args.out)
     for side in args.sides:
         cell = [r.peak_probability for r in records if r.side == side]
@@ -249,23 +230,19 @@ def _cmd_density(args: argparse.Namespace) -> int:
             side, sum(cell) / len(cell), len(cell),
         )
     mean = sum(r.peak_probability for r in records) / len(records)
-    manifest.extra["mean_peak_probability"] = mean
-    write_manifest(args.out, manifest.finish())
-    return EXIT_OK
+    return {"mean_peak_probability": mean}
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
+def _cmd_fit(args: argparse.Namespace) -> dict:
     model = parse_model(args.model)
     records = read_records_csv(args.records)
     result = fit_scaling(records, model)
-    manifest = RunManifest.begin("fit", _manifest_params(args))
-    manifest.extra["log_base"] = "natural"
-    write_fit_json(args.out, result, manifest.finish())
+    write_fit_json(args.out, result)
     logger.info(
         "fit %s: coefficient=%.6g rms_relative_residual=%.6g points=%d",
         result.model.value, result.coefficient, result.rms_relative_residual, result.points,
     )
-    return EXIT_OK
+    return {"log_base": "natural"}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -275,8 +252,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    started_utc = datetime.now(timezone.utc).isoformat()
     try:
-        return args.func(args)
+        extra = args.func(args)
     except NoPeakError as exc:
         print(f"hn4walk: {exc}", file=sys.stderr)
         return EXIT_NO_PEAK
@@ -286,6 +264,11 @@ def main(argv: list[str] | None = None) -> int:
     except (FitError, TopologyError, ValueError) as exc:
         print(f"hn4walk: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    write_manifest(
+        args.out, args.command, _manifest_params(args), getattr(args, "seed", None),
+        getattr(args, "workers", 1), started_utc, extra,
+    )
+    return EXIT_OK
 
 
 def entry() -> None:

@@ -518,12 +518,7 @@ class WalkEngine:
         self._steps += steps
 
 
-def run(
-    config: WalkConfig,
-    t_max: int,
-    sink: IO[str] | None = None,
-    memory_limit: int | None = DEFAULT_MEMORY_LIMIT,
-) -> np.ndarray:
+def run(config: WalkConfig, t_max: int, sink: IO[str] | None = None) -> np.ndarray:
     """Evolve from the initial state and return P(t) for t = 0 .. t_max (float64).
 
     Deterministic for a fixed config.  When ``sink`` is given, each sample is
@@ -531,7 +526,7 @@ def run(
     """
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    engine = WalkEngine(config, memory_limit=memory_limit)
+    engine = WalkEngine(config)
     probabilities = np.empty(t_max + 1, dtype=np.float64)
     for t, p in enumerate(engine.trace(t_max)):
         probabilities[t] = p

@@ -2,7 +2,10 @@
 
 Covers first-peak detection on probability traces, self-loop-weight sweeps,
 random target sets, scaling runs over lattice size and target count, and
-fixed-density runs.  Scaling and density trials are
+fixed-density runs.  One scan, :func:`_first_peak`, reads P(t) sample by
+sample and stops at the earliest confirmed peak: :func:`detect_first_peak`
+runs it over a finished trace and :func:`run_to_first_peak` over a live
+walk.  Scaling and density trials are
 :class:`TrialJob` specs that :func:`trial_record` turns into records;
 :func:`map_jobs` runs any job list through one bounded process pool and
 yields results in submission order as they arrive, so a run is reproducible
@@ -134,18 +137,31 @@ def _qualifies(probs: Sequence[float], t: int, rule: PeakRule) -> bool:
     )
 
 
-def detect_first_peak(trace: Sequence[float], rule: PeakRule = DEFAULT_PEAK_RULE) -> PeakResult:
-    """Earliest step of a trace that qualifies as a peak under ``rule``."""
-    probs = np.asarray(trace)
-    if len(probs) < 3:
-        raise ValueError(f"trace needs at least 3 samples, got {len(probs)}")
-    for t in range(1, len(probs)):
-        if _qualifies(probs, t, rule):
-            return PeakResult(t, float(probs[t]), rule)
+def _first_peak(samples: Iterable[float], rule: PeakRule) -> tuple[PeakResult, np.ndarray]:
+    """Earliest peak of P(t) read sample by sample, and the samples read.
+
+    A candidate t is tested once sample t + decline_run * stride arrives, the
+    last one :func:`_qualifies` looks at, so candidates are tested in
+    increasing order and the scan stops at the first that qualifies.
+    """
+    probs: list[float] = []
+    for t, p in enumerate(samples):
+        probs.append(float(p))
+        candidate = t - rule.decline_run * rule.stride
+        if candidate >= 1 and _qualifies(probs, candidate, rule):
+            return PeakResult(candidate, probs[candidate], rule), np.asarray(probs)
     raise NoPeakError(
-        f"no qualifying peak in {len(probs)} samples (max P = {probs.max():.6g})",
-        float(probs.max()),
+        f"no qualifying peak in {len(probs)} samples (max P = {max(probs):.6g})",
+        max(probs),
     )
+
+
+def detect_first_peak(trace: Sequence[float], rule: PeakRule = DEFAULT_PEAK_RULE) -> PeakResult:
+    """Earliest step of a finished trace that qualifies as a peak under ``rule``
+    (the same scan as :func:`run_to_first_peak`)."""
+    if len(trace) < 3:
+        raise ValueError(f"trace needs at least 3 samples, got {len(trace)}")
+    return _first_peak(trace, rule)[0]
 
 
 def step_budget(n_vertices: int, m: int, edge_mode: EdgeMode) -> int:
@@ -166,23 +182,16 @@ def run_to_first_peak(
     """Evolve until the first peak is confirmed, stopping as early as possible.
 
     Returns the peak and the trace recorded so far, which always extends
-    ``decline_run * stride`` samples past the peak.  Equivalent to running
-    the full horizon and calling :func:`detect_first_peak`, just cheaper.
+    ``decline_run * stride`` samples past the peak.  The walk feeds the scan
+    behind :func:`detect_first_peak` as it steps, so the result equals
+    detection over the full horizon of ``t_max`` steps (None:
+    :func:`step_budget`), just cheaper.
     """
     if config.target_count == 0:
         raise ValueError("search runs need at least one target")
     if t_max is None:
         t_max = step_budget(config.topology.n_vertices, config.target_count, config.edge_mode)
-    probs: list[float] = []
-    for t, p in enumerate(WalkEngine(config).trace(t_max)):
-        probs.append(p)
-        candidate = t - rule.decline_run * rule.stride
-        if candidate >= 1 and _qualifies(probs, candidate, rule):
-            return PeakResult(candidate, probs[candidate], rule), np.asarray(probs)
-    raise NoPeakError(
-        f"no qualifying peak within {t_max} steps (max P = {max(probs):.6g})",
-        max(probs),
-    )
+    return _first_peak(WalkEngine(config).trace(t_max), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +216,9 @@ class SweepResult:
 
 
 def _sweep_job(args: tuple) -> SweepPoint:
-    side, targets, na, edge_mode, t_max, rule = args
+    side, targets, na, edge_mode, t_max = args
     config = WalkConfig.with_na(TopologyParams.from_side(side), na, targets, edge_mode)
-    peak, _ = run_to_first_peak(config, t_max=t_max, rule=rule)
+    peak, _ = run_to_first_peak(config, t_max=t_max, rule=SWEEP_PEAK_RULE)
     return SweepPoint(na, peak.peak_step, peak.peak_probability)
 
 
@@ -221,15 +230,15 @@ def sweep_self_loop(
     na_step: float,
     edge_mode: EdgeMode = EdgeMode.HN4,
     t_max: int | None = None,
-    rule: PeakRule = SWEEP_PEAK_RULE,
     workers: int = 1,
 ) -> SweepResult:
     """Peak statistics for each total weight on the grid na_min .. na_max.
 
     The returned point list is ordered by weight; ``optimal_index`` marks the
-    first row of maximal peak probability.  The default rule follows the
-    probability envelope (stride 2), which the oscillating off-optimal
-    points of a wide sweep require.
+    first row of maximal peak probability.  Peaks are read under
+    :data:`SWEEP_PEAK_RULE`, which follows the probability envelope
+    (stride 2) that the oscillating off-optimal points of a wide sweep
+    require.
     """
     if na_step <= 0:
         raise ValueError(f"na_step must be > 0, got {na_step}")
@@ -237,7 +246,7 @@ def sweep_self_loop(
     if count < 1:
         raise ValueError(f"empty sweep range [{na_min}, {na_max}]")
     values = [na_min + i * na_step for i in range(count)]
-    jobs = [(side, targets, na, edge_mode, t_max, rule) for na in values]
+    jobs = [(side, targets, na, edge_mode, t_max) for na in values]
     points = list(map_jobs(_sweep_job, jobs, workers))
     best = max(range(len(points)), key=lambda i: (points[i].peak_probability, -i))
     return SweepResult(tuple(points), best)
@@ -303,9 +312,9 @@ def resolve_na(na_rule: float | str, m: int) -> float:
 class TrialJob:
     """One randomized trial: draw ``m`` targets from ``seed``, then walk.
 
-    With a peak ``rule`` the walk runs to its first peak within ``t_max``
-    steps (None: :func:`step_budget`).  With ``rule=None`` it runs the fixed
-    density horizon round(1.75 * sqrt(N/M)) and records the trace maximum.
+    With a peak ``rule`` the walk runs to its first peak within
+    :func:`step_budget` steps.  With ``rule=None`` it runs the fixed density
+    horizon round(1.75 * sqrt(N/M)) and records the trace maximum.
     """
 
     side: int
@@ -316,7 +325,6 @@ class TrialJob:
     edge_mode: EdgeMode = EdgeMode.HN4
     policy: str = "line"
     rule: PeakRule | None = DEFAULT_PEAK_RULE
-    t_max: int | None = None
 
 
 def trial_record(job: TrialJob) -> ScalingRecord:
@@ -330,7 +338,7 @@ def trial_record(job: TrialJob) -> ScalingRecord:
         peak_step = int(np.argmax(probs))
         peak_probability = float(probs[peak_step])
     else:
-        peak, _ = run_to_first_peak(config, t_max=job.t_max, rule=job.rule)
+        peak, _ = run_to_first_peak(config, rule=job.rule)
         peak_step, peak_probability = peak.peak_step, peak.peak_probability
     return ScalingRecord(
         side=job.side,
@@ -372,14 +380,12 @@ def scaling_experiment(
     seed: int,
     edge_mode: EdgeMode = EdgeMode.HN4,
     policy: str = "line",
-    rule: PeakRule = DEFAULT_PEAK_RULE,
-    t_max: int | None = None,
     workers: int = 1,
 ) -> list[ScalingRecord]:
     """First-peak records over lattice sizes, with fresh random targets per trial."""
     jobs = trial_jobs(
         [(side, m) for side in sides], na_rule, trials, seed,
-        edge_mode=edge_mode, policy=policy, rule=rule, t_max=t_max,
+        edge_mode=edge_mode, policy=policy,
     )
     return list(map_jobs(trial_record, jobs, workers))
 
@@ -390,14 +396,14 @@ def density_jobs(
     trials: int,
     seed: int,
     policy: str = "line",
-    na_rule: float | str = "8.5M",
 ) -> list[TrialJob]:
-    """Fixed-horizon trials marking round(fraction * N) vertices on each side."""
+    """Fixed-horizon trials marking round(fraction * N) vertices on each side,
+    at the Na = 8.5M heuristic."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
     cells = [(side, int(fraction * TopologyParams.from_side(side).n_vertices + 0.5))
              for side in sides]
-    return trial_jobs(cells, na_rule, trials, seed, policy=policy, rule=None)
+    return trial_jobs(cells, "8.5M", trials, seed, policy=policy, rule=None)
 
 
 def density_experiment(
@@ -406,18 +412,18 @@ def density_experiment(
     trials: int,
     seed: int,
     policy: str = "line",
-    na_rule: float | str = "8.5M",
     workers: int = 1,
 ) -> list[ScalingRecord]:
     """Runs with a fixed fraction of marked vertices.
 
-    Each trial marks round(fraction * N) random vertices, evolves for the
+    Each trial marks round(fraction * N) random vertices, sets the total
+    self-loop weight by the Na = 8.5M heuristic, evolves for the
     prescribed round(1.75 * sqrt(N/M)) steps, and records the highest success
     probability seen along the trace together with its step.  Peaks this
     early cannot satisfy the first-peak rule's gain threshold (P(0) is
     already the marked fraction), so the trace maximum stands in for it.
     """
-    jobs = density_jobs(sides, fraction, trials, seed, policy, na_rule)
+    jobs = density_jobs(sides, fraction, trials, seed, policy)
     return list(map_jobs(trial_record, jobs, workers))
 
 

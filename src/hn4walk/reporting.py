@@ -3,15 +3,15 @@
 All CSV output uses a header row, comma separators, "." decimals, and LF
 line endings.  Floats are written with repr (shortest round-trip form), so a
 rerun with the same manifest and a single worker produces byte-identical
-files.  Every output file is accompanied by a pretty-printed manifest JSON
-recording the command, the full parameter set, the seed and PRNG identifier,
-the engine version, timestamps, and the worker count.
+files.  :func:`write_manifest` writes the pretty-printed manifest JSON that
+accompanies every output file, recording the command, the full parameter
+set, the seed and PRNG identifier, the engine version, timestamps, the
+worker count, and any command-specific fields.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -25,7 +25,6 @@ __all__ = [
     "TRACE_HEADER",
     "SWEEP_HEADER",
     "RECORDS_HEADER",
-    "RunManifest",
     "manifest_path",
     "write_manifest",
     "write_sweep_csv",
@@ -50,60 +49,36 @@ def _fmt(value) -> str:
     return str(value)
 
 
-@dataclass
-class RunManifest:
-    """Provenance of one command invocation; reruns reproduce its outputs."""
-
-    command: str
-    parameters: dict
-    seed: int | None = None
-    workers: int = 1
-    prng: str = PRNG_ALGORITHM
-    engine_version: str = ENGINE_VERSION
-    started_utc: str = ""
-    finished_utc: str = ""
-    extra: dict = field(default_factory=dict)
-
-    @classmethod
-    def begin(
-        cls, command: str, parameters: dict, seed: int | None = None, workers: int = 1
-    ) -> "RunManifest":
-        return cls(
-            command=command,
-            parameters=dict(parameters),
-            seed=seed,
-            workers=workers,
-            started_utc=datetime.now(timezone.utc).isoformat(),
-        )
-
-    def finish(self) -> "RunManifest":
-        self.finished_utc = datetime.now(timezone.utc).isoformat()
-        return self
-
-    def to_json(self) -> dict:
-        doc = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "prng": self.prng,
-            "engine_version": self.engine_version,
-            "workers": self.workers,
-            "started_utc": self.started_utc,
-            "finished_utc": self.finished_utc,
-        }
-        doc.update(self.extra)
-        return doc
-
-
 def manifest_path(out_path: str | Path) -> Path:
     """Sibling manifest file: <name>.manifest.json next to the output."""
     out_path = Path(out_path)
     return out_path.with_name(out_path.stem + ".manifest.json")
 
 
-def write_manifest(out_path: str | Path, manifest: RunManifest) -> Path:
+def write_manifest(
+    out_path: str | Path,
+    command: str,
+    parameters: dict,
+    seed: int | None,
+    workers: int,
+    started_utc: str,
+    extra: dict,
+) -> Path:
+    """Write the provenance of one command invocation beside ``out_path``,
+    stamped as finished now; reruns with these parameters reproduce its output."""
+    doc = {
+        "command": command,
+        "parameters": parameters,
+        "seed": seed,
+        "prng": PRNG_ALGORITHM,
+        "engine_version": ENGINE_VERSION,
+        "workers": workers,
+        "started_utc": started_utc,
+        "finished_utc": datetime.now(timezone.utc).isoformat(),
+        **extra,
+    }
     path = manifest_path(out_path)
-    path.write_text(json.dumps(manifest.to_json(), indent=2) + "\n")
+    path.write_text(json.dumps(doc, indent=2) + "\n")
     return path
 
 
@@ -155,13 +130,11 @@ def read_records_csv(path: str | Path) -> list[ScalingRecord]:
     return records
 
 
-def write_fit_json(path: str | Path, fit: FitResult, manifest: RunManifest | None = None) -> None:
+def write_fit_json(path: str | Path, fit: FitResult) -> None:
     doc = {
         "model": fit.model.value,
         "coefficient": fit.coefficient,
         "rms_relative_residual": fit.rms_relative_residual,
         "points": fit.points,
     }
-    if manifest is not None:
-        doc["manifest"] = manifest.to_json()
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")

@@ -1,9 +1,12 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from hn4walk.cli import main
+from hn4walk.cli import build_parser, main
 from hn4walk.engine import WalkConfig, run
 from hn4walk.fitting import model_scale, RuntimeModel
 from hn4walk.reporting import read_records_csv, write_records_csv
@@ -15,7 +18,7 @@ def test_simulate_writes_trace_and_manifest(tmp_path):
     out = tmp_path / "trace.csv"
     code = main([
         "simulate", "--side", "16", "--targets", "1,6", "--na", "8.5",
-        "--mode", "hn4", "--steps", "40", "--out", str(out), "--seed", "3",
+        "--mode", "hn4", "--steps", "40", "--out", str(out),
     ])
     assert code == 0
     lines = out.read_text().splitlines()
@@ -27,7 +30,7 @@ def test_simulate_writes_trace_and_manifest(tmp_path):
     doc = json.loads((tmp_path / "trace.manifest.json").read_text())
     assert doc["command"] == "simulate"
     assert doc["parameters"]["na"] == 8.5
-    assert doc["parameters"]["seed"] == 3
+    assert doc["seed"] is None
     assert doc["parameters"]["steps"] == 40
     assert doc["resolved_steps"] == 40
 
@@ -79,6 +82,7 @@ def test_simulate_resource_error(tmp_path):
         "--steps", "5", "--out", str(tmp_path / "big.csv"),
     ])
     assert code == 4
+    assert not (tmp_path / "big.manifest.json").exists()
 
 
 def test_sweep_marks_optimum(tmp_path):
@@ -111,6 +115,7 @@ def test_no_peak_exit_code(tmp_path):
         "--na-max", "9", "--na-step", "1", "--out", str(tmp_path / "s.csv"),
     ])
     assert code == 3
+    assert not (tmp_path / "s.manifest.json").exists()
 
 
 def test_scale_then_fit_round_trip(tmp_path):
@@ -130,6 +135,9 @@ def test_scale_then_fit_round_trip(tmp_path):
     assert doc["model"] == "sqrt"
     assert doc["points"] == 3
     assert 1.0 < doc["coefficient"] < 2.5
+    manifest = json.loads((tmp_path / "fit.manifest.json").read_text())
+    assert manifest["command"] == "fit"
+    assert manifest["log_base"] == "natural"
 
 
 def test_scale_accepts_m_list_and_na_rule(tmp_path):
@@ -190,6 +198,15 @@ def test_density_command(tmp_path):
     assert all(r.m == 26 for r in records)
     assert main(["density", "--sides", "16", "--fraction", "1.5", "--trials", "1",
                  "--out", str(tmp_path / "d.csv")]) == 2
+    for command in (
+        ["density", "--sides", "16", "--fraction", "0.1"],
+        ["scale", "--sides", "16", "--m", "1", "--na", "8.5"],
+        ["sweep", "--side", "16", "--targets", "1,6", "--na-min", "6", "--na-max", "10",
+         "--na-step", "2"],
+    ):
+        for workers in ("0", "-2"):
+            assert main(command + ["--workers", workers, "--out", str(tmp_path / "w.csv")]) == 2
+    assert not (tmp_path / "w.manifest.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -221,3 +238,18 @@ def test_scale_keeps_records_before_a_failed_job(tmp_path, workers):
     records = read_records_csv(out)
     assert [(r.side, r.trial) for r in records] == [(16, 0), (16, 1)]
     assert not (tmp_path / "records.manifest.json").exists()
+
+
+def test_readme_cli_examples_parse():
+    # every `hn4walk ...` example in README's fenced blocks must stay valid CLI input
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    examples = [shlex.split(line) for line in lines if line.startswith("hn4walk ")]
+    assert {argv[1] for argv in examples} == {"simulate", "sweep", "scale", "density", "fit"}
+    parser = build_parser()
+    for argv in examples:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {shlex.join(argv)}")

@@ -381,8 +381,6 @@ def test_memory_requirement_and_limit():
     config = WalkConfig.with_na(topo, 8.5, ((1, 6),))
     with pytest.raises(ResourceLimitError):
         WalkEngine(config, memory_limit=1024)
-    with pytest.raises(ResourceLimitError):
-        run(config, 5, memory_limit=1024)
     # a complex state doubles every buffer; loading one is guarded too
     engine = WalkEngine(config, memory_limit=memory_requirement(topo, EdgeMode.HN4))
     with pytest.raises(ResourceLimitError):

@@ -6,6 +6,7 @@ from hn4walk.experiments import (
     DEFAULT_PEAK_RULE,
     NoPeakError,
     PeakRule,
+    SWEEP_PEAK_RULE,
     density_experiment,
     derive_seed,
     detect_first_peak,
@@ -93,6 +94,27 @@ def test_run_to_first_peak_no_peak_within_budget():
     config = WalkConfig.with_na(TopologyParams.from_side(16), 8.5, ((1, 6),))
     with pytest.raises(NoPeakError):
         run_to_first_peak(config, t_max=10)
+
+
+def test_stride_two_rule_follows_the_envelope():
+    # a period-2 parity dip on a rising-then-falling envelope: neighbouring
+    # samples never fall five times in a row, same-parity samples do
+    envelope = [0.05 + 0.04 * t if t <= 20 else 0.85 - 0.04 * (t - 20) for t in range(31)]
+    trace = [p - 0.1 * (t % 2) for t, p in enumerate(envelope)]
+    with pytest.raises(NoPeakError):
+        detect_first_peak(trace)
+    peak = detect_first_peak(trace, SWEEP_PEAK_RULE)
+    assert (peak.peak_step, peak.peak_probability) == (20, trace[20])
+
+    # an off-optimal weight on a real walk oscillates the same way
+    config = WalkConfig.with_na(TopologyParams.from_side(64), 1.0, ((1, 6),))
+    with pytest.raises(NoPeakError):
+        run_to_first_peak(config)
+    peak, samples = run_to_first_peak(config, rule=SWEEP_PEAK_RULE)
+    assert (peak.peak_step, peak.peak_probability) == (94, 0.48742107955817504)
+    assert len(samples) == 94 + 2 * SWEEP_PEAK_RULE.decline_run + 1
+    full = run(config, step_budget(4096, 1, EdgeMode.HN4))
+    assert detect_first_peak(full, SWEEP_PEAK_RULE) == peak
 
 
 def test_step_budget():

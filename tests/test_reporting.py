@@ -6,7 +6,6 @@ from hn4walk.experiments import ScalingRecord, SweepPoint, SweepResult
 from hn4walk.fitting import FitResult, RuntimeModel
 from hn4walk.reporting import (
     RECORDS_HEADER,
-    RunManifest,
     manifest_path,
     read_records_csv,
     write_fit_json,
@@ -72,10 +71,11 @@ def test_sweep_csv_marks_optimal_row(tmp_path):
 
 
 def test_manifest_fields_and_path(tmp_path):
-    manifest = RunManifest.begin("simulate", {"side": 16, "na": 8.5}, seed=7, workers=2)
-    manifest.extra["resolved_steps"] = 96
     out = tmp_path / "trace.csv"
-    written = write_manifest(out, manifest.finish())
+    written = write_manifest(
+        out, "simulate", {"side": 16, "na": 8.5}, 7, 2, "2026-01-01T00:00:00+00:00",
+        {"resolved_steps": 96},
+    )
     assert written == tmp_path / "trace.manifest.json"
     assert manifest_path(out) == written
     doc = json.loads(written.read_text())
@@ -87,15 +87,18 @@ def test_manifest_fields_and_path(tmp_path):
     assert doc["engine_version"]
     assert doc["started_utc"] and doc["finished_utc"]
     assert doc["resolved_steps"] == 96
+    assert list(doc) == [
+        "command", "parameters", "seed", "prng", "engine_version", "workers",
+        "started_utc", "finished_utc", "resolved_steps",
+    ]
 
 
 def test_fit_json(tmp_path):
     fit = FitResult(RuntimeModel.SQRT, 1.79, 0.02, 4)
     path = tmp_path / "fit.json"
-    write_fit_json(path, fit, RunManifest.begin("fit", {}))
+    write_fit_json(path, fit)
     doc = json.loads(path.read_text())
     assert doc["model"] == "sqrt"
     assert doc["coefficient"] == 1.79
     assert doc["rms_relative_residual"] == 0.02
     assert doc["points"] == 4
-    assert doc["manifest"]["command"] == "fit"
