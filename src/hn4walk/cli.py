@@ -21,10 +21,12 @@ from .engine import (
     WalkConfig,
     memory_requirement,
     run,
+    step_threads,
 )
 from .experiments import (
     NoPeakError,
     density_jobs,
+    job_step_threads,
     map_jobs,
     step_budget,
     sweep_self_loop,
@@ -84,9 +86,12 @@ def _target_list(text: str) -> tuple[tuple[int, int], ...]:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"malformed integer list {text!r}")
+    if not values:
+        raise argparse.ArgumentTypeError("integer list must not be empty")
+    return values
 
 
 def _positive_int(text: str) -> int:
@@ -101,6 +106,12 @@ def _positive_int(text: str) -> int:
 
 def _steps(text: str) -> str | int:
     return "auto" if text == "auto" else _positive_int(text)
+
+
+def _largest_step_threads(args: argparse.Namespace, jobs: list) -> int:
+    """Manifest field: threads one step of the largest side's jobs ran on."""
+    mode = EdgeMode(getattr(args, "mode", EdgeMode.HN4))
+    return job_step_threads(max(args.sides), mode, len(jobs), args.workers)
 
 
 def _manifest_params(args: argparse.Namespace) -> dict:
@@ -186,7 +197,7 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
     with open(args.out, "w", newline="") as handle:
         handle.write(TRACE_HEADER + "\n")
         run(config, t_max, sink=handle)
-    return {"resolved_steps": t_max}
+    return {"resolved_steps": t_max, "step_threads": step_threads(topology, config.edge_mode)}
 
 
 def _cmd_sweep(args: argparse.Namespace) -> dict:
@@ -203,7 +214,12 @@ def _cmd_sweep(args: argparse.Namespace) -> dict:
     write_sweep_csv(args.out, sweep)
     logger.info("optimal na=%g (peak_probability=%.6f)", sweep.optimal.na,
                 sweep.optimal.peak_probability)
-    return {"optimal_na": sweep.optimal.na}
+    return {
+        "optimal_na": sweep.optimal.na,
+        "step_threads": job_step_threads(
+            args.side, EdgeMode(args.mode), len(sweep.points), args.workers
+        ),
+    }
 
 
 def _cmd_scale(args: argparse.Namespace) -> dict:
@@ -216,7 +232,7 @@ def _cmd_scale(args: argparse.Namespace) -> dict:
         edge_mode=EdgeMode(args.mode), policy=args.policy,
     )
     write_records_csv(args.out, map_jobs(trial_record, jobs, args.workers))
-    return {}
+    return {"step_threads": _largest_step_threads(args, jobs)}
 
 
 def _cmd_density(args: argparse.Namespace) -> dict:
@@ -230,7 +246,7 @@ def _cmd_density(args: argparse.Namespace) -> dict:
             side, sum(cell) / len(cell), len(cell),
         )
     mean = sum(r.peak_probability for r in records) / len(records)
-    return {"mean_peak_probability": mean}
+    return {"mean_peak_probability": mean, "step_threads": _largest_step_threads(args, jobs)}
 
 
 def _cmd_fit(args: argparse.Namespace) -> dict:

@@ -13,11 +13,20 @@ plain write.
 Every edge direction has the same coin weight, so the coin turns each edge
 row r into g - state[r] with one term g per vertex that all edge rows share.
 The engine walks the grid in bands of consecutive y rows, sized so that the
-C source rows of a band (about 1 MiB) stay in cache between the two reads
+C source rows of a band (about 2 MiB) stay in cache between the two reads
 of it: one builds the band's g, the other coins each row into the row
 buffer and moves it into its destination in the other state buffer.  A
 step needs no table and, beside the two state buffers, two band-sized
-buffers.
+buffers per thread.
+
+Bands are independent: each reads only the source buffer and, since every
+move is a permutation, writes its own destinations.  A lattice of at least
+two bands per thread therefore splits its y rows into one contiguous part
+per thread, up to one thread per available core; the calling thread runs
+the first part and the process's helper threads the others.  Each vertex
+is computed by the same operations in the same order whatever the banding,
+so the result is bit-identical for any band size and thread count.  A
+job-pool worker steps on one thread, as its siblings fill the other cores.
 
 Evolution never renormalises: norm drift is a measured property, not a
 silently corrected one.
@@ -27,6 +36,9 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import IO, Iterator
@@ -54,6 +66,8 @@ __all__ = [
     "step",
     "success_probability",
     "amplified_cost",
+    "available_cores",
+    "step_threads",
     "memory_requirement",
     "run",
     "DEFAULT_MEMORY_LIMIT",
@@ -221,17 +235,89 @@ def target_indices(config: WalkConfig) -> np.ndarray:
     return t[:, 0] + config.topology.side * t[:, 1]
 
 
-#: Bytes of the C float64 source rows of one band: about half of a core's
-#: 2 MiB L2, so a band read for its coin terms is still cached for its moves.
-_BAND_BYTES = 2**20
+#: Bytes of the C float64 source rows of one band, so that a band read for its
+#: coin terms is still cached for its moves.  Measured with ``advance(k)`` on
+#: two cores, HN4 side 512 stepped in 5.3, 4.3 and 4.0 ms on two threads with
+#: 1, 2 and 4 MiB bands: smaller bands cost more numpy calls per step, each an
+#: interpreter-lock hand-off between the threads.  4 MiB leaves grid side 512
+#: with three bands, too few for two threads (4.0 against 2.5 ms), so 2 MiB.
+_BAND_BYTES = 2 * 2**20
 
 
-def _bands(n_coins: int, side: int) -> tuple[tuple[int, int], ...]:
-    """(y0, y1) of every band, in order: each holds as many y rows as keep
-    its C float64 source rows within ``_BAND_BYTES`` (the whole grid up to
-    side 64 with long-range edges), at least one; only the last may be shorter."""
-    rows = min(side, max(1, _BAND_BYTES // (n_coins * side * 8)))
-    return tuple((y0, min(y0 + rows, side)) for y0 in range(0, side, rows))
+def _band_rows(n_coins: int, side: int) -> int:
+    """y rows of a band: as many as keep its C float64 source rows within
+    ``_BAND_BYTES`` (the whole grid up to side 128 with long-range edges),
+    at least one."""
+    return min(side, max(1, _BAND_BYTES // (n_coins * side * 8)))
+
+
+def available_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the OS reports one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+#: Cores a step may use in this process, None for every available core.  A
+#: job-pool worker sets 1 (:func:`_step_on_one_core`).
+_step_cores: int | None = None
+
+
+def _step_on_one_core() -> None:
+    """Job-pool worker initializer: step on the calling thread only, since the
+    sibling workers already fill the other cores."""
+    global _step_cores
+    _step_cores = 1
+
+
+def step_threads(topology: TopologyParams, edge_mode: EdgeMode) -> int:
+    """Threads one step of a walk on ``topology`` runs on in this process: at
+    most one per core the step may use, and only as many as leave at least
+    two bands per thread (one thread for a lattice of fewer than four bands)."""
+    side = topology.side
+    n_bands = -(-side // _band_rows(len(directions(edge_mode)), side))
+    return max(1, min(_step_cores or available_cores(), n_bands // 2))
+
+
+def _parts(n_coins: int, side: int, threads: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """(y0, y1) of every band of every thread's part, in order: the y rows
+    split into ``threads`` contiguous parts of near-equal size, each cut into
+    bands of :func:`_band_rows` rows of which only the last may be shorter."""
+    rows = _band_rows(n_coins, side)
+    cuts = [side * i // threads for i in range(threads + 1)]
+    return tuple(
+        tuple((y0, min(y0 + rows, end)) for y0 in range(start, end, rows))
+        for start, end in zip(cuts, cuts[1:])
+    )
+
+
+_helpers: ThreadPoolExecutor | None = None
+_helpers_lock = threading.Lock()
+
+
+def _helper_pool() -> ThreadPoolExecutor:
+    """The process's step helper threads, one fewer than the available cores,
+    so a step never runs more busy threads than the process has cores.
+    Started at the first step that needs them, then kept."""
+    global _helpers
+    with _helpers_lock:
+        if _helpers is None:
+            _helpers = ThreadPoolExecutor(
+                max(1, available_cores() - 1), thread_name_prefix="hn4walk-step"
+            )
+        return _helpers
+
+
+def _forget_helpers() -> None:
+    """A forked child inherits the helper pool's object but none of its
+    threads: drop it, so that the child starts its own when it needs one."""
+    global _helpers, _helpers_lock
+    _helpers, _helpers_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
 
 
 def _moves(
@@ -297,22 +383,23 @@ def shift_permutation(topology: TopologyParams, edge_mode: EdgeMode) -> np.ndarr
 
     Slot layout is row * N + vertex with rows ordered per
     :func:`directions`.  The table is the engine's band moves, over the
-    engine's bands, applied to the negated slot numbers with zero coin terms
-    (0 - (-slot) = slot), so checking that it is a bijection checks the moves
-    every step runs.  Every destination row receives from the reversed coin
-    direction at the unique source vertex that moves onto it.
+    bands of every thread's part of the engine, applied to the negated slot
+    numbers with zero coin terms (0 - (-slot) = slot), so checking that it is
+    a bijection checks the moves every step runs.  Every destination row
+    receives from the reversed coin direction at the unique source vertex
+    that moves onto it.
     """
     side = topology.side
     n_coins = len(directions(edge_mode))
     slots = -np.arange(n_coins * topology.n_vertices, dtype=np.int64).reshape(-1, side, side)
     table = np.empty_like(slots)
-    bands = _bands(n_coins, side)
-    zero = np.zeros((bands[0][1], side), dtype=np.int64)
+    zero = np.zeros((_band_rows(n_coins, side), side), dtype=np.int64)
     tmp = np.empty_like(zero)
     moves = _moves(topology, edge_mode)
-    for y0, y1 in bands:
-        rows = y1 - y0
-        _shift_band(slots, table, y0, y1, zero[:rows], zero[:rows], tmp[:rows], moves)
+    for part in _parts(n_coins, side, step_threads(topology, edge_mode)):
+        for y0, y1 in part:
+            rows = y1 - y0
+            _shift_band(slots, table, y0, y1, zero[:rows], zero[:rows], tmp[:rows], moves)
     return table.reshape(-1)
 
 
@@ -388,21 +475,23 @@ def amplified_cost(peak_step: int, peak_probability: float) -> float:
     return peak_step / math.sqrt(peak_probability)
 
 
-def _held_bytes(topology: TopologyParams, edge_mode: EdgeMode, dtype: type) -> int:
+def _held_bytes(topology: TopologyParams, edge_mode: EdgeMode, dtype: type, threads: int) -> int:
     """Bytes of an engine's buffers for amplitudes of ``dtype``: two C x N state
-    buffers plus the step's overlap and row buffers of one band each."""
+    buffers plus the step's overlap and row buffers, one band for each of
+    ``threads`` threads."""
     n_coins, side = len(directions(edge_mode)), topology.side
-    band = _bands(n_coins, side)[0][1] * side
-    return 2 * (n_coins * topology.n_vertices + band) * np.dtype(dtype).itemsize
+    bands = threads * _band_rows(n_coins, side) * side
+    return 2 * (n_coins * topology.n_vertices + bands) * np.dtype(dtype).itemsize
 
 
 def memory_requirement(topology: TopologyParams, edge_mode: EdgeMode) -> int:
     """Bytes a :class:`WalkEngine` allocates for a real state: two state buffers
     of C * N float64 amplitudes (2 * 8 * C * N) plus the overlap and row
-    buffers of the banded step, 8 * R * L each for a band of R y rows (R = L,
-    one band, up to side 64).  A complex state loaded with
+    buffers of the banded step, 8 * T * R * L each for T threads
+    (:func:`step_threads`) with a band of R y rows each (R = L, one band and
+    one thread, up to side 128).  A complex state loaded with
     :meth:`WalkEngine.set_amplitudes` needs twice this."""
-    return _held_bytes(topology, edge_mode, np.float64)
+    return _held_bytes(topology, edge_mode, np.float64, step_threads(topology, edge_mode))
 
 
 class WalkEngine:
@@ -411,15 +500,22 @@ class WalkEngine:
     Ping-pongs between two preallocated state buffers: each step walks the
     current one in bands of y rows, builds each band's shared coin terms and
     moves every coined row of the band into its destination in the other
-    buffer.  The state is float64 unless a complex one is loaded with
-    :meth:`set_amplitudes`.  A single engine must be driven by one thread at
-    a time but may be handed between threads between steps.
+    buffer.  The bands are split into one contiguous part per thread of
+    :func:`step_threads`, fixed at construction; each thread has its own
+    overlap and row buffers, and the calling thread runs the first part
+    while the process's helper threads run the others.  The state is
+    float64 unless a complex one is loaded with :meth:`set_amplitudes`.  A
+    single engine must be driven by one thread at a time but may be handed
+    between threads between steps.
     """
 
     def __init__(self, config: WalkConfig, memory_limit: int | None = DEFAULT_MEMORY_LIMIT):
         self._config = config
         self._memory_limit = memory_limit
-        self._bands = _bands(len(directions(config.edge_mode)), config.topology.side)
+        topology, edge_mode = config.topology, config.edge_mode
+        self._parts = _parts(
+            len(directions(edge_mode)), topology.side, step_threads(topology, edge_mode)
+        )
         self._allocate(np.float64)
         self._weights = coin_weights(config.loop_weight, config.edge_mode)
         self._targets = target_indices(config)
@@ -436,19 +532,22 @@ class WalkEngine:
 
     def _allocate(self, dtype: type) -> None:
         """(Re)allocate the state, scratch, overlap and row buffers for ``dtype``,
-        refusing when they would exceed the memory limit."""
+        one band of overlap and row per thread, refusing when they would exceed
+        the memory limit."""
         topology, edge_mode = self._config.topology, self._config.edge_mode
-        needed = _held_bytes(topology, edge_mode, dtype)
+        threads = len(self._parts)
+        needed = _held_bytes(topology, edge_mode, dtype, threads)
         if self._memory_limit is not None and needed > self._memory_limit:
             raise ResourceLimitError(
                 f"state buffers and the step's band-sized overlap and row buffers "
                 f"need {needed} bytes, limit is {self._memory_limit}"
             )
         shape = (len(directions(edge_mode)), topology.n_vertices)
+        band = (threads, _band_rows(shape[0], topology.side), topology.side)
         self._state = self._scratch = self._overlap = self._row = None  # free before allocating
         self._state = np.empty(shape, dtype=dtype)
         self._scratch = np.empty_like(self._state)
-        self._overlap = np.empty((self._bands[0][1], topology.side), dtype=dtype)
+        self._overlap = np.empty(band, dtype=dtype)
         self._row = np.empty_like(self._overlap)
 
     @property
@@ -502,20 +601,36 @@ class WalkEngine:
     def advance(self, steps: int = 1) -> None:
         """Apply the evolution operator ``steps`` times: the oracle, then band
         by band the coin's shared terms g and h (in the overlap and row
-        buffers) and every coined row moved into the other state buffer."""
-        state, scratch, overlap, row = self._state, self._scratch, self._overlap, self._row
-        targets, weights, moves, bands = self._targets, self._weights, self._moves, self._bands
-        side = self._config.topology.side
+        buffers) and every coined row moved into the other state buffer.
+        The calling thread runs the first part of the bands and waits for the
+        helper threads to finish the others before the next step."""
+        state, scratch, targets = self._state, self._scratch, self._targets
+        side, n_parts = self._config.topology.side, len(self._parts)
+        helpers = _helper_pool() if n_parts > 1 else None
         for _ in range(steps):
             apply_oracle(state, targets)
             src, dst = state.reshape(-1, side, side), scratch.reshape(-1, side, side)
-            for y0, y1 in bands:
-                g, h = overlap[:y1 - y0], row[:y1 - y0]
-                _coin_terms(src[:, y0:y1], weights, g, h)
-                _shift_band(src, dst, y0, y1, g, h, h, moves)
+            if helpers is None:
+                self._step_part(src, dst, 0)
+            else:
+                pending = [helpers.submit(self._step_part, src, dst, i) for i in range(1, n_parts)]
+                try:
+                    self._step_part(src, dst, 0)
+                finally:
+                    wait(pending)  # no helper may still write into dst
+                for done in pending:
+                    done.result()
             state, scratch = scratch, state
         self._state, self._scratch = state, scratch
         self._steps += steps
+
+    def _step_part(self, src: np.ndarray, dst: np.ndarray, part: int) -> None:
+        """Coin and shift the bands of one thread's part, in its own buffers."""
+        overlap, row = self._overlap[part], self._row[part]
+        for y0, y1 in self._parts[part]:
+            g, h = overlap[:y1 - y0], row[:y1 - y0]
+            _coin_terms(src[:, y0:y1], self._weights, g, h)
+            _shift_band(src, dst, y0, y1, g, h, h, self._moves)
 
 
 def run(config: WalkConfig, t_max: int, sink: IO[str] | None = None) -> np.ndarray:

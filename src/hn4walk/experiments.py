@@ -34,8 +34,10 @@ from .engine import (
     EdgeMode,
     WalkConfig,
     WalkEngine,
+    _step_on_one_core,
     amplified_cost,
     run,
+    step_threads,
 )
 from .topology import TopologyParams, exceptional_vertices
 
@@ -62,6 +64,7 @@ __all__ = [
     "density_jobs",
     "density_experiment",
     "map_jobs",
+    "job_step_threads",
 ]
 
 logger = logging.getLogger(__name__)
@@ -431,20 +434,36 @@ def density_experiment(
 # Job pipeline
 
 
+def _pool_size(n_jobs: int, workers: int) -> int:
+    """Processes of the job pool :func:`map_jobs` starts; 0 runs in-process."""
+    return min(workers, n_jobs) if workers > 1 and n_jobs > 1 else 0
+
+
 def map_jobs(func: Callable, jobs: Sequence, workers: int) -> Iterator:
     """Yield ``func(job)`` for every job in submission order, logging each result.
 
     All jobs share one process pool of ``workers`` processes; ``workers <= 1``
-    stays in-process.  A failing job raises at its own position, after every
-    earlier result has been yielded.
+    stays in-process.  Pool workers step their walks on one thread each,
+    since together they already fill the cores.  A failing job raises at its
+    own position, after every earlier result has been yielded.
     """
     with ExitStack() as stack:
         results = map(func, jobs)
-        if workers > 1 and len(jobs) > 1:
+        processes = _pool_size(len(jobs), workers)
+        if processes:
             pool = stack.enter_context(
-                ProcessPoolExecutor(max_workers=min(workers, len(jobs)))
+                ProcessPoolExecutor(max_workers=processes, initializer=_step_on_one_core)
             )
             results = pool.map(func, jobs)
         for i, result in enumerate(results, 1):
             logger.info("job %d/%d: %s", i, len(jobs), result)
             yield result
+
+
+def job_step_threads(side: int, edge_mode: EdgeMode, n_jobs: int, workers: int) -> int:
+    """Threads one step of a job at ``side`` runs on when :func:`map_jobs`
+    runs ``n_jobs`` jobs on ``workers`` workers: one in a pool worker, else
+    :func:`~hn4walk.engine.step_threads`."""
+    if _pool_size(n_jobs, workers):
+        return 1
+    return step_threads(TopologyParams.from_side(side), edge_mode)

@@ -5,17 +5,23 @@ line endings.  Floats are written with repr (shortest round-trip form), so a
 rerun with the same manifest and a single worker produces byte-identical
 files.  :func:`write_manifest` writes the pretty-printed manifest JSON that
 accompanies every output file, recording the command, the full parameter
-set, the seed and PRNG identifier, the engine version, timestamps, the
-worker count, and any command-specific fields.
+set, the seed and PRNG identifier, the engine version, the worker count,
+the python and numpy versions and the cores available, timestamps, and any
+command-specific fields.  Run metadata goes only there, never into a data
+CSV.
 """
 
 from __future__ import annotations
 
 import json
+import platform
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
+from .engine import available_cores
 from .experiments import ScalingRecord, SweepResult
 from .fitting import FitResult
 
@@ -73,6 +79,9 @@ def write_manifest(
         "prng": PRNG_ALGORITHM,
         "engine_version": ENGINE_VERSION,
         "workers": workers,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cores": available_cores(),
         "started_utc": started_utc,
         "finished_utc": datetime.now(timezone.utc).isoformat(),
         **extra,

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from hn4walk.cli import build_parser, main
-from hn4walk.engine import WalkConfig, run
+from hn4walk.engine import EdgeMode, WalkConfig, run, step_threads
 from hn4walk.fitting import model_scale, RuntimeModel
 from hn4walk.reporting import read_records_csv, write_records_csv
 from hn4walk.experiments import ScalingRecord
@@ -33,6 +33,7 @@ def test_simulate_writes_trace_and_manifest(tmp_path):
     assert doc["seed"] is None
     assert doc["parameters"]["steps"] == 40
     assert doc["resolved_steps"] == 40
+    assert doc["step_threads"] == 1  # side 16 is one band
 
 
 def test_simulate_is_byte_identical_across_reruns(tmp_path):
@@ -149,6 +150,26 @@ def test_scale_accepts_m_list_and_na_rule(tmp_path):
     assert code == 0
     records = read_records_csv(out)
     assert [(r.m, r.na) for r in records] == [(1, 8.5), (2, 17.0)]
+
+
+@pytest.mark.parametrize("m_list", ["", ","])
+def test_scale_rejects_empty_m_list(tmp_path, m_list):
+    out = tmp_path / "empty.csv"
+    assert main(["scale", "--sides", "16", "--m-list", m_list, "--na", "8.5",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert not (tmp_path / "empty.manifest.json").exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_manifest_records_step_threads_of_largest_side(tmp_path, workers):
+    # in-process jobs step on every band part of the largest side; pool workers on one thread
+    out = tmp_path / "density.csv"
+    assert main(["density", "--sides", "64,512", "--fraction", "0.001", "--trials", "1",
+                 "--workers", workers, "--out", str(out)]) == 0
+    doc = json.loads((tmp_path / "density.manifest.json").read_text())
+    in_process = step_threads(TopologyParams.from_side(512), EdgeMode.HN4)
+    assert doc["step_threads"] == (in_process if workers == "1" else 1)
 
 
 def test_fit_synthetic_records_exact_coefficient(tmp_path):

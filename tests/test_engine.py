@@ -1,11 +1,15 @@
 import io
 import logging
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from hn4walk import engine as engine_module
 from hn4walk.engine import (
     DEFAULT_MEMORY_LIMIT,
     CoinDirection,
@@ -40,8 +44,9 @@ def random_state(n_coins, n_vertices, rng=RNG):
     return psi / np.linalg.norm(psi)
 
 
-# side 64 is one band; side 512 takes 19 (HN4) or 11 (grid) bands of y rows,
-# a partial last band and the two bands whose y moves wrap among them
+# side 64 is one band; side 512 takes 10 (HN4) or 6 (grid) bands of y rows, a
+# partial last band and the two bands whose y moves wrap among them, split on
+# two or more cores into one part per thread of 5 or 3 bands, each partial last
 BAND_CASES = [
     pytest.param(mode, side, id=mode.value if side == 64 else f"{side}-{mode.value}")
     for side in (64, 512)
@@ -302,6 +307,52 @@ def test_engine_matches_public_stages_complex_multi_band():
     assert np.max(np.abs(engine.amplitudes - _public_stages(psi, config, 3))) <= 1e-13
 
 
+def _stepped(monkeypatch, config, cores, state=None, steps=20):
+    monkeypatch.setattr(engine_module, "_step_cores", cores)
+    engine = WalkEngine(config)
+    if state is not None:
+        engine.set_amplitudes(state)
+    engine.advance(steps)
+    return len(engine._parts), engine.amplitudes
+
+
+@pytest.mark.parametrize("side", [512, 1024])
+@pytest.mark.parametrize("mode", list(EdgeMode))
+def test_threaded_step_is_bit_identical(monkeypatch, mode, side):
+    # every vertex is computed by the same operations in the same order on
+    # any thread, so one and two threads agree exactly
+    config = WalkConfig.with_na(TopologyParams.from_side(side), 17.0, ((1, 6), (255, 5)), mode)
+    parts, serial = _stepped(monkeypatch, config, 1)
+    assert parts == 1
+    parts, threaded = _stepped(monkeypatch, config, 2)
+    assert parts == 2 and np.array_equal(threaded, serial)
+    psi = random_state(len(directions(mode)), config.topology.n_vertices)
+    _, serial = _stepped(monkeypatch, config, 1, psi, steps=3)
+    _, threaded = _stepped(monkeypatch, config, 2, psi, steps=3)
+    assert threaded.dtype == np.complex128 and np.array_equal(threaded, serial)
+
+
+def test_threaded_step_with_more_threads_than_cores(monkeypatch):
+    # four parts on three helpers, the interpreter switching threads every 10 us
+    config = WalkConfig.with_na(TopologyParams.from_side(512), 17.0, ((1, 6), (255, 5)))
+    _, serial = _stepped(monkeypatch, config, 1)
+    helpers = ThreadPoolExecutor(3)
+    monkeypatch.setattr(engine_module, "_helpers", helpers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        result = []
+        walker = threading.Thread(target=lambda: result.append(_stepped(monkeypatch, config, 4)))
+        walker.start()
+        walker.join(120)
+        assert not walker.is_alive(), "the threaded step did not finish"
+    finally:
+        sys.setswitchinterval(interval)
+        helpers.shutdown()
+    parts, threaded = result[0]
+    assert parts == 4 and np.array_equal(threaded, serial)
+
+
 @pytest.mark.parametrize("mode", list(EdgeMode))
 def test_norm_drift_over_long_run(mode):
     # evolution never renormalises, so the drift of the norm is what the
@@ -390,7 +441,8 @@ def test_memory_requirement_and_limit():
 @pytest.mark.parametrize("mode, side", BAND_CASES)
 def test_memory_requirement_covers_engine_allocations(mode, side):
     # every large allocation must be counted by the guard; "large" starts at
-    # the float64 band buffer (one band at side 64, a band of y rows at 512)
+    # the float64 overlap buffer, one band per thread (one band at side 64, a
+    # band of y rows for each thread at 512)
     topo = TopologyParams.from_side(side)
     n_coins = len(directions(mode))
     config = WalkConfig.with_na(topo, 8.5, ((1, 6),), mode)

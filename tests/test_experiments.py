@@ -1,7 +1,10 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
-from hn4walk.engine import EdgeMode, WalkConfig, run, target_indices
+from hn4walk import engine
+from hn4walk.engine import EdgeMode, WalkConfig, WalkEngine, run, target_indices
 from hn4walk.experiments import (
     DEFAULT_PEAK_RULE,
     NoPeakError,
@@ -13,10 +16,13 @@ from hn4walk.experiments import (
     random_target_set,
     resolve_na,
     run_to_first_peak,
+    density_jobs,
+    map_jobs,
     scaling_experiment,
     step_budget,
     sweep_self_loop,
     trial_jobs,
+    trial_record,
 )
 from hn4walk import experiments
 from hn4walk.fitting import RuntimeModel, fit_scaling
@@ -252,11 +258,12 @@ def test_scaling_experiment_worker_count_does_not_change_results():
 
 def test_map_jobs_pool_never_exceeds_job_count(monkeypatch):
     # a recording stand-in: the real pool forks all its workers at the first submit
-    sizes = []
+    sizes, initializers = [], []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
             sizes.append(max_workers)
+            initializers.append(initializer)
 
         def __enter__(self):
             return self
@@ -271,6 +278,50 @@ def test_map_jobs_pool_never_exceeds_job_count(monkeypatch):
     assert list(experiments.map_jobs(abs, [-1, -2], 6)) == [1, 2]
     assert list(experiments.map_jobs(abs, [-1, -2, -3], 2)) == [1, 2, 3]
     assert sizes == [2, 2]
+    assert initializers == [engine._step_on_one_core] * 2  # workers step on one thread
+
+
+def _side_512_engine():
+    return WalkEngine(WalkConfig.with_na(TopologyParams.from_side(512), 8.5, ((1, 6),)))
+
+
+def _worker_step_parts(side):
+    return len(_side_512_engine()._parts), engine.step_threads(
+        TopologyParams.from_side(side), EdgeMode.HN4)
+
+
+def test_map_jobs_after_threaded_step_in_parent(monkeypatch):
+    # the parent's helper threads do not survive a fork: pool workers step on
+    # one thread, and a forked child that does thread starts its own helpers
+    monkeypatch.setattr(engine, "_step_cores", 2)
+    walk = _side_512_engine()
+    walk.advance(3)
+    assert len(walk._parts) == 2 and engine._helpers is not None
+    jobs = density_jobs([512], 0.001, trials=2, seed=17)
+    serial = list(map_jobs(trial_record, jobs, 1))
+    assert list(map_jobs(trial_record, jobs, 2)) == serial
+    assert list(map_jobs(_worker_step_parts, [512, 512], 2)) == [(1, 1)] * 2
+    fork = multiprocessing.get_context("fork")
+    receive, send = fork.Pipe(duplex=False)
+
+    def child():
+        inherited = engine._helpers
+        again = _side_512_engine()
+        again.advance(3)
+        same = np.array_equal(again.amplitudes, walk.amplitudes)
+        send.send((inherited, len(again._parts), same))
+
+    process = fork.Process(target=child)
+    process.start()
+    try:
+        assert receive.poll(60), "a forked child's threaded step did not finish"
+        assert receive.recv() == (None, 2, True)
+    finally:
+        process.join(10)
+        if process.is_alive():
+            process.terminate()
+            process.join(10)
+    assert process.exitcode == 0
 
 
 def test_scaling_experiment_na_rule():

@@ -1,6 +1,10 @@
 import json
+import platform
 
+import numpy as np
 import pytest
+
+from hn4walk.engine import available_cores
 
 from hn4walk.experiments import ScalingRecord, SweepPoint, SweepResult
 from hn4walk.fitting import FitResult, RuntimeModel
@@ -74,7 +78,7 @@ def test_manifest_fields_and_path(tmp_path):
     out = tmp_path / "trace.csv"
     written = write_manifest(
         out, "simulate", {"side": 16, "na": 8.5}, 7, 2, "2026-01-01T00:00:00+00:00",
-        {"resolved_steps": 96},
+        {"resolved_steps": 96, "step_threads": 2},
     )
     assert written == tmp_path / "trace.manifest.json"
     assert manifest_path(out) == written
@@ -83,13 +87,18 @@ def test_manifest_fields_and_path(tmp_path):
     assert doc["parameters"] == {"side": 16, "na": 8.5}
     assert doc["seed"] == 7
     assert doc["workers"] == 2
+    assert doc["python"] == platform.python_version()
+    assert doc["numpy"] == np.__version__
+    assert doc["cores"] == available_cores() >= 1
     assert doc["prng"] == "numpy-pcg64"
     assert doc["engine_version"]
     assert doc["started_utc"] and doc["finished_utc"]
     assert doc["resolved_steps"] == 96
+    assert doc["step_threads"] == 2
     assert list(doc) == [
         "command", "parameters", "seed", "prng", "engine_version", "workers",
-        "started_utc", "finished_utc", "resolved_steps",
+        "python", "numpy", "cores", "started_utc", "finished_utc", "resolved_steps",
+        "step_threads",
     ]
 
 
