@@ -26,7 +26,6 @@ from .engine import (
 from .experiments import (
     NoPeakError,
     density_jobs,
-    job_step_threads,
     map_jobs,
     step_budget,
     sweep_self_loop,
@@ -108,12 +107,6 @@ def _steps(text: str) -> str | int:
     return "auto" if text == "auto" else _positive_int(text)
 
 
-def _largest_step_threads(args: argparse.Namespace, jobs: list) -> int:
-    """Manifest field: threads one step of the largest side's jobs ran on."""
-    mode = EdgeMode(getattr(args, "mode", EdgeMode.HN4))
-    return job_step_threads(max(args.sides), mode, len(jobs), args.workers)
-
-
 def _manifest_params(args: argparse.Namespace) -> dict:
     return {key: value for key, value in sorted(vars(args).items()) if key != "func"}
 
@@ -186,7 +179,7 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
     topology = TopologyParams.from_side(args.side)
     config = WalkConfig.with_na(topology, args.na, args.targets, EdgeMode(args.mode))
     t_max = (
-        step_budget(topology.n_vertices, max(config.target_count, 1), config.edge_mode)
+        step_budget(topology.n_vertices, config.target_count, config.edge_mode)
         if args.steps == "auto"
         else args.steps
     )
@@ -214,31 +207,37 @@ def _cmd_sweep(args: argparse.Namespace) -> dict:
     write_sweep_csv(args.out, sweep)
     logger.info("optimal na=%g (peak_probability=%.6f)", sweep.optimal.na,
                 sweep.optimal.peak_probability)
-    return {
-        "optimal_na": sweep.optimal.na,
-        "step_threads": job_step_threads(
-            args.side, EdgeMode(args.mode), len(sweep.points), args.workers
-        ),
-    }
+    return {"optimal_na": sweep.optimal.na, "step_threads": sweep.step_threads}
+
+
+def _write_job_records(args: argparse.Namespace, jobs: list) -> tuple[list, int]:
+    """Stream the jobs' records into ``args.out`` as they finish; return the
+    records and the most threads a job's step ran on."""
+    records, threads = [], []
+
+    def stream():
+        for record, job_threads in map_jobs(trial_record, jobs, args.workers):
+            records.append(record)
+            threads.append(job_threads)
+            yield record
+
+    write_records_csv(args.out, stream())
+    return records, max(threads)
 
 
 def _cmd_scale(args: argparse.Namespace) -> dict:
     m_values = args.m_list if args.m_list is not None else [args.m]
-    if any(m < 1 for m in m_values):
-        raise ValueError("target counts must be >= 1")
     na_rule = args.na if args.na is not None else args.na_rule
     jobs = trial_jobs(
         [(side, m) for m in m_values for side in args.sides], na_rule, args.trials, args.seed,
         edge_mode=EdgeMode(args.mode), policy=args.policy,
     )
-    write_records_csv(args.out, map_jobs(trial_record, jobs, args.workers))
-    return {"step_threads": _largest_step_threads(args, jobs)}
+    return {"step_threads": _write_job_records(args, jobs)[1]}
 
 
 def _cmd_density(args: argparse.Namespace) -> dict:
     jobs = density_jobs(args.sides, args.fraction, args.trials, args.seed, policy=args.policy)
-    write_records_csv(args.out, map_jobs(trial_record, jobs, args.workers))
-    records = read_records_csv(args.out)
+    records, threads = _write_job_records(args, jobs)
     for side in args.sides:
         cell = [r.peak_probability for r in records if r.side == side]
         logger.info(
@@ -246,7 +245,7 @@ def _cmd_density(args: argparse.Namespace) -> dict:
             side, sum(cell) / len(cell), len(cell),
         )
     mean = sum(r.peak_probability for r in records) / len(records)
-    return {"mean_peak_probability": mean, "step_threads": _largest_step_threads(args, jobs)}
+    return {"mean_peak_probability": mean, "step_threads": threads}
 
 
 def _cmd_fit(args: argparse.Namespace) -> dict:

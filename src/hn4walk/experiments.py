@@ -5,12 +5,12 @@ random target sets, scaling runs over lattice size and target count, and
 fixed-density runs.  One scan, :func:`_first_peak`, reads P(t) sample by
 sample and stops at the earliest confirmed peak: :func:`detect_first_peak`
 runs it over a finished trace and :func:`run_to_first_peak` over a live
-walk.  Scaling and density trials are
-:class:`TrialJob` specs that :func:`trial_record` turns into records;
-:func:`map_jobs` runs any job list through one bounded process pool and
-yields results in submission order as they arrive, so a run is reproducible
-for a fixed seed regardless of worker count, and a failing job leaves every
-earlier result delivered.
+walk.  Every sweep point, scaling trial and density trial is one
+:class:`TrialJob`, run by :func:`trial_record`, which returns its record and
+the threads its step ran on in the job's process.  :func:`map_jobs` runs a
+job list through one bounded process pool and yields results in submission
+order as they arrive, so a run is reproducible for a fixed seed regardless
+of worker count, and a failing job leaves every earlier result delivered.
 
 Randomness comes from numpy's PCG64 generator.  Per-job seeds are derived
 from the master seed in two documented stages,
@@ -64,7 +64,6 @@ __all__ = [
     "density_jobs",
     "density_experiment",
     "map_jobs",
-    "job_step_threads",
 ]
 
 logger = logging.getLogger(__name__)
@@ -212,17 +211,11 @@ class SweepPoint:
 class SweepResult:
     points: tuple[SweepPoint, ...]
     optimal_index: int
+    step_threads: int
 
     @property
     def optimal(self) -> SweepPoint:
         return self.points[self.optimal_index]
-
-
-def _sweep_job(args: tuple) -> SweepPoint:
-    side, targets, na, edge_mode, t_max = args
-    config = WalkConfig.with_na(TopologyParams.from_side(side), na, targets, edge_mode)
-    peak, _ = run_to_first_peak(config, t_max=t_max, rule=SWEEP_PEAK_RULE)
-    return SweepPoint(na, peak.peak_step, peak.peak_probability)
 
 
 def sweep_self_loop(
@@ -238,10 +231,10 @@ def sweep_self_loop(
     """Peak statistics for each total weight on the grid na_min .. na_max.
 
     The returned point list is ordered by weight; ``optimal_index`` marks the
-    first row of maximal peak probability.  Peaks are read under
-    :data:`SWEEP_PEAK_RULE`, which follows the probability envelope
-    (stride 2) that the oscillating off-optimal points of a wide sweep
-    require.
+    first row of maximal peak probability and ``step_threads`` is the most
+    threads a job's step ran on.  Peaks are read under :data:`SWEEP_PEAK_RULE`,
+    which follows the probability envelope (stride 2) that the oscillating
+    off-optimal points of a wide sweep require.
     """
     if na_step <= 0:
         raise ValueError(f"na_step must be > 0, got {na_step}")
@@ -249,10 +242,12 @@ def sweep_self_loop(
     if count < 1:
         raise ValueError(f"empty sweep range [{na_min}, {na_max}]")
     values = [na_min + i * na_step for i in range(count)]
-    jobs = [(side, targets, na, edge_mode, t_max) for na in values]
-    points = list(map_jobs(_sweep_job, jobs, workers))
+    jobs = [TrialJob(side, len(targets), na, 0, i, edge_mode, rule=SWEEP_PEAK_RULE,
+                     targets=targets, t_max=t_max) for i, na in enumerate(values)]
+    results = list(map_jobs(trial_record, jobs, workers))
+    points = [SweepPoint(r.na, r.peak_step, r.peak_probability) for r, _ in results]
     best = max(range(len(points)), key=lambda i: (points[i].peak_probability, -i))
-    return SweepResult(tuple(points), best)
+    return SweepResult(tuple(points), best, max(threads for _, threads in results))
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +259,23 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def random_target_set(
-    m: int, topology: TopologyParams, seed: int, policy: str = "line"
-) -> np.ndarray:
-    """Uniform sample of m distinct admissible vertices: an (m, 2) array of
-    (x, y) rows in linear-index order."""
+def _admissible(m: int, topology: TopologyParams, policy: str) -> np.ndarray:
+    """Linear indices of the admissible vertices; ``m`` must lie in [1, their count]."""
     candidates = np.flatnonzero(~exceptional_vertices(topology, policy))
     if not 1 <= m <= len(candidates):
         raise ValueError(
             f"m must lie in [1, {len(candidates)}] (admissible vertices under "
             f"policy {policy!r}), got {m}"
         )
+    return candidates
+
+
+def random_target_set(
+    m: int, topology: TopologyParams, seed: int, policy: str = "line"
+) -> np.ndarray:
+    """Uniform sample of m distinct admissible vertices: an (m, 2) array of
+    (x, y) rows in linear-index order."""
+    candidates = _admissible(m, topology, policy)
     rng = np.random.default_rng(seed)
     chosen = np.sort(candidates[rng.choice(len(candidates), size=m, replace=False)])
     y, x = np.divmod(chosen, topology.side)
@@ -302,22 +303,27 @@ class ScalingRecord:
 
 
 def resolve_na(na_rule: float | str, m: int) -> float:
-    """Total weight from a rule: a fixed number, or "<c>M" scaling with targets."""
+    """Finite, non-negative total weight from a rule: a number, or "<c>M"."""
     if isinstance(na_rule, str):
         text = na_rule.strip()
         if not text.endswith(("M", "m")):
             raise ValueError(f"na rule must be a number or '<coef>M', got {na_rule!r}")
-        return float(text[:-1]) * m
-    return float(na_rule)
+        na = float(text[:-1]) * m
+    else:
+        na = float(na_rule)
+    if not math.isfinite(na) or na < 0:
+        raise ValueError(f"total weight must be finite and >= 0, got {na!r}")
+    return na
 
 
 @dataclass(frozen=True)
 class TrialJob:
-    """One randomized trial: draw ``m`` targets from ``seed``, then walk.
+    """One walk: on the explicit ``targets``, or else on ``m`` targets drawn
+    from ``seed``.
 
-    With a peak ``rule`` the walk runs to its first peak within
-    :func:`step_budget` steps.  With ``rule=None`` it runs the fixed density
-    horizon round(1.75 * sqrt(N/M)) and records the trace maximum.
+    With a peak ``rule`` the walk runs to its first peak within ``t_max``
+    steps (None: :func:`step_budget`).  With ``rule=None`` it runs the fixed
+    density horizon round(1.75 * sqrt(N/M)) and records the trace maximum.
     """
 
     side: int
@@ -328,12 +334,18 @@ class TrialJob:
     edge_mode: EdgeMode = EdgeMode.HN4
     policy: str = "line"
     rule: PeakRule | None = DEFAULT_PEAK_RULE
+    targets: Sequence[tuple[int, int]] | None = None
+    t_max: int | None = None
 
 
-def trial_record(job: TrialJob) -> ScalingRecord:
-    """Run one trial and describe its peak as a record."""
+def trial_record(job: TrialJob) -> tuple[ScalingRecord, int]:
+    """Run one job: its peak as a record, and the threads its step ran on in
+    the process that ran it (:func:`~hn4walk.engine.step_threads`, 1 in a
+    :func:`map_jobs` pool worker)."""
     topology = TopologyParams.from_side(job.side)
-    targets = random_target_set(job.m, topology, job.seed, job.policy)
+    targets = job.targets
+    if targets is None:
+        targets = random_target_set(job.m, topology, job.seed, job.policy)
     config = WalkConfig.with_na(topology, job.na, targets, job.edge_mode)
     if job.rule is None:
         horizon = int(1.75 * math.sqrt(topology.n_vertices / job.m) + 0.5)
@@ -341,7 +353,7 @@ def trial_record(job: TrialJob) -> ScalingRecord:
         peak_step = int(np.argmax(probs))
         peak_probability = float(probs[peak_step])
     else:
-        peak, _ = run_to_first_peak(config, rule=job.rule)
+        peak, _ = run_to_first_peak(config, t_max=job.t_max, rule=job.rule)
         peak_step, peak_probability = peak.peak_step, peak.peak_probability
     return ScalingRecord(
         side=job.side,
@@ -354,22 +366,25 @@ def trial_record(job: TrialJob) -> ScalingRecord:
         peak_step=peak_step,
         peak_probability=peak_probability,
         amplified_cost=amplified_cost(peak_step, peak_probability),
-    )
+    ), step_threads(topology, job.edge_mode)
 
 
 def trial_jobs(
-    cells: Iterable[tuple[int, int]], na_rule: float | str, trials: int, seed: int, **fields
+    cells: Iterable[tuple[int, int]], na_rule: float | str, trials: int, seed: int,
+    policy: str = "line", **fields,
 ) -> list[TrialJob]:
     """Seeded trials of each (side, m) cell, ordered by (cell, trial); ``fields``
-    sets the remaining :class:`TrialJob` fields of every job."""
+    sets the remaining :class:`TrialJob` fields of every job.  Each cell's
+    ``m`` and weight are checked here, so a bad cell fails before any job runs."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     jobs = []
     for side, m in cells:
+        _admissible(m, TopologyParams.from_side(side), policy)
         side_seed = derive_seed(seed, side, m)
         na = resolve_na(na_rule, m)
         jobs += [
-            TrialJob(side, m, na, derive_seed(side_seed, trial), trial, **fields)
+            TrialJob(side, m, na, derive_seed(side_seed, trial), trial, policy=policy, **fields)
             for trial in range(trials)
         ]
     return jobs
@@ -390,7 +405,7 @@ def scaling_experiment(
         [(side, m) for side in sides], na_rule, trials, seed,
         edge_mode=edge_mode, policy=policy,
     )
-    return list(map_jobs(trial_record, jobs, workers))
+    return [record for record, _ in map_jobs(trial_record, jobs, workers)]
 
 
 def density_jobs(
@@ -427,16 +442,11 @@ def density_experiment(
     already the marked fraction), so the trace maximum stands in for it.
     """
     jobs = density_jobs(sides, fraction, trials, seed, policy)
-    return list(map_jobs(trial_record, jobs, workers))
+    return [record for record, _ in map_jobs(trial_record, jobs, workers)]
 
 
 # ---------------------------------------------------------------------------
 # Job pipeline
-
-
-def _pool_size(n_jobs: int, workers: int) -> int:
-    """Processes of the job pool :func:`map_jobs` starts; 0 runs in-process."""
-    return min(workers, n_jobs) if workers > 1 and n_jobs > 1 else 0
 
 
 def map_jobs(func: Callable, jobs: Sequence, workers: int) -> Iterator:
@@ -449,21 +459,11 @@ def map_jobs(func: Callable, jobs: Sequence, workers: int) -> Iterator:
     """
     with ExitStack() as stack:
         results = map(func, jobs)
-        processes = _pool_size(len(jobs), workers)
-        if processes:
-            pool = stack.enter_context(
-                ProcessPoolExecutor(max_workers=processes, initializer=_step_on_one_core)
-            )
+        if workers > 1 and len(jobs) > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=min(workers, len(jobs)), initializer=_step_on_one_core
+            ))
             results = pool.map(func, jobs)
         for i, result in enumerate(results, 1):
             logger.info("job %d/%d: %s", i, len(jobs), result)
             yield result
-
-
-def job_step_threads(side: int, edge_mode: EdgeMode, n_jobs: int, workers: int) -> int:
-    """Threads one step of a job at ``side`` runs on when :func:`map_jobs`
-    runs ``n_jobs`` jobs on ``workers`` workers: one in a pool worker, else
-    :func:`~hn4walk.engine.step_threads`."""
-    if _pool_size(n_jobs, workers):
-        return 1
-    return step_threads(TopologyParams.from_side(side), edge_mode)

@@ -99,6 +99,7 @@ def test_sweep_marks_optimum(tmp_path):
     assert sum(line.endswith(",1") for line in lines[1:]) == 1
     doc = json.loads((tmp_path / "sweep.manifest.json").read_text())
     assert "optimal_na" in doc
+    assert doc["step_threads"] == 1  # side 16 is one band
 
 
 def test_sweep_empty_range_is_usage_error(tmp_path):
@@ -159,6 +160,23 @@ def test_scale_rejects_empty_m_list(tmp_path, m_list):
                  "--out", str(out)]) == 2
     assert not out.exists()
     assert not (tmp_path / "empty.manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--sides", "4,64", "--fraction", "0.01"],  # side 4 rounds to m = 0
+        ["scale", "--sides", "4", "--m", "20", "--na", "8.5"],  # 4 admissible vertices
+        ["scale", "--sides", "16", "--m", "2", "--na", "-1"],
+    ],
+    ids=["density-m-zero", "scale-m-above-admissible", "scale-negative-na"],
+)
+def test_usage_error_in_a_job_writes_nothing(tmp_path, argv):
+    # every job is checked before the CSV is opened
+    out = tmp_path / "records.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert not (tmp_path / "records.manifest.json").exists()
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -237,8 +255,10 @@ def test_density_command(tmp_path):
         ["scale", "--sides", "16", "--m-list", "1,2", "--na-rule", "8.5M", "--trials", "2",
          "--seed", "11"],
         ["density", "--sides", "16", "--fraction", "0.1", "--trials", "2", "--seed", "5"],
+        ["sweep", "--side", "16", "--targets", "1,6", "--na-min", "6", "--na-max", "10",
+         "--na-step", "2"],
     ],
-    ids=["scale", "scale-m-list", "density"],
+    ids=["scale", "scale-m-list", "density", "sweep"],
 )
 def test_scale_workers_flag_matches_serial(tmp_path, argv):
     serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"

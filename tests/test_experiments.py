@@ -210,8 +210,9 @@ def test_resolve_na():
     assert resolve_na(8.5, 3) == 8.5
     assert resolve_na("8.5M", 3) == pytest.approx(25.5)
     assert resolve_na("8.5m", 4) == pytest.approx(34.0)
-    with pytest.raises(ValueError):
-        resolve_na("8.5X", 3)
+    for bad in ("8.5X", -1.0, "-8.5M", float("nan"), "infM"):
+        with pytest.raises(ValueError):
+            resolve_na(bad, 3)
 
 
 def test_sweep_self_loop_marks_optimum():
@@ -285,11 +286,6 @@ def _side_512_engine():
     return WalkEngine(WalkConfig.with_na(TopologyParams.from_side(512), 8.5, ((1, 6),)))
 
 
-def _worker_step_parts(side):
-    return len(_side_512_engine()._parts), engine.step_threads(
-        TopologyParams.from_side(side), EdgeMode.HN4)
-
-
 def test_map_jobs_after_threaded_step_in_parent(monkeypatch):
     # the parent's helper threads do not survive a fork: pool workers step on
     # one thread, and a forked child that does thread starts its own helpers
@@ -299,8 +295,10 @@ def test_map_jobs_after_threaded_step_in_parent(monkeypatch):
     assert len(walk._parts) == 2 and engine._helpers is not None
     jobs = density_jobs([512], 0.001, trials=2, seed=17)
     serial = list(map_jobs(trial_record, jobs, 1))
-    assert list(map_jobs(trial_record, jobs, 2)) == serial
-    assert list(map_jobs(_worker_step_parts, [512, 512], 2)) == [(1, 1)] * 2
+    pooled = list(map_jobs(trial_record, jobs, 2))
+    assert [record for record, _ in pooled] == [record for record, _ in serial]
+    assert [threads for _, threads in serial] == [2, 2]
+    assert [threads for _, threads in pooled] == [1, 1]  # each job reports its own worker
     fork = multiprocessing.get_context("fork")
     receive, send = fork.Pipe(duplex=False)
 

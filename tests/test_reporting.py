@@ -65,6 +65,7 @@ def test_sweep_csv_marks_optimal_row(tmp_path):
     sweep = SweepResult(
         points=(SweepPoint(7.0, 118, 0.9943), SweepPoint(8.5, 113, 0.9979)),
         optimal_index=1,
+        step_threads=1,
     )
     path = tmp_path / "sweep.csv"
     write_sweep_csv(path, sweep)
