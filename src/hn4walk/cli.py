@@ -5,7 +5,9 @@ returns its command-specific manifest fields, and :func:`main` writes the
 manifest JSON beside the output once the command has succeeded.  Progress
 goes to stderr.
 
-Exit codes: 0 success, 2 usage error, 3 no qualifying peak, 4 resource limit.
+Exit codes: 0 success, 2 usage error (including an input file that cannot
+be read or an output file that cannot be opened), 3 no qualifying peak,
+4 resource limit.
 """
 
 from __future__ import annotations
@@ -276,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"hn4walk: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (FitError, TopologyError, ValueError) as exc:
+    except (FitError, TopologyError, ValueError, OSError) as exc:
         print(f"hn4walk: {exc}", file=sys.stderr)
         return EXIT_USAGE
     write_manifest(

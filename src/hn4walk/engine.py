@@ -23,10 +23,12 @@ Bands are independent: each reads only the source buffer and, since every
 move is a permutation, writes its own destinations.  A lattice of at least
 two bands per thread therefore splits its y rows into one contiguous part
 per thread, up to one thread per available core; the calling thread runs
-the first part and the process's helper threads the others.  Each vertex
+the first part and the engine's own helper threads the others.  Each vertex
 is computed by the same operations in the same order whatever the banding,
 so the result is bit-identical for any band size and thread count.  A
 job-pool worker steps on one thread, as its siblings fill the other cores.
+A forked child inherits none of an engine's helper threads, so an engine
+built before a fork must not be stepped in the child: build a new one there.
 
 Evolution never renormalises: norm drift is a measured property, not a
 silently corrected one.
@@ -37,7 +39,6 @@ from __future__ import annotations
 import logging
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -292,34 +293,6 @@ def _parts(n_coins: int, side: int, threads: int) -> tuple[tuple[tuple[int, int]
     )
 
 
-_helpers: ThreadPoolExecutor | None = None
-_helpers_lock = threading.Lock()
-
-
-def _helper_pool() -> ThreadPoolExecutor:
-    """The process's step helper threads, one fewer than the available cores,
-    so a step never runs more busy threads than the process has cores.
-    Started at the first step that needs them, then kept."""
-    global _helpers
-    with _helpers_lock:
-        if _helpers is None:
-            _helpers = ThreadPoolExecutor(
-                max(1, available_cores() - 1), thread_name_prefix="hn4walk-step"
-            )
-        return _helpers
-
-
-def _forget_helpers() -> None:
-    """A forked child inherits the helper pool's object but none of its
-    threads: drop it, so that the child starts its own when it needs one."""
-    global _helpers, _helpers_lock
-    _helpers, _helpers_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helpers)
-
-
 def _moves(
     topology: TopologyParams, edge_mode: EdgeMode
 ) -> tuple[tuple[int, int, bool, np.ndarray], ...]:
@@ -503,10 +476,12 @@ class WalkEngine:
     buffer.  The bands are split into one contiguous part per thread of
     :func:`step_threads`, fixed at construction; each thread has its own
     overlap and row buffers, and the calling thread runs the first part
-    while the process's helper threads run the others.  The state is
-    float64 unless a complex one is loaded with :meth:`set_amplitudes`.  A
-    single engine must be driven by one thread at a time but may be handed
-    between threads between steps.
+    while the engine's own helper threads, one fewer than the parts, run
+    the others.  The helpers end when the engine is dropped; an engine built
+    before a ``fork`` has none in the child and must not be stepped there.
+    The state is float64 unless a complex one is loaded with
+    :meth:`set_amplitudes`.  A single engine must be driven by one thread at
+    a time but may be handed between threads between steps.
     """
 
     def __init__(self, config: WalkConfig, memory_limit: int | None = DEFAULT_MEMORY_LIMIT):
@@ -517,6 +492,11 @@ class WalkEngine:
             len(directions(edge_mode)), topology.side, step_threads(topology, edge_mode)
         )
         self._allocate(np.float64)
+        self._helpers = (
+            ThreadPoolExecutor(len(self._parts) - 1, thread_name_prefix="hn4walk-step")
+            if len(self._parts) > 1
+            else None
+        )
         self._weights = coin_weights(config.loop_weight, config.edge_mode)
         self._targets = target_indices(config)
         flagged = exceptional_vertices(config.topology, "line")[self._targets]
@@ -603,23 +583,22 @@ class WalkEngine:
         by band the coin's shared terms g and h (in the overlap and row
         buffers) and every coined row moved into the other state buffer.
         The calling thread runs the first part of the bands and waits for the
-        helper threads to finish the others before the next step."""
+        engine's helper threads to finish the others before the next step."""
         state, scratch, targets = self._state, self._scratch, self._targets
-        side, n_parts = self._config.topology.side, len(self._parts)
-        helpers = _helper_pool() if n_parts > 1 else None
+        side = self._config.topology.side
         for _ in range(steps):
             apply_oracle(state, targets)
             src, dst = state.reshape(-1, side, side), scratch.reshape(-1, side, side)
-            if helpers is None:
+            pending = [
+                self._helpers.submit(self._step_part, src, dst, i)
+                for i in range(1, len(self._parts))
+            ]
+            try:
                 self._step_part(src, dst, 0)
-            else:
-                pending = [helpers.submit(self._step_part, src, dst, i) for i in range(1, n_parts)]
-                try:
-                    self._step_part(src, dst, 0)
-                finally:
-                    wait(pending)  # no helper may still write into dst
-                for done in pending:
-                    done.result()
+            finally:
+                wait(pending)  # no helper may still write into dst
+            for done in pending:
+                done.result()
             state, scratch = scratch, state
         self._state, self._scratch = state, scratch
         self._steps += steps

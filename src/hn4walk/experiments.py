@@ -236,6 +236,8 @@ def sweep_self_loop(
     which follows the probability envelope (stride 2) that the oscillating
     off-optimal points of a wide sweep require.
     """
+    if not all(map(math.isfinite, (na_min, na_max, na_step))):
+        raise ValueError(f"sweep bounds must be finite, got {na_min}, {na_max}, {na_step}")
     if na_step <= 0:
         raise ValueError(f"na_step must be > 0, got {na_step}")
     count = math.floor((na_max - na_min) / na_step + 1e-9) + 1
@@ -375,9 +377,13 @@ def trial_jobs(
 ) -> list[TrialJob]:
     """Seeded trials of each (side, m) cell, ordered by (cell, trial); ``fields``
     sets the remaining :class:`TrialJob` fields of every job.  Each cell's
-    ``m`` and weight are checked here, so a bad cell fails before any job runs."""
+    ``m`` and weight are checked here, and a repeated cell is refused (its
+    seeded rows would repeat too), so a bad cell fails before any job runs."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    cells = list(cells)
+    if len(set(cells)) < len(cells):
+        raise ValueError(f"each (side, m) cell may appear once, got {cells}")
     jobs = []
     for side, m in cells:
         _admissible(m, TopologyParams.from_side(side), policy)

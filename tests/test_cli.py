@@ -103,11 +103,15 @@ def test_sweep_marks_optimum(tmp_path):
 
 
 def test_sweep_empty_range_is_usage_error(tmp_path):
-    code = main([
-        "sweep", "--side", "16", "--targets", "1,6", "--na-min", "10",
-        "--na-max", "6", "--na-step", "0.5", "--out", str(tmp_path / "s.csv"),
-    ])
-    assert code == 2
+    # an empty range, then each non-finite bound
+    for na_min, na_max, na_step in [("10", "6", "0.5"), ("1", "inf", "1"),
+                                    ("nan", "30", "1"), ("1", "30", "inf")]:
+        code = main([
+            "sweep", "--side", "16", "--targets", "1,6", "--na-min", na_min,
+            "--na-max", na_max, "--na-step", na_step, "--out", str(tmp_path / "s.csv"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "s.csv").exists()
 
 
 def test_no_peak_exit_code(tmp_path):
@@ -168,8 +172,12 @@ def test_scale_rejects_empty_m_list(tmp_path, m_list):
         ["density", "--sides", "4,64", "--fraction", "0.01"],  # side 4 rounds to m = 0
         ["scale", "--sides", "4", "--m", "20", "--na", "8.5"],  # 4 admissible vertices
         ["scale", "--sides", "16", "--m", "2", "--na", "-1"],
+        ["scale", "--sides", "16,16", "--m", "1", "--na", "8.5"],
+        ["scale", "--sides", "16", "--m-list", "1,1", "--na", "8.5"],
+        ["density", "--sides", "64,64", "--fraction", "0.2"],
     ],
-    ids=["density-m-zero", "scale-m-above-admissible", "scale-negative-na"],
+    ids=["density-m-zero", "scale-m-above-admissible", "scale-negative-na",
+         "scale-repeated-side", "scale-repeated-m", "density-repeated-side"],
 )
 def test_usage_error_in_a_job_writes_nothing(tmp_path, argv):
     # every job is checked before the CSV is opened
@@ -223,6 +231,23 @@ def test_fit_model_record_mismatch_is_usage_error(tmp_path):
     assert code == 2
     assert main(["fit", "--records", str(records_path), "--model", "cubic",
                  "--out", str(tmp_path / "f.json")]) == 2
+
+
+def test_file_errors_are_usage_errors(tmp_path, capsys):
+    # a missing input file or output directory: one message, exit 2, no manifest
+    assert main(["fit", "--records", str(tmp_path / "missing.csv"), "--model", "sqrt",
+                 "--out", str(tmp_path / "fit.json")]) == 2
+    assert not (tmp_path / "fit.json").exists()
+    assert not (tmp_path / "fit.manifest.json").exists()
+    out = tmp_path / "missing" / "t.csv"
+    assert main(["simulate", "--side", "16", "--targets", "1,6", "--na", "8.5",
+                 "--out", str(out)]) == 2
+    assert not out.parent.exists()
+    assert [line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("hn4walk: ")] == [
+        f"hn4walk: [Errno 2] No such file or directory: '{tmp_path / name}'"
+        for name in ("missing.csv", "missing/t.csv")
+    ]
 
 
 def test_density_command(tmp_path):

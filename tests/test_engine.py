@@ -4,7 +4,6 @@ import math
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -333,11 +332,10 @@ def test_threaded_step_is_bit_identical(monkeypatch, mode, side):
 
 
 def test_threaded_step_with_more_threads_than_cores(monkeypatch):
-    # four parts on three helpers, the interpreter switching threads every 10 us
+    # four parts on the engine's three helpers, the interpreter switching
+    # threads every 10 us
     config = WalkConfig.with_na(TopologyParams.from_side(512), 17.0, ((1, 6), (255, 5)))
     _, serial = _stepped(monkeypatch, config, 1)
-    helpers = ThreadPoolExecutor(3)
-    monkeypatch.setattr(engine_module, "_helpers", helpers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -348,9 +346,31 @@ def test_threaded_step_with_more_threads_than_cores(monkeypatch):
         assert not walker.is_alive(), "the threaded step did not finish"
     finally:
         sys.setswitchinterval(interval)
-        helpers.shutdown()
     parts, threaded = result[0]
     assert parts == 4 and np.array_equal(threaded, serial)
+
+
+def _step_helpers():
+    return {t for t in threading.enumerate() if t.name.startswith("hn4walk-step")}
+
+
+def test_helper_threads_end_with_their_engine(monkeypatch):
+    # a two-part engine steps with one helper thread of its own, which ends
+    # when the engine is dropped; a one-part engine starts none
+    config = WalkConfig.with_na(TopologyParams.from_side(512), 17.0, ((1, 6),))
+    before = _step_helpers()
+    monkeypatch.setattr(engine_module, "_step_cores", 2)
+    walk = WalkEngine(config)
+    walk.advance(3)
+    assert len(walk._parts) == 2 and len(_step_helpers() - before) == 1
+    del walk
+    for helper in _step_helpers():
+        helper.join(10)
+    assert not _step_helpers(), "a step helper outlived its engine"
+    monkeypatch.setattr(engine_module, "_step_cores", 1)
+    walk = WalkEngine(config)
+    walk.advance(3)
+    assert len(walk._parts) == 1 and not _step_helpers()
 
 
 @pytest.mark.parametrize("mode", list(EdgeMode))

@@ -236,6 +236,10 @@ def test_sweep_self_loop_rejects_bad_ranges():
         sweep_self_loop(16, [(1, 6)], 10.0, 6.0, 0.5)
     with pytest.raises(ValueError):
         sweep_self_loop(16, [(1, 6)], 6.0, 10.0, -1.0)
+    for bounds in [(1.0, np.inf, 1.0), (np.nan, 30.0, 1.0), (1.0, 30.0, np.inf),
+                   (-np.inf, 30.0, 1.0)]:
+        with pytest.raises(ValueError, match="finite"):
+            sweep_self_loop(16, [(1, 6)], *bounds)
 
 
 def test_scaling_experiment_reproducible_and_ordered():
@@ -287,12 +291,12 @@ def _side_512_engine():
 
 
 def test_map_jobs_after_threaded_step_in_parent(monkeypatch):
-    # the parent's helper threads do not survive a fork: pool workers step on
-    # one thread, and a forked child that does thread starts its own helpers
+    # an engine's helper threads do not survive a fork: pool workers step on
+    # one thread, and a new engine in a forked child starts its own helpers
     monkeypatch.setattr(engine, "_step_cores", 2)
     walk = _side_512_engine()
     walk.advance(3)
-    assert len(walk._parts) == 2 and engine._helpers is not None
+    assert len(walk._parts) == 2
     jobs = density_jobs([512], 0.001, trials=2, seed=17)
     serial = list(map_jobs(trial_record, jobs, 1))
     pooled = list(map_jobs(trial_record, jobs, 2))
@@ -303,23 +307,32 @@ def test_map_jobs_after_threaded_step_in_parent(monkeypatch):
     receive, send = fork.Pipe(duplex=False)
 
     def child():
-        inherited = engine._helpers
         again = _side_512_engine()
         again.advance(3)
-        same = np.array_equal(again.amplitudes, walk.amplitudes)
-        send.send((inherited, len(again._parts), same))
+        send.send((len(again._parts), np.array_equal(again.amplitudes, walk.amplitudes)))
 
     process = fork.Process(target=child)
     process.start()
     try:
         assert receive.poll(60), "a forked child's threaded step did not finish"
-        assert receive.recv() == (None, 2, True)
+        assert receive.recv() == (2, True)
     finally:
         process.join(10)
         if process.is_alive():
             process.terminate()
             process.join(10)
     assert process.exitcode == 0
+
+
+def test_trial_jobs_rejects_repeated_cells():
+    # a repeated cell would repeat its seeded rows, which a fit then counts twice
+    with pytest.raises(ValueError, match="once"):
+        trial_jobs([(16, 1), (32, 1), (16, 1)], 8.5, 1, 7)
+    with pytest.raises(ValueError, match="once"):
+        scaling_experiment([16, 16], 1, 8.5, trials=1, seed=7)
+    with pytest.raises(ValueError, match="once"):
+        density_jobs([64, 64], 0.2, 1, 7)
+    assert len(trial_jobs([(16, 1), (16, 2), (32, 1)], 8.5, 2, 7)) == 6
 
 
 def test_scaling_experiment_na_rule():
