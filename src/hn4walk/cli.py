@@ -5,9 +5,13 @@ returns its command-specific manifest fields, and :func:`main` writes the
 manifest JSON beside the output once the command has succeeded.  Progress
 goes to stderr.
 
+Only the numpy-free modules load with the CLI; a walk command imports the
+engine and the experiment protocols when it runs, so ``fit``, ``--help``
+and a usage error never load numpy.
+
 Exit codes: 0 success, 2 usage error (including an input file that cannot
 be read or an output file that cannot be opened), 3 no qualifying peak,
-4 resource limit.
+4 resource limit (one engine, or every engine a job pool may hold at once).
 """
 
 from __future__ import annotations
@@ -17,23 +21,6 @@ import logging
 import sys
 from datetime import datetime, timezone
 
-from .engine import (
-    EdgeMode,
-    ResourceLimitError,
-    WalkConfig,
-    memory_requirement,
-    run,
-    step_threads,
-)
-from .experiments import (
-    NoPeakError,
-    density_jobs,
-    map_jobs,
-    step_budget,
-    sweep_self_loop,
-    trial_jobs,
-    trial_record,
-)
 from .fitting import FitError, fit_scaling, parse_model
 from .reporting import (
     TRACE_HEADER,
@@ -43,7 +30,7 @@ from .reporting import (
     write_fit_json,
     write_sweep_csv,
 )
-from .topology import EXCEPTIONAL_POLICIES, TopologyParams, TopologyError
+from .topology import EXCEPTIONAL_POLICIES, EdgeMode, TopologyParams, TopologyError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -178,6 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> dict:
+    from .engine import WalkConfig, memory_requirement, run, step_threads
+    from .experiments import step_budget
+
     topology = TopologyParams.from_side(args.side)
     config = WalkConfig.with_na(topology, args.na, args.targets, EdgeMode(args.mode))
     t_max = (
@@ -196,7 +186,9 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> dict:
-    sweep = sweep_self_loop(
+    from .experiments import check_pool_memory, map_jobs, sweep_jobs, sweep_result, trial_record
+
+    jobs = sweep_jobs(
         args.side,
         args.targets,
         args.na_min,
@@ -204,8 +196,10 @@ def _cmd_sweep(args: argparse.Namespace) -> dict:
         args.na_step,
         edge_mode=EdgeMode(args.mode),
         t_max=None if args.steps == "auto" else args.steps,
-        workers=args.workers,
     )
+    check_pool_memory(jobs, args.workers)
+    open(args.out, "w").close()  # an --out that cannot be opened fails before the first job
+    sweep = sweep_result(map_jobs(trial_record, jobs, args.workers))
     write_sweep_csv(args.out, sweep)
     logger.info("optimal na=%g (peak_probability=%.6f)", sweep.optimal.na,
                 sweep.optimal.peak_probability)
@@ -214,7 +208,11 @@ def _cmd_sweep(args: argparse.Namespace) -> dict:
 
 def _write_job_records(args: argparse.Namespace, jobs: list) -> tuple[list, int]:
     """Stream the jobs' records into ``args.out`` as they finish; return the
-    records and the most threads a job's step ran on."""
+    records and the most threads a job's step ran on.  The pool's memory is
+    checked, and the CSV opened, before the first job runs."""
+    from .experiments import check_pool_memory, map_jobs, trial_record
+
+    check_pool_memory(jobs, args.workers)
     records, threads = [], []
 
     def stream():
@@ -228,6 +226,8 @@ def _write_job_records(args: argparse.Namespace, jobs: list) -> tuple[list, int]
 
 
 def _cmd_scale(args: argparse.Namespace) -> dict:
+    from .experiments import trial_jobs
+
     m_values = args.m_list if args.m_list is not None else [args.m]
     na_rule = args.na if args.na is not None else args.na_rule
     jobs = trial_jobs(
@@ -238,6 +238,8 @@ def _cmd_scale(args: argparse.Namespace) -> dict:
 
 
 def _cmd_density(args: argparse.Namespace) -> dict:
+    from .experiments import density_jobs
+
     jobs = density_jobs(args.sides, args.fraction, args.trials, args.seed, policy=args.policy)
     records, threads = _write_job_records(args, jobs)
     for side in args.sides:
@@ -262,6 +264,19 @@ def _cmd_fit(args: argparse.Namespace) -> dict:
     return {"log_base": "natural"}
 
 
+def _walk_exit_code(exc: RuntimeError) -> int | None:
+    """Exit code of a walk layer's error (no peak, resource limit), None for any
+    other error; imported here, since only a walk command raises them."""
+    from .engine import ResourceLimitError
+    from .experiments import NoPeakError
+
+    if isinstance(exc, NoPeakError):
+        return EXIT_NO_PEAK
+    if isinstance(exc, ResourceLimitError):
+        return EXIT_RESOURCE
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     parser = build_parser()
@@ -272,15 +287,15 @@ def main(argv: list[str] | None = None) -> int:
     started_utc = datetime.now(timezone.utc).isoformat()
     try:
         extra = args.func(args)
-    except NoPeakError as exc:
-        print(f"hn4walk: {exc}", file=sys.stderr)
-        return EXIT_NO_PEAK
-    except ResourceLimitError as exc:
-        print(f"hn4walk: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
     except (FitError, TopologyError, ValueError, OSError) as exc:
         print(f"hn4walk: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        code = _walk_exit_code(exc)
+        if code is None:
+            raise
+        print(f"hn4walk: {exc}", file=sys.stderr)
+        return code
     write_manifest(
         args.out, args.command, _manifest_params(args), getattr(args, "seed", None),
         getattr(args, "workers", 1), started_utc, extra,

@@ -38,16 +38,22 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 from typing import IO, Iterator
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .topology import TopologyError, TopologyParams, exceptional_vertices, long_range_lines
+from .reporting import available_cores
+from .topology import (
+    EdgeMode,
+    TopologyError,
+    TopologyParams,
+    exceptional_vertices,
+    long_range_lines,
+)
 
 __all__ = [
     "CoinDirection",
@@ -96,13 +102,6 @@ class CoinDirection(IntEnum):
     LY_PLUS = 6
     LY_MINUS = 7
     HOLD = 8
-
-
-class EdgeMode(str, Enum):
-    """Graph flavour: grid plus long-range edges, or the bare grid."""
-
-    HN4 = "hn4"
-    GRID = "grid"
 
 
 _HN4_DIRECTIONS = tuple(CoinDirection)
@@ -250,14 +249,6 @@ def _band_rows(n_coins: int, side: int) -> int:
     ``_BAND_BYTES`` (the whole grid up to side 128 with long-range edges),
     at least one."""
     return min(side, max(1, _BAND_BYTES // (n_coins * side * 8)))
-
-
-def available_cores() -> int:
-    """Cores this process may run on: its CPU affinity where the OS reports one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
 
 
 #: Cores a step may use in this process, None for every available core.  A

@@ -11,6 +11,8 @@ the threads its step ran on in the job's process.  :func:`map_jobs` runs a
 job list through one bounded process pool and yields results in submission
 order as they arrive, so a run is reproducible for a fixed seed regardless
 of worker count, and a failing job leaves every earlier result delivered.
+:func:`check_pool_memory` refuses, before the first job, a job list whose
+pool could not hold all its engines at once.
 
 Randomness comes from numpy's PCG64 generator.  Per-job seeds are derived
 from the master seed in two documented stages,
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -31,14 +32,18 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .engine import (
+    DEFAULT_MEMORY_LIMIT,
     EdgeMode,
+    ResourceLimitError,
     WalkConfig,
     WalkEngine,
     _step_on_one_core,
     amplified_cost,
+    memory_requirement,
     run,
     step_threads,
 )
+from .reporting import ScalingRecord
 from .topology import TopologyParams, exceptional_vertices
 
 __all__ = [
@@ -52,6 +57,8 @@ __all__ = [
     "run_to_first_peak",
     "SweepPoint",
     "SweepResult",
+    "sweep_jobs",
+    "sweep_result",
     "sweep_self_loop",
     "derive_seed",
     "random_target_set",
@@ -63,6 +70,7 @@ __all__ = [
     "scaling_experiment",
     "density_jobs",
     "density_experiment",
+    "check_pool_memory",
     "map_jobs",
 ]
 
@@ -218,6 +226,43 @@ class SweepResult:
         return self.points[self.optimal_index]
 
 
+def sweep_jobs(
+    side: int,
+    targets: Sequence[tuple[int, int]],
+    na_min: float,
+    na_max: float,
+    na_step: float,
+    edge_mode: EdgeMode = EdgeMode.HN4,
+    t_max: int | None = None,
+) -> list[TrialJob]:
+    """One job per total weight on the grid na_min .. na_max, in weight order.
+
+    Peaks are read under :data:`SWEEP_PEAK_RULE`, which follows the
+    probability envelope (stride 2) that the oscillating off-optimal points
+    of a wide sweep require.
+    """
+    if not all(map(math.isfinite, (na_min, na_max, na_step))):
+        raise ValueError(f"sweep bounds must be finite, got {na_min}, {na_max}, {na_step}")
+    if na_step <= 0:
+        raise ValueError(f"na_step must be > 0, got {na_step}")
+    count = math.floor((na_max - na_min) / na_step + 1e-9) + 1
+    if count < 1:
+        raise ValueError(f"empty sweep range [{na_min}, {na_max}]")
+    values = [na_min + i * na_step for i in range(count)]
+    return [TrialJob(side, len(targets), na, 0, i, edge_mode, rule=SWEEP_PEAK_RULE,
+                     targets=targets, t_max=t_max) for i, na in enumerate(values)]
+
+
+def sweep_result(results: Iterable[tuple[ScalingRecord, int]]) -> SweepResult:
+    """The sweep read from its jobs' :func:`trial_record` results, in weight order:
+    ``optimal_index`` marks the first point of maximal peak probability and
+    ``step_threads`` is the most threads a job's step ran on."""
+    results = list(results)
+    points = [SweepPoint(r.na, r.peak_step, r.peak_probability) for r, _ in results]
+    best = max(range(len(points)), key=lambda i: (points[i].peak_probability, -i))
+    return SweepResult(tuple(points), best, max(threads for _, threads in results))
+
+
 def sweep_self_loop(
     side: int,
     targets: Sequence[tuple[int, int]],
@@ -228,28 +273,11 @@ def sweep_self_loop(
     t_max: int | None = None,
     workers: int = 1,
 ) -> SweepResult:
-    """Peak statistics for each total weight on the grid na_min .. na_max.
-
-    The returned point list is ordered by weight; ``optimal_index`` marks the
-    first row of maximal peak probability and ``step_threads`` is the most
-    threads a job's step ran on.  Peaks are read under :data:`SWEEP_PEAK_RULE`,
-    which follows the probability envelope (stride 2) that the oscillating
-    off-optimal points of a wide sweep require.
-    """
-    if not all(map(math.isfinite, (na_min, na_max, na_step))):
-        raise ValueError(f"sweep bounds must be finite, got {na_min}, {na_max}, {na_step}")
-    if na_step <= 0:
-        raise ValueError(f"na_step must be > 0, got {na_step}")
-    count = math.floor((na_max - na_min) / na_step + 1e-9) + 1
-    if count < 1:
-        raise ValueError(f"empty sweep range [{na_min}, {na_max}]")
-    values = [na_min + i * na_step for i in range(count)]
-    jobs = [TrialJob(side, len(targets), na, 0, i, edge_mode, rule=SWEEP_PEAK_RULE,
-                     targets=targets, t_max=t_max) for i, na in enumerate(values)]
-    results = list(map_jobs(trial_record, jobs, workers))
-    points = [SweepPoint(r.na, r.peak_step, r.peak_probability) for r, _ in results]
-    best = max(range(len(points)), key=lambda i: (points[i].peak_probability, -i))
-    return SweepResult(tuple(points), best, max(threads for _, threads in results))
+    """Peak statistics for each total weight on the grid na_min .. na_max
+    (:func:`sweep_jobs`, read by :func:`sweep_result`)."""
+    jobs = sweep_jobs(side, targets, na_min, na_max, na_step, edge_mode, t_max)
+    check_pool_memory(jobs, workers)
+    return sweep_result(map_jobs(trial_record, jobs, workers))
 
 
 # ---------------------------------------------------------------------------
@@ -286,22 +314,6 @@ def random_target_set(
 
 # ---------------------------------------------------------------------------
 # Scaling and density experiments
-
-
-@dataclass(frozen=True)
-class ScalingRecord:
-    """One (configuration, trial) outcome; append-only and self-describing."""
-
-    side: int
-    n_elements: int
-    m: int
-    na: float
-    mode: str
-    seed: int
-    trial: int
-    peak_step: int
-    peak_probability: float
-    amplified_cost: float
 
 
 def resolve_na(na_rule: float | str, m: int) -> float:
@@ -411,6 +423,7 @@ def scaling_experiment(
         [(side, m) for side in sides], na_rule, trials, seed,
         edge_mode=edge_mode, policy=policy,
     )
+    check_pool_memory(jobs, workers)
     return [record for record, _ in map_jobs(trial_record, jobs, workers)]
 
 
@@ -448,11 +461,32 @@ def density_experiment(
     already the marked fraction), so the trace maximum stands in for it.
     """
     jobs = density_jobs(sides, fraction, trials, seed, policy)
+    check_pool_memory(jobs, workers)
     return [record for record, _ in map_jobs(trial_record, jobs, workers)]
 
 
 # ---------------------------------------------------------------------------
 # Job pipeline
+
+
+def check_pool_memory(jobs: Sequence[TrialJob], workers: int) -> None:
+    """Raise :class:`~hn4walk.engine.ResourceLimitError` before any job runs when
+    :func:`map_jobs` could hold more engines at once than the memory limit
+    allows: min(workers, jobs) engines, each the size of the largest job's
+    (:func:`~hn4walk.engine.memory_requirement`), against
+    :data:`~hn4walk.engine.DEFAULT_MEMORY_LIMIT`, which each engine checks
+    only for itself."""
+    walks = {(job.side, EdgeMode(job.edge_mode)) for job in jobs}
+    largest = max(
+        (memory_requirement(TopologyParams.from_side(side), mode) for side, mode in walks),
+        default=0,
+    )
+    engines = min(workers, len(jobs))
+    if engines * largest > DEFAULT_MEMORY_LIMIT:
+        raise ResourceLimitError(
+            f"{engines} walks held at once need {engines} x {largest} bytes, "
+            f"limit is {DEFAULT_MEMORY_LIMIT}"
+        )
 
 
 def map_jobs(func: Callable, jobs: Sequence, workers: int) -> Iterator:
@@ -466,6 +500,8 @@ def map_jobs(func: Callable, jobs: Sequence, workers: int) -> Iterator:
     with ExitStack() as stack:
         results = map(func, jobs)
         if workers > 1 and len(jobs) > 1:
+            from concurrent.futures import ProcessPoolExecutor  # only a pool run loads it
+
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=min(workers, len(jobs)), initializer=_step_on_one_core
             ))

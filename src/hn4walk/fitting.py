@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .experiments import ScalingRecord
+from .reporting import ScalingRecord
 
 __all__ = [
     "RuntimeModel",

@@ -6,24 +6,32 @@ rerun with the same manifest and a single worker produces byte-identical
 files.  :func:`write_manifest` writes the pretty-printed manifest JSON that
 accompanies every output file, recording the command, the full parameter
 set, the seed and PRNG identifier, the engine version, the worker count,
-the python and numpy versions and the cores available, timestamps, and any
+the python version, the version of the numpy the command loaded (null when
+it loaded none), the cores available, timestamps, the peak resident set
+of the command and of its largest finished child process, and any
 command-specific fields.  Run metadata goes only there, never into a data
 CSV.
+
+Nothing here imports numpy: :class:`ScalingRecord`, the record every walk
+job returns, lives here so that reading records and fitting them stays free
+of the walk layers.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import platform
+import resource
+import sys
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .engine import available_cores
-from .experiments import ScalingRecord, SweepResult
-from .fitting import FitResult
+if TYPE_CHECKING:
+    from .experiments import SweepResult
+    from .fitting import FitResult
 
 __all__ = [
     "ENGINE_VERSION",
@@ -31,6 +39,8 @@ __all__ = [
     "TRACE_HEADER",
     "SWEEP_HEADER",
     "RECORDS_HEADER",
+    "ScalingRecord",
+    "available_cores",
     "manifest_path",
     "write_manifest",
     "write_sweep_csv",
@@ -47,6 +57,39 @@ SWEEP_HEADER = "na,peak_step,peak_probability,optimal"
 RECORDS_HEADER = (
     "side,n_elements,m,na,mode,seed,trial,peak_step,peak_probability,amplified_cost"
 )
+
+
+@dataclass(frozen=True)
+class ScalingRecord:
+    """One (configuration, trial) outcome; append-only and self-describing."""
+
+    side: int
+    n_elements: int
+    m: int
+    na: float
+    mode: str
+    seed: int
+    trial: int
+    peak_step: int
+    peak_probability: float
+    amplified_cost: float
+
+
+def available_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the OS reports one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _peak_rss_bytes() -> dict:
+    """Peak resident set of this process and of its largest finished child."""
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes on macOS, KiB elsewhere
+    return {
+        "self": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit,
+        "largest_child": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * unit,
+    }
 
 
 def _fmt(value) -> str:
@@ -80,10 +123,11 @@ def write_manifest(
         "engine_version": ENGINE_VERSION,
         "workers": workers,
         "python": platform.python_version(),
-        "numpy": np.__version__,
+        "numpy": getattr(sys.modules.get("numpy"), "__version__", None),
         "cores": available_cores(),
         "started_utc": started_utc,
         "finished_utc": datetime.now(timezone.utc).isoformat(),
+        "peak_rss_bytes": _peak_rss_bytes(),
         **extra,
     }
     path = manifest_path(out_path)

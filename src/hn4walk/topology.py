@@ -17,18 +17,23 @@ coordinates (x in [0, L - 1]); the hierarchy map always applies to x + 1.
 a time and serve as the scalar reference; :func:`long_range_lines` and
 :func:`exceptional_vertices` give the long-range moves and the exceptional
 vertices of the whole lattice as numpy arrays, the one definition the
-engine and the experiments read.  Nothing here holds state, so all of it
-is safe to call concurrently.
+engine and the experiments read; they alone import numpy, so the CLI can
+parse its arguments and fit records without loading it.  :class:`EdgeMode`
+names the two graph flavours, with and without the long-range edges.
+Nothing here holds state, so all of it is safe to call concurrently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from enum import Enum
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
+    "EdgeMode",
     "TopologyError",
     "TopologyParams",
     "HierCoord",
@@ -45,6 +50,13 @@ __all__ = [
 #: when either of its coordinates sits on an exceptional level; the stricter
 #: "intersection" requires both.
 EXCEPTIONAL_POLICIES = ("line", "intersection")
+
+
+class EdgeMode(str, Enum):
+    """Graph flavour: grid plus long-range edges, or the bare grid."""
+
+    HN4 = "hn4"
+    GRID = "grid"
 
 
 class TopologyError(ValueError):
@@ -133,6 +145,8 @@ def long_range_lines(params: TopologyParams) -> tuple[np.ndarray, np.ndarray]:
     of the same level.  At levels n - 1 and n the level holds one
     coordinate, so the move is a fixed point (a self-loop).
     """
+    import numpy as np
+
     c = np.arange(1, params.side + 1, dtype=np.intp)
     step = c & -c
     size = np.maximum(params.side // (2 * step), 1)
@@ -148,6 +162,8 @@ def exceptional_vertices(params: TopologyParams, policy: str = "line") -> np.nda
     point.  Policy "line" flags a vertex when either of its coordinates is
     exceptional; "intersection" only when both are.
     """
+    import numpy as np
+
     if policy not in EXCEPTIONAL_POLICIES:
         raise TopologyError(f"unknown exceptional policy {policy!r}")
     lr_next, _ = long_range_lines(params)

@@ -1,13 +1,18 @@
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hn4walk
+from hn4walk import experiments
 from hn4walk.cli import build_parser, main
-from hn4walk.engine import EdgeMode, WalkConfig, run, step_threads
+from hn4walk.engine import EdgeMode, WalkConfig, memory_requirement, run, step_threads
 from hn4walk.fitting import model_scale, RuntimeModel
 from hn4walk.reporting import read_records_csv, write_records_csv
 from hn4walk.experiments import ScalingRecord
@@ -248,6 +253,76 @@ def test_file_errors_are_usage_errors(tmp_path, capsys):
         f"hn4walk: [Errno 2] No such file or directory: '{tmp_path / name}'"
         for name in ("missing.csv", "missing/t.csv")
     ]
+
+
+def _fail_on_any_job(monkeypatch):
+    def no_job(job):
+        pytest.fail(f"a job ran: {job}")
+
+    monkeypatch.setattr(experiments, "trial_record", no_job)
+
+
+def test_sweep_reports_an_unopenable_out_before_any_job(tmp_path, monkeypatch):
+    _fail_on_any_job(monkeypatch)
+    out = tmp_path / "missing" / "s.csv"
+    assert main(["sweep", "--side", "64", "--targets", "1,6", "--na-min", "1",
+                 "--na-max", "30", "--na-step", "0.5", "--out", str(out)]) == 2
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scale", "--sides", "512", "--m", "1", "--na", "8.5", "--trials", "2"],
+        ["density", "--sides", "512", "--fraction", "0.001", "--trials", "2"],
+        ["sweep", "--side", "512", "--targets", "1,6", "--na-min", "8", "--na-max", "9",
+         "--na-step", "1"],
+    ],
+    ids=["scale", "density", "sweep"],
+)
+def test_pool_beyond_the_memory_limit_runs_nothing(tmp_path, monkeypatch, argv):
+    # one side-512 engine fits the limit, the two a 2-worker pool holds do not
+    one = memory_requirement(TopologyParams.from_side(512), EdgeMode.HN4)
+    monkeypatch.setattr(experiments, "DEFAULT_MEMORY_LIMIT", one * 3 // 2)
+    _fail_on_any_job(monkeypatch)
+    out = tmp_path / "pool.csv"
+    assert main(argv + ["--workers", "2", "--out", str(out)]) == 4
+    assert not out.exists()
+    assert not (tmp_path / "pool.manifest.json").exists()
+
+
+def _imported_modules(argv: list[str]) -> tuple[int, set[str]]:
+    """Exit code of ``python -m hn4walk <argv>`` and every module it imported."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hn4walk.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "hn4walk", *argv],
+        capture_output=True, text=True, env=env,
+    )
+    modules = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
+               if line.startswith("import time:")}
+    return result.returncode, modules
+
+
+def test_commands_load_only_the_layers_they_run(tmp_path):
+    records = tmp_path / "records.csv"
+    write_records_csv(records, [
+        ScalingRecord(side, side * side, 1, 8.5, "hn4", 0, 0, side, 0.9, side / 0.9 ** 0.5)
+        for side in (64, 128, 256)
+    ])
+    fit = ["fit", "--records", str(records), "--model", "sqrt", "--out", str(tmp_path / "f.json")]
+    for argv, code in [(fit, 0), (["--help"], 0), (["fit", "--model", "sqrt"], 2)]:
+        returncode, modules = _imported_modules(argv)
+        assert returncode == code
+        assert "hn4walk.cli" in modules
+        assert [m for m in modules if m.partition(".")[0] == "numpy"] == []
+    assert json.loads((tmp_path / "f.manifest.json").read_text())["numpy"] is None
+    for argv in (["density", "--sides", "16", "--fraction", "0.1", "--trials", "1"],
+                 ["scale", "--sides", "16", "--m", "1", "--na", "8.5", "--trials", "1",
+                  "--workers", "1"]):
+        returncode, modules = _imported_modules(argv + ["--out", str(tmp_path / "w.csv")])
+        assert returncode == 0
+        assert "numpy" in modules
+        assert "concurrent.futures.process" not in modules
 
 
 def test_density_command(tmp_path):

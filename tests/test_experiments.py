@@ -1,15 +1,25 @@
+import concurrent.futures
 import multiprocessing
 
 import numpy as np
 import pytest
 
 from hn4walk import engine
-from hn4walk.engine import EdgeMode, WalkConfig, WalkEngine, run, target_indices
+from hn4walk.engine import (
+    EdgeMode,
+    ResourceLimitError,
+    WalkConfig,
+    WalkEngine,
+    memory_requirement,
+    run,
+    target_indices,
+)
 from hn4walk.experiments import (
     DEFAULT_PEAK_RULE,
     NoPeakError,
     PeakRule,
     SWEEP_PEAK_RULE,
+    check_pool_memory,
     density_experiment,
     derive_seed,
     detect_first_peak,
@@ -279,7 +289,7 @@ def test_map_jobs_pool_never_exceeds_job_count(monkeypatch):
         def map(self, func, jobs):
             return map(func, jobs)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     assert list(experiments.map_jobs(abs, [-1, -2], 6)) == [1, 2]
     assert list(experiments.map_jobs(abs, [-1, -2, -3], 2)) == [1, 2, 3]
     assert sizes == [2, 2]
@@ -333,6 +343,19 @@ def test_trial_jobs_rejects_repeated_cells():
     with pytest.raises(ValueError, match="once"):
         density_jobs([64, 64], 0.2, 1, 7)
     assert len(trial_jobs([(16, 1), (16, 2), (32, 1)], 8.5, 2, 7)) == 6
+
+
+def test_check_pool_memory_counts_every_engine_of_the_pool(monkeypatch):
+    # one side-512 engine fits the limit, two at once do not
+    one = memory_requirement(TopologyParams.from_side(512), EdgeMode.HN4)
+    monkeypatch.setattr(experiments, "DEFAULT_MEMORY_LIMIT", one * 3 // 2)
+    jobs = trial_jobs([(64, 1), (512, 1)], 8.5, 2, 7)
+    check_pool_memory(jobs, 1)
+    check_pool_memory(jobs[2:3], 4)  # one job holds one engine, whatever the workers
+    with pytest.raises(ResourceLimitError, match=f"2 x {one} bytes"):
+        check_pool_memory(jobs, 2)
+    with pytest.raises(ResourceLimitError):
+        scaling_experiment([512], 1, 8.5, trials=2, seed=7, workers=3)
 
 
 def test_scaling_experiment_na_rule():

@@ -96,10 +96,13 @@ def test_manifest_fields_and_path(tmp_path):
     assert doc["started_utc"] and doc["finished_utc"]
     assert doc["resolved_steps"] == 96
     assert doc["step_threads"] == 2
+    assert list(doc["peak_rss_bytes"]) == ["self", "largest_child"]
+    assert doc["peak_rss_bytes"]["self"] > 2**20
+    assert doc["peak_rss_bytes"]["largest_child"] >= 0
     assert list(doc) == [
         "command", "parameters", "seed", "prng", "engine_version", "workers",
-        "python", "numpy", "cores", "started_utc", "finished_utc", "resolved_steps",
-        "step_threads",
+        "python", "numpy", "cores", "started_utc", "finished_utc", "peak_rss_bytes",
+        "resolved_steps", "step_threads",
     ]
 
 
