@@ -82,12 +82,13 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Refuse to build engines needing more than this many bytes unless overridden.
+#: Bytes past which an engine, or a job pool's engines together, are refused.
+#: The one copy of the limit: every check reads it when it runs.
 DEFAULT_MEMORY_LIMIT = 8 * 2**30
 
 
 class ResourceLimitError(RuntimeError):
-    """Estimated engine memory exceeds the configured limit."""
+    """Estimated engine memory exceeds :data:`DEFAULT_MEMORY_LIMIT`."""
 
 
 class CoinDirection(IntEnum):
@@ -244,13 +245,6 @@ def target_indices(config: WalkConfig) -> np.ndarray:
 _BAND_BYTES = 2 * 2**20
 
 
-def _band_rows(n_coins: int, side: int) -> int:
-    """y rows of a band: as many as keep its C float64 source rows within
-    ``_BAND_BYTES`` (the whole grid up to side 128 with long-range edges),
-    at least one."""
-    return min(side, max(1, _BAND_BYTES // (n_coins * side * 8)))
-
-
 #: Cores a step may use in this process, None for every available core.  A
 #: job-pool worker sets 1 (:func:`_step_on_one_core`).
 _step_cores: int | None = None
@@ -263,25 +257,35 @@ def _step_on_one_core() -> None:
     _step_cores = 1
 
 
-def step_threads(topology: TopologyParams, edge_mode: EdgeMode) -> int:
-    """Threads one step of a walk on ``topology`` runs on in this process: at
-    most one per core the step may use, and only as many as leave at least
-    two bands per thread (one thread for a lattice of fewer than four bands)."""
+#: (y0, y1) of every band of every thread's part of a step (:func:`_layout`).
+_Layout = tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _layout(topology: TopologyParams, edge_mode: EdgeMode) -> _Layout:
+    """The one band layout of a step: bands of as many y rows as keep their C
+    float64 source rows within ``_BAND_BYTES`` (the whole grid up to side 128
+    with long-range edges), at least one, split into one contiguous part per
+    thread.  The threads are at most one per core the step may use, and only
+    as many as leave at least two bands per thread.  Only the last band of a
+    part may be shorter than the first band, (0, rows)."""
     side = topology.side
-    n_bands = -(-side // _band_rows(len(directions(edge_mode)), side))
-    return max(1, min(_step_cores or available_cores(), n_bands // 2))
-
-
-def _parts(n_coins: int, side: int, threads: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """(y0, y1) of every band of every thread's part, in order: the y rows
-    split into ``threads`` contiguous parts of near-equal size, each cut into
-    bands of :func:`_band_rows` rows of which only the last may be shorter."""
-    rows = _band_rows(n_coins, side)
+    rows = min(side, max(1, _BAND_BYTES // (len(directions(edge_mode)) * side * 8)))
+    threads = max(1, min(_step_cores or available_cores(), -(-side // rows) // 2))
     cuts = [side * i // threads for i in range(threads + 1)]
     return tuple(
         tuple((y0, min(y0 + rows, end)) for y0 in range(start, end, rows))
         for start, end in zip(cuts, cuts[1:])
     )
+
+
+def _band_buffer_shape(parts: _Layout, side: int) -> tuple[int, int, int]:
+    """(threads, y rows, L) of a step's overlap or row buffer: one first band per part."""
+    return len(parts), parts[0][0][1], side
+
+
+def step_threads(topology: TopologyParams, edge_mode: EdgeMode) -> int:
+    """Threads one step of a walk on ``topology`` runs on in this process (:func:`_layout`)."""
+    return len(_layout(topology, edge_mode))
 
 
 def _moves(
@@ -354,13 +358,14 @@ def shift_permutation(topology: TopologyParams, edge_mode: EdgeMode) -> np.ndarr
     that moves onto it.
     """
     side = topology.side
-    n_coins = len(directions(edge_mode))
-    slots = -np.arange(n_coins * topology.n_vertices, dtype=np.int64).reshape(-1, side, side)
+    slots = -np.arange(len(directions(edge_mode)) * topology.n_vertices, dtype=np.int64)
+    slots = slots.reshape(-1, side, side)
     table = np.empty_like(slots)
-    zero = np.zeros((_band_rows(n_coins, side), side), dtype=np.int64)
+    parts = _layout(topology, edge_mode)
+    zero = np.zeros(_band_buffer_shape(parts, side)[1:], dtype=np.int64)
     tmp = np.empty_like(zero)
     moves = _moves(topology, edge_mode)
-    for part in _parts(n_coins, side, step_threads(topology, edge_mode)):
+    for part in parts:
         for y0, y1 in part:
             rows = y1 - y0
             _shift_band(slots, table, y0, y1, zero[:rows], zero[:rows], tmp[:rows], moves)
@@ -426,10 +431,10 @@ def success_probability(state: np.ndarray, indices: np.ndarray) -> float:
     """Total probability mass on the marked vertices, over all coin directions."""
     if not len(indices):
         return 0.0
-    block = state[:, indices]
+    block = state[:, indices]  # a copy, squared in place
     if np.iscomplexobj(block):
         return float(np.sum(block.real**2 + block.imag**2))
-    return float(np.sum(block**2))
+    return float(np.sum(np.square(block, out=block)))
 
 
 def amplified_cost(peak_step: int, peak_probability: float) -> float:
@@ -439,13 +444,19 @@ def amplified_cost(peak_step: int, peak_probability: float) -> float:
     return peak_step / math.sqrt(peak_probability)
 
 
-def _held_bytes(topology: TopologyParams, edge_mode: EdgeMode, dtype: type, threads: int) -> int:
-    """Bytes of an engine's buffers for amplitudes of ``dtype``: two C x N state
-    buffers plus the step's overlap and row buffers, one band for each of
-    ``threads`` threads."""
-    n_coins, side = len(directions(edge_mode)), topology.side
-    bands = threads * _band_rows(n_coins, side) * side
-    return 2 * (n_coins * topology.n_vertices + bands) * np.dtype(dtype).itemsize
+def _held_bytes(topology: TopologyParams, edge_mode: EdgeMode, parts: _Layout, dtype: type) -> int:
+    """Bytes of an engine's buffers for amplitudes of ``dtype`` on the band
+    layout ``parts``: two C x N state buffers plus the step's overlap and row
+    buffers (:func:`_band_buffer_shape`)."""
+    band = math.prod(_band_buffer_shape(parts, topology.side))
+    return 2 * (len(directions(edge_mode)) * topology.n_vertices + band) * np.dtype(dtype).itemsize
+
+
+def _check_memory(needed: int, message: str) -> None:
+    """Raise :class:`ResourceLimitError`, with ``message`` and the limit, when
+    ``needed`` bytes exceed :data:`DEFAULT_MEMORY_LIMIT` as it reads when called."""
+    if needed > DEFAULT_MEMORY_LIMIT:
+        raise ResourceLimitError(f"{message}, limit is {DEFAULT_MEMORY_LIMIT}")
 
 
 def memory_requirement(topology: TopologyParams, edge_mode: EdgeMode) -> int:
@@ -455,7 +466,7 @@ def memory_requirement(topology: TopologyParams, edge_mode: EdgeMode) -> int:
     (:func:`step_threads`) with a band of R y rows each (R = L, one band and
     one thread, up to side 128).  A complex state loaded with
     :meth:`WalkEngine.set_amplitudes` needs twice this."""
-    return _held_bytes(topology, edge_mode, np.float64, step_threads(topology, edge_mode))
+    return _held_bytes(topology, edge_mode, _layout(topology, edge_mode), np.float64)
 
 
 class WalkEngine:
@@ -475,13 +486,9 @@ class WalkEngine:
     a time but may be handed between threads between steps.
     """
 
-    def __init__(self, config: WalkConfig, memory_limit: int | None = DEFAULT_MEMORY_LIMIT):
+    def __init__(self, config: WalkConfig):
         self._config = config
-        self._memory_limit = memory_limit
-        topology, edge_mode = config.topology, config.edge_mode
-        self._parts = _parts(
-            len(directions(edge_mode)), topology.side, step_threads(topology, edge_mode)
-        )
+        self._parts = _layout(config.topology, config.edge_mode)
         self._allocate(np.float64)
         self._helpers = (
             ThreadPoolExecutor(len(self._parts) - 1, thread_name_prefix="hn4walk-step")
@@ -506,19 +513,15 @@ class WalkEngine:
         one band of overlap and row per thread, refusing when they would exceed
         the memory limit."""
         topology, edge_mode = self._config.topology, self._config.edge_mode
-        threads = len(self._parts)
-        needed = _held_bytes(topology, edge_mode, dtype, threads)
-        if self._memory_limit is not None and needed > self._memory_limit:
-            raise ResourceLimitError(
-                f"state buffers and the step's band-sized overlap and row buffers "
-                f"need {needed} bytes, limit is {self._memory_limit}"
-            )
-        shape = (len(directions(edge_mode)), topology.n_vertices)
-        band = (threads, _band_rows(shape[0], topology.side), topology.side)
+        needed = _held_bytes(topology, edge_mode, self._parts, dtype)
+        _check_memory(
+            needed,
+            f"state buffers and the step's band-sized overlap and row buffers need {needed} bytes",
+        )
         self._state = self._scratch = self._overlap = self._row = None  # free before allocating
-        self._state = np.empty(shape, dtype=dtype)
+        self._state = np.empty((len(directions(edge_mode)), topology.n_vertices), dtype=dtype)
         self._scratch = np.empty_like(self._state)
-        self._overlap = np.empty(band, dtype=dtype)
+        self._overlap = np.empty(_band_buffer_shape(self._parts, topology.side), dtype=dtype)
         self._row = np.empty_like(self._overlap)
 
     @property

@@ -32,11 +32,10 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .engine import (
-    DEFAULT_MEMORY_LIMIT,
     EdgeMode,
-    ResourceLimitError,
     WalkConfig,
     WalkEngine,
+    _check_memory,
     _step_on_one_core,
     amplified_cost,
     memory_requirement,
@@ -55,7 +54,6 @@ __all__ = [
     "detect_first_peak",
     "step_budget",
     "run_to_first_peak",
-    "SweepPoint",
     "SweepResult",
     "sweep_jobs",
     "sweep_result",
@@ -209,20 +207,15 @@ def run_to_first_peak(
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    na: float
-    peak_step: int
-    peak_probability: float
-
-
-@dataclass(frozen=True)
 class SweepResult:
-    points: tuple[SweepPoint, ...]
+    """The records of a sweep's jobs, in weight order."""
+
+    points: tuple[ScalingRecord, ...]
     optimal_index: int
     step_threads: int
 
     @property
-    def optimal(self) -> SweepPoint:
+    def optimal(self) -> ScalingRecord:
         return self.points[self.optimal_index]
 
 
@@ -239,7 +232,8 @@ def sweep_jobs(
 
     Peaks are read under :data:`SWEEP_PEAK_RULE`, which follows the
     probability envelope (stride 2) that the oscillating off-optimal points
-    of a wide sweep require.
+    of a wide sweep require.  The targets and the smallest weight are checked
+    here, so a bad sweep fails before any job runs.
     """
     if not all(map(math.isfinite, (na_min, na_max, na_step))):
         raise ValueError(f"sweep bounds must be finite, got {na_min}, {na_max}, {na_step}")
@@ -248,6 +242,7 @@ def sweep_jobs(
     count = math.floor((na_max - na_min) / na_step + 1e-9) + 1
     if count < 1:
         raise ValueError(f"empty sweep range [{na_min}, {na_max}]")
+    WalkConfig.with_na(TopologyParams.from_side(side), na_min, targets, edge_mode)
     values = [na_min + i * na_step for i in range(count)]
     return [TrialJob(side, len(targets), na, 0, i, edge_mode, rule=SWEEP_PEAK_RULE,
                      targets=targets, t_max=t_max) for i, na in enumerate(values)]
@@ -258,9 +253,9 @@ def sweep_result(results: Iterable[tuple[ScalingRecord, int]]) -> SweepResult:
     ``optimal_index`` marks the first point of maximal peak probability and
     ``step_threads`` is the most threads a job's step ran on."""
     results = list(results)
-    points = [SweepPoint(r.na, r.peak_step, r.peak_probability) for r, _ in results]
+    points = tuple(record for record, _ in results)
     best = max(range(len(points)), key=lambda i: (points[i].peak_probability, -i))
-    return SweepResult(tuple(points), best, max(threads for _, threads in results))
+    return SweepResult(points, best, max(threads for _, threads in results))
 
 
 def sweep_self_loop(
@@ -474,19 +469,17 @@ def check_pool_memory(jobs: Sequence[TrialJob], workers: int) -> None:
     :func:`map_jobs` could hold more engines at once than the memory limit
     allows: min(workers, jobs) engines, each the size of the largest job's
     (:func:`~hn4walk.engine.memory_requirement`), against
-    :data:`~hn4walk.engine.DEFAULT_MEMORY_LIMIT`, which each engine checks
-    only for itself."""
+    :data:`~hn4walk.engine.DEFAULT_MEMORY_LIMIT`, the limit each engine
+    checks for itself."""
     walks = {(job.side, EdgeMode(job.edge_mode)) for job in jobs}
     largest = max(
         (memory_requirement(TopologyParams.from_side(side), mode) for side, mode in walks),
         default=0,
     )
     engines = min(workers, len(jobs))
-    if engines * largest > DEFAULT_MEMORY_LIMIT:
-        raise ResourceLimitError(
-            f"{engines} walks held at once need {engines} x {largest} bytes, "
-            f"limit is {DEFAULT_MEMORY_LIMIT}"
-        )
+    _check_memory(
+        engines * largest, f"{engines} walks held at once need {engines} x {largest} bytes"
+    )
 
 
 def map_jobs(func: Callable, jobs: Sequence, workers: int) -> Iterator:

@@ -10,9 +10,17 @@ from pathlib import Path
 import pytest
 
 import hn4walk
-from hn4walk import experiments
+from hn4walk import engine, experiments
 from hn4walk.cli import build_parser, main
-from hn4walk.engine import EdgeMode, WalkConfig, memory_requirement, run, step_threads
+from hn4walk.engine import (
+    EdgeMode,
+    ResourceLimitError,
+    WalkConfig,
+    WalkEngine,
+    memory_requirement,
+    run,
+    step_threads,
+)
 from hn4walk.fitting import model_scale, RuntimeModel
 from hn4walk.reporting import read_records_csv, write_records_csv
 from hn4walk.experiments import ScalingRecord
@@ -171,6 +179,9 @@ def test_scale_rejects_empty_m_list(tmp_path, m_list):
     assert not (tmp_path / "empty.manifest.json").exists()
 
 
+SWEEP_1_TO_3 = ["--na-min", "1", "--na-max", "3", "--na-step", "1"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -180,9 +191,14 @@ def test_scale_rejects_empty_m_list(tmp_path, m_list):
         ["scale", "--sides", "16,16", "--m", "1", "--na", "8.5"],
         ["scale", "--sides", "16", "--m-list", "1,1", "--na", "8.5"],
         ["density", "--sides", "64,64", "--fraction", "0.2"],
+        ["sweep", "--side", "16", "--targets", "1,6;1,6", *SWEEP_1_TO_3],
+        ["sweep", "--side", "16", "--targets", "20,1", *SWEEP_1_TO_3],
+        ["sweep", "--side", "16", "--targets", "1,6", "--na-min", "-5", "--na-max", "3",
+         "--na-step", "1"],
     ],
     ids=["density-m-zero", "scale-m-above-admissible", "scale-negative-na",
-         "scale-repeated-side", "scale-repeated-m", "density-repeated-side"],
+         "scale-repeated-side", "scale-repeated-m", "density-repeated-side",
+         "sweep-repeated-target", "sweep-target-off-lattice", "sweep-negative-na"],
 )
 def test_usage_error_in_a_job_writes_nothing(tmp_path, argv):
     # every job is checked before the CSV is opened
@@ -283,12 +299,31 @@ def test_sweep_reports_an_unopenable_out_before_any_job(tmp_path, monkeypatch):
 def test_pool_beyond_the_memory_limit_runs_nothing(tmp_path, monkeypatch, argv):
     # one side-512 engine fits the limit, the two a 2-worker pool holds do not
     one = memory_requirement(TopologyParams.from_side(512), EdgeMode.HN4)
-    monkeypatch.setattr(experiments, "DEFAULT_MEMORY_LIMIT", one * 3 // 2)
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", one * 3 // 2)
     _fail_on_any_job(monkeypatch)
     out = tmp_path / "pool.csv"
     assert main(argv + ["--workers", "2", "--out", str(out)]) == 4
     assert not out.exists()
     assert not (tmp_path / "pool.manifest.json").exists()
+
+
+def test_one_memory_limit_guards_engines_pools_and_commands(tmp_path, monkeypatch):
+    # the engine's own check and the pool's check both read the one limit when
+    # they run: a side-16 engine fits it, a side-32 engine and a complex state do not
+    side_16 = TopologyParams.from_side(16)
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", memory_requirement(side_16, EdgeMode.HN4))
+    with pytest.raises(ResourceLimitError, match="limit is"):
+        WalkEngine(WalkConfig.with_na(TopologyParams.from_side(32), 8.5, ((1, 6),)))
+    walk = WalkEngine(WalkConfig.with_na(side_16, 8.5, ((1, 6),)))
+    with pytest.raises(ResourceLimitError):
+        walk.set_amplitudes(walk.amplitudes.astype(complex))
+    with pytest.raises(ResourceLimitError, match="1 x"):
+        experiments.check_pool_memory(experiments.trial_jobs([(32, 1)], 8.5, 1, 7), 1)
+    out = tmp_path / "limit.csv"
+    assert main(["scale", "--sides", "32", "--m", "1", "--na", "8.5", "--trials", "1",
+                 "--out", str(out)]) == 4
+    assert not out.exists()
+    assert not (tmp_path / "limit.manifest.json").exists()
 
 
 def _imported_modules(argv: list[str]) -> tuple[int, set[str]]:

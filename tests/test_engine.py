@@ -444,16 +444,19 @@ def test_run_streams_rows_to_sink():
         assert float(p_str) == trace[t]
 
 
-def test_memory_requirement_and_limit():
+def test_memory_requirement_and_limit(monkeypatch):
     topo = TopologyParams.from_side(16)
     assert memory_requirement(topo, EdgeMode.HN4) == 2 * 8 * 9 * 256 + 2 * 8 * 256
     assert memory_requirement(topo, EdgeMode.GRID) == 2 * 8 * 5 * 256 + 2 * 8 * 256
     assert memory_requirement(TopologyParams.from_side(4096), EdgeMode.HN4) <= DEFAULT_MEMORY_LIMIT
     config = WalkConfig.with_na(topo, 8.5, ((1, 6),))
+    monkeypatch.setattr(engine_module, "DEFAULT_MEMORY_LIMIT", 1024)
     with pytest.raises(ResourceLimitError):
-        WalkEngine(config, memory_limit=1024)
+        WalkEngine(config)
     # a complex state doubles every buffer; loading one is guarded too
-    engine = WalkEngine(config, memory_limit=memory_requirement(topo, EdgeMode.HN4))
+    limit = memory_requirement(topo, EdgeMode.HN4)
+    monkeypatch.setattr(engine_module, "DEFAULT_MEMORY_LIMIT", limit)
+    engine = WalkEngine(config)
     with pytest.raises(ResourceLimitError):
         engine.set_amplitudes(random_state(9, 256))
 

@@ -30,13 +30,14 @@ from hn4walk.experiments import (
     map_jobs,
     scaling_experiment,
     step_budget,
+    sweep_jobs,
     sweep_self_loop,
     trial_jobs,
     trial_record,
 )
 from hn4walk import experiments
 from hn4walk.fitting import RuntimeModel, fit_scaling
-from hn4walk.topology import TopologyParams, exceptional_vertices
+from hn4walk.topology import TopologyError, TopologyParams, exceptional_vertices
 
 
 def test_detect_first_peak_synthetic_unimodal():
@@ -250,6 +251,13 @@ def test_sweep_self_loop_rejects_bad_ranges():
                    (-np.inf, 30.0, 1.0)]:
         with pytest.raises(ValueError, match="finite"):
             sweep_self_loop(16, [(1, 6)], *bounds)
+    # the targets and the smallest weight are checked before any job runs
+    with pytest.raises(ValueError, match="duplicate"):
+        sweep_jobs(16, [(1, 6), (1, 6)], 1.0, 3.0, 1.0)
+    with pytest.raises(TopologyError, match="outside"):
+        sweep_jobs(16, [(20, 1)], 1.0, 3.0, 1.0)
+    with pytest.raises(ValueError, match=">= 0"):
+        sweep_jobs(16, [(1, 6)], -5.0, 3.0, 1.0)
 
 
 def test_scaling_experiment_reproducible_and_ordered():
@@ -348,7 +356,7 @@ def test_trial_jobs_rejects_repeated_cells():
 def test_check_pool_memory_counts_every_engine_of_the_pool(monkeypatch):
     # one side-512 engine fits the limit, two at once do not
     one = memory_requirement(TopologyParams.from_side(512), EdgeMode.HN4)
-    monkeypatch.setattr(experiments, "DEFAULT_MEMORY_LIMIT", one * 3 // 2)
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", one * 3 // 2)
     jobs = trial_jobs([(64, 1), (512, 1)], 8.5, 2, 7)
     check_pool_memory(jobs, 1)
     check_pool_memory(jobs[2:3], 4)  # one job holds one engine, whatever the workers

@@ -6,7 +6,7 @@ import pytest
 
 from hn4walk.engine import available_cores
 
-from hn4walk.experiments import ScalingRecord, SweepPoint, SweepResult
+from hn4walk.experiments import ScalingRecord, SweepResult
 from hn4walk.fitting import FitResult, RuntimeModel
 from hn4walk.reporting import (
     RECORDS_HEADER,
@@ -63,7 +63,10 @@ def test_float_formatting_survives_round_trip(tmp_path):
 
 def test_sweep_csv_marks_optimal_row(tmp_path):
     sweep = SweepResult(
-        points=(SweepPoint(7.0, 118, 0.9943), SweepPoint(8.5, 113, 0.9979)),
+        points=(
+            ScalingRecord(64, 4096, 1, 7.0, "hn4", 0, 0, 118, 0.9943, 118 / 0.9943**0.5),
+            ScalingRecord(64, 4096, 1, 8.5, "hn4", 0, 1, 113, 0.9979, 113 / 0.9979**0.5),
+        ),
         optimal_index=1,
         step_threads=1,
     )
