@@ -20,6 +20,7 @@ import argparse
 import logging
 import sys
 from datetime import datetime, timezone
+from itertools import tee
 
 from .fitting import FitError, fit_scaling, parse_model
 from .reporting import (
@@ -165,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> dict:
-    from .engine import WalkConfig, memory_requirement, run, step_threads
+    from .engine import WalkConfig, _check_memory, memory_requirement, run, step_threads
     from .experiments import step_budget
 
     topology = TopologyParams.from_side(args.side)
@@ -175,10 +176,8 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
         if args.steps == "auto"
         else args.steps
     )
-    logger.info(
-        "walk memory: %d bytes (two state buffers and the step's overlap and row buffers)",
-        memory_requirement(topology, config.edge_mode),
-    )
+    needed = memory_requirement(topology, config.edge_mode)
+    _check_memory(needed, f"the walk needs {needed} bytes")  # before --out is opened
     with open(args.out, "w", newline="") as handle:
         handle.write(TRACE_HEADER + "\n")
         run(config, t_max, sink=handle)
@@ -186,7 +185,7 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> dict:
-    from .experiments import check_pool_memory, map_jobs, sweep_jobs, sweep_result, trial_record
+    from .experiments import run_jobs, sweep_jobs, sweep_result
 
     jobs = sweep_jobs(
         args.side,
@@ -197,9 +196,9 @@ def _cmd_sweep(args: argparse.Namespace) -> dict:
         edge_mode=EdgeMode(args.mode),
         t_max=None if args.steps == "auto" else args.steps,
     )
-    check_pool_memory(jobs, args.workers)
+    results = run_jobs(jobs, args.workers)
     open(args.out, "w").close()  # an --out that cannot be opened fails before the first job
-    sweep = sweep_result(map_jobs(trial_record, jobs, args.workers))
+    sweep = sweep_result(results)
     write_sweep_csv(args.out, sweep)
     logger.info("optimal na=%g (peak_probability=%.6f)", sweep.optimal.na,
                 sweep.optimal.peak_probability)
@@ -210,19 +209,12 @@ def _write_job_records(args: argparse.Namespace, jobs: list) -> tuple[list, int]
     """Stream the jobs' records into ``args.out`` as they finish; return the
     records and the most threads a job's step ran on.  The pool's memory is
     checked, and the CSV opened, before the first job runs."""
-    from .experiments import check_pool_memory, map_jobs, trial_record
+    from .experiments import run_jobs
 
-    check_pool_memory(jobs, args.workers)
-    records, threads = [], []
-
-    def stream():
-        for record, job_threads in map_jobs(trial_record, jobs, args.workers):
-            records.append(record)
-            threads.append(job_threads)
-            yield record
-
-    write_records_csv(args.out, stream())
-    return records, max(threads)
+    results, kept = tee(run_jobs(jobs, args.workers))
+    write_records_csv(args.out, (record for record, _ in results))
+    records, threads = zip(*kept)
+    return list(records), max(threads)
 
 
 def _cmd_scale(args: argparse.Namespace) -> dict:

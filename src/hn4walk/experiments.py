@@ -7,12 +7,13 @@ sample and stops at the earliest confirmed peak: :func:`detect_first_peak`
 runs it over a finished trace and :func:`run_to_first_peak` over a live
 walk.  Every sweep point, scaling trial and density trial is one
 :class:`TrialJob`, run by :func:`trial_record`, which returns its record and
-the threads its step ran on in the job's process.  :func:`map_jobs` runs a
-job list through one bounded process pool and yields results in submission
-order as they arrive, so a run is reproducible for a fixed seed regardless
-of worker count, and a failing job leaves every earlier result delivered.
-:func:`check_pool_memory` refuses, before the first job, a job list whose
-pool could not hold all its engines at once.
+the threads its step ran on in the job's process.  :func:`run_jobs` is the
+one runner of a job list, for the protocols and the CLI alike: it refuses,
+when called, a job list whose pool could not hold all its engines at once,
+then runs the jobs through one bounded process pool and yields results in
+submission order as they arrive, so a run is reproducible for a fixed seed
+regardless of worker count, and a failing job leaves every earlier result
+delivered.
 
 Randomness comes from numpy's PCG64 generator.  Per-job seeds are derived
 from the master seed in two documented stages,
@@ -27,7 +28,7 @@ import logging
 import math
 from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -68,8 +69,7 @@ __all__ = [
     "scaling_experiment",
     "density_jobs",
     "density_experiment",
-    "check_pool_memory",
-    "map_jobs",
+    "run_jobs",
 ]
 
 logger = logging.getLogger(__name__)
@@ -271,8 +271,7 @@ def sweep_self_loop(
     """Peak statistics for each total weight on the grid na_min .. na_max
     (:func:`sweep_jobs`, read by :func:`sweep_result`)."""
     jobs = sweep_jobs(side, targets, na_min, na_max, na_step, edge_mode, t_max)
-    check_pool_memory(jobs, workers)
-    return sweep_result(map_jobs(trial_record, jobs, workers))
+    return sweep_result(run_jobs(jobs, workers))
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +314,10 @@ def resolve_na(na_rule: float | str, m: int) -> float:
     """Finite, non-negative total weight from a rule: a number, or "<c>M"."""
     if isinstance(na_rule, str):
         text = na_rule.strip()
-        if not text.endswith(("M", "m")):
-            raise ValueError(f"na rule must be a number or '<coef>M', got {na_rule!r}")
-        na = float(text[:-1]) * m
+        try:
+            na = float(text[:-1] if text.endswith(("M", "m")) else "") * m
+        except ValueError:
+            raise ValueError(f"na rule must be a number or '<coef>M', got {na_rule!r}") from None
     else:
         na = float(na_rule)
     if not math.isfinite(na) or na < 0:
@@ -350,7 +350,7 @@ class TrialJob:
 def trial_record(job: TrialJob) -> tuple[ScalingRecord, int]:
     """Run one job: its peak as a record, and the threads its step ran on in
     the process that ran it (:func:`~hn4walk.engine.step_threads`, 1 in a
-    :func:`map_jobs` pool worker)."""
+    :func:`run_jobs` pool worker)."""
     topology = TopologyParams.from_side(job.side)
     targets = job.targets
     if targets is None:
@@ -418,8 +418,7 @@ def scaling_experiment(
         [(side, m) for side in sides], na_rule, trials, seed,
         edge_mode=edge_mode, policy=policy,
     )
-    check_pool_memory(jobs, workers)
-    return [record for record, _ in map_jobs(trial_record, jobs, workers)]
+    return [record for record, _ in run_jobs(jobs, workers)]
 
 
 def density_jobs(
@@ -456,21 +455,26 @@ def density_experiment(
     already the marked fraction), so the trace maximum stands in for it.
     """
     jobs = density_jobs(sides, fraction, trials, seed, policy)
-    check_pool_memory(jobs, workers)
-    return [record for record, _ in map_jobs(trial_record, jobs, workers)]
+    return [record for record, _ in run_jobs(jobs, workers)]
 
 
 # ---------------------------------------------------------------------------
 # Job pipeline
 
 
-def check_pool_memory(jobs: Sequence[TrialJob], workers: int) -> None:
-    """Raise :class:`~hn4walk.engine.ResourceLimitError` before any job runs when
-    :func:`map_jobs` could hold more engines at once than the memory limit
-    allows: min(workers, jobs) engines, each the size of the largest job's
-    (:func:`~hn4walk.engine.memory_requirement`), against
-    :data:`~hn4walk.engine.DEFAULT_MEMORY_LIMIT`, the limit each engine
-    checks for itself."""
+def run_jobs(jobs: Sequence[TrialJob], workers: int) -> Iterator[tuple[ScalingRecord, int]]:
+    """Check the pool, then return an iterator over :func:`trial_record` of every
+    job in submission order, logging each result.
+
+    The pool holds min(workers, jobs) processes, and ``workers <= 1`` or one
+    job stays in-process.  That many engines, each the size of the largest
+    job's (:func:`~hn4walk.engine.memory_requirement`), are checked against
+    :data:`~hn4walk.engine.DEFAULT_MEMORY_LIMIT` when this is called, so
+    :class:`~hn4walk.engine.ResourceLimitError` comes before any job runs.
+    Pool workers step their walks on one thread each, since together they
+    already fill the cores.  A failing job raises at its own position, after
+    every earlier result has been yielded.
+    """
     walks = {(job.side, EdgeMode(job.edge_mode)) for job in jobs}
     largest = max(
         (memory_requirement(TopologyParams.from_side(side), mode) for side, mode in walks),
@@ -481,24 +485,18 @@ def check_pool_memory(jobs: Sequence[TrialJob], workers: int) -> None:
         engines * largest, f"{engines} walks held at once need {engines} x {largest} bytes"
     )
 
+    def results():
+        with ExitStack() as stack:
+            done = map(trial_record, jobs)
+            if engines > 1:
+                from concurrent.futures import ProcessPoolExecutor  # only a pool run loads it
 
-def map_jobs(func: Callable, jobs: Sequence, workers: int) -> Iterator:
-    """Yield ``func(job)`` for every job in submission order, logging each result.
+                pool = stack.enter_context(ProcessPoolExecutor(
+                    max_workers=engines, initializer=_step_on_one_core
+                ))
+                done = pool.map(trial_record, jobs)
+            for i, result in enumerate(done, 1):
+                logger.info("job %d/%d: %s", i, len(jobs), result)
+                yield result
 
-    All jobs share one process pool of ``workers`` processes; ``workers <= 1``
-    stays in-process.  Pool workers step their walks on one thread each,
-    since together they already fill the cores.  A failing job raises at its
-    own position, after every earlier result has been yielded.
-    """
-    with ExitStack() as stack:
-        results = map(func, jobs)
-        if workers > 1 and len(jobs) > 1:
-            from concurrent.futures import ProcessPoolExecutor  # only a pool run loads it
-
-            pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=min(workers, len(jobs)), initializer=_step_on_one_core
-            ))
-            results = pool.map(func, jobs)
-        for i, result in enumerate(results, 1):
-            logger.info("job %d/%d: %s", i, len(jobs), result)
-            yield result
+    return results()

@@ -96,6 +96,7 @@ def test_simulate_resource_error(tmp_path):
         "--steps", "5", "--out", str(tmp_path / "big.csv"),
     ])
     assert code == 4
+    assert not (tmp_path / "big.csv").exists()
     assert not (tmp_path / "big.manifest.json").exists()
 
 
@@ -318,7 +319,7 @@ def test_one_memory_limit_guards_engines_pools_and_commands(tmp_path, monkeypatc
     with pytest.raises(ResourceLimitError):
         walk.set_amplitudes(walk.amplitudes.astype(complex))
     with pytest.raises(ResourceLimitError, match="1 x"):
-        experiments.check_pool_memory(experiments.trial_jobs([(32, 1)], 8.5, 1, 7), 1)
+        experiments.run_jobs(experiments.trial_jobs([(32, 1)], 8.5, 1, 7), 1)
     out = tmp_path / "limit.csv"
     assert main(["scale", "--sides", "32", "--m", "1", "--na", "8.5", "--trials", "1",
                  "--out", str(out)]) == 4
@@ -400,6 +401,34 @@ def test_scale_workers_flag_matches_serial(tmp_path, argv):
     assert main(argv + ["--workers", "1", "--out", str(serial)]) == 0
     assert main(argv + ["--workers", "2", "--out", str(pooled)]) == 0
     assert serial.read_bytes() == pooled.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["scale", "density", "sweep"])
+def test_commands_write_what_the_protocols_return(tmp_path, command):
+    # the CLI and the library protocols run the same jobs through the same runner
+    out = tmp_path / "out.csv"
+    if command == "scale":
+        argv = ["scale", "--sides", "16", "--m", "2", "--na-rule", "8.5M", "--trials", "2",
+                "--mode", "grid", "--policy", "intersection", "--seed", "11"]
+        expected = experiments.scaling_experiment(
+            [16], 2, "8.5M", 2, 11, edge_mode=EdgeMode.GRID, policy="intersection")
+    elif command == "density":
+        argv = ["density", "--sides", "16", "--fraction", "0.1", "--trials", "2",
+                "--policy", "intersection", "--seed", "5"]
+        expected = experiments.density_experiment([16], 0.1, 2, 5, policy="intersection")
+    else:
+        argv = ["sweep", "--side", "16", "--targets", "1,6;9,3", "--na-min", "10",
+                "--na-max", "22", "--na-step", "4"]
+        sweep = experiments.sweep_self_loop(16, [(1, 6), (9, 3)], 10.0, 22.0, 4.0)
+        expected = [(p.na, p.peak_step, p.peak_probability, int(i == sweep.optimal_index))
+                    for i, p in enumerate(sweep.points)]
+    assert main(argv + ["--out", str(out)]) == 0
+    if command == "sweep":
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(float(na), int(step), float(p), int(optimal))
+                for na, step, p, optimal in rows] == expected
+    else:
+        assert read_records_csv(out) == expected
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

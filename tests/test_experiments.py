@@ -19,21 +19,19 @@ from hn4walk.experiments import (
     NoPeakError,
     PeakRule,
     SWEEP_PEAK_RULE,
-    check_pool_memory,
     density_experiment,
     derive_seed,
     detect_first_peak,
     random_target_set,
     resolve_na,
+    run_jobs,
     run_to_first_peak,
     density_jobs,
-    map_jobs,
     scaling_experiment,
     step_budget,
     sweep_jobs,
     sweep_self_loop,
     trial_jobs,
-    trial_record,
 )
 from hn4walk import experiments
 from hn4walk.fitting import RuntimeModel, fit_scaling
@@ -224,6 +222,9 @@ def test_resolve_na():
     for bad in ("8.5X", -1.0, "-8.5M", float("nan"), "infM"):
         with pytest.raises(ValueError):
             resolve_na(bad, 3)
+    for bad in ("M", "xM"):  # a coefficient that does not parse names the rule
+        with pytest.raises(ValueError, match="na rule"):
+            resolve_na(bad, 3)
 
 
 def test_sweep_self_loop_marks_optimum():
@@ -298,8 +299,9 @@ def test_map_jobs_pool_never_exceeds_job_count(monkeypatch):
             return map(func, jobs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    assert list(experiments.map_jobs(abs, [-1, -2], 6)) == [1, 2]
-    assert list(experiments.map_jobs(abs, [-1, -2, -3], 2)) == [1, 2, 3]
+    monkeypatch.setattr(experiments, "trial_record", lambda job: job.trial + 1)
+    assert list(run_jobs(trial_jobs([(16, 1)], 8.5, 2, 7), 6)) == [1, 2]
+    assert list(run_jobs(trial_jobs([(16, 1)], 8.5, 3, 7), 2)) == [1, 2, 3]
     assert sizes == [2, 2]
     assert initializers == [engine._step_on_one_core] * 2  # workers step on one thread
 
@@ -316,8 +318,8 @@ def test_map_jobs_after_threaded_step_in_parent(monkeypatch):
     walk.advance(3)
     assert len(walk._parts) == 2
     jobs = density_jobs([512], 0.001, trials=2, seed=17)
-    serial = list(map_jobs(trial_record, jobs, 1))
-    pooled = list(map_jobs(trial_record, jobs, 2))
+    serial = list(run_jobs(jobs, 1))
+    pooled = list(run_jobs(jobs, 2))
     assert [record for record, _ in pooled] == [record for record, _ in serial]
     assert [threads for _, threads in serial] == [2, 2]
     assert [threads for _, threads in pooled] == [1, 1]  # each job reports its own worker
@@ -358,10 +360,10 @@ def test_check_pool_memory_counts_every_engine_of_the_pool(monkeypatch):
     one = memory_requirement(TopologyParams.from_side(512), EdgeMode.HN4)
     monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", one * 3 // 2)
     jobs = trial_jobs([(64, 1), (512, 1)], 8.5, 2, 7)
-    check_pool_memory(jobs, 1)
-    check_pool_memory(jobs[2:3], 4)  # one job holds one engine, whatever the workers
+    run_jobs(jobs, 1)  # the check runs when called; no job runs until the results are read
+    run_jobs(jobs[2:3], 4)  # one job holds one engine, whatever the workers
     with pytest.raises(ResourceLimitError, match=f"2 x {one} bytes"):
-        check_pool_memory(jobs, 2)
+        run_jobs(jobs, 2)
     with pytest.raises(ResourceLimitError):
         scaling_experiment([512], 1, 8.5, trials=2, seed=7, workers=3)
 
