@@ -207,7 +207,7 @@ def _cmd_sweep(args: argparse.Namespace) -> dict:
 
 def _write_job_records(args: argparse.Namespace, jobs: list) -> tuple[list, int]:
     """Stream the jobs' records into ``args.out`` as they finish; return the
-    records and the most threads a job's step ran on.  The pool's memory is
+    records and the most processes a job's step runs on.  The pool's memory is
     checked, and the CSV opened, before the first job runs."""
     from .experiments import run_jobs
 

@@ -17,18 +17,22 @@ C source rows of a band (about 2 MiB) stay in cache between the two reads
 of it: one builds the band's g, the other coins each row into the row
 buffer and moves it into its destination in the other state buffer.  A
 step needs no table and, beside the two state buffers, two band-sized
-buffers per thread.
+buffers per part.
 
 Bands are independent: each reads only the source buffer and, since every
 move is a permutation, writes its own destinations.  A lattice of at least
-two bands per thread therefore splits its y rows into one contiguous part
-per thread, up to one thread per available core; the calling thread runs
-the first part and the engine's own helper threads the others.  Each vertex
-is computed by the same operations in the same order whatever the banding,
-so the result is bit-identical for any band size and thread count.  A
-job-pool worker steps on one thread, as its siblings fill the other cores.
-A forked child inherits none of an engine's helper threads, so an engine
-built before a fork must not be stepped in the child: build a new one there.
+two bands per core therefore splits its y rows into one contiguous part per
+core the step may use.  The calling process runs the first part and one
+forked helper process per other part runs that part, each with its own
+interpreter, so no part waits for another's interpreter lock.  The helpers
+step over the two state buffers in shared anonymous memory; an engine moves
+its buffers there and forks its helpers only once it has taken a warm-up of
+steps on the calling process alone, so a short walk never forks.  Each
+vertex is computed by the same operations in the same order whatever the
+banding, so the result is bit-identical for any band size and process
+count.  A job-pool worker steps on one core, as its siblings fill the other
+cores.  An engine whose helpers run shares its state with them, so a forked
+child refuses to step, reset or load it: build a new engine there.
 
 Evolution never renormalises: norm drift is a measured property, not a
 silently corrected one.
@@ -38,7 +42,8 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor, wait
+import os
+import weakref
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import IO, Iterator
@@ -237,12 +242,23 @@ def target_indices(config: WalkConfig) -> np.ndarray:
 
 
 #: Bytes of the C float64 source rows of one band, so that a band read for its
-#: coin terms is still cached for its moves.  Measured with ``advance(k)`` on
-#: two cores, HN4 side 512 stepped in 5.3, 4.3 and 4.0 ms on two threads with
-#: 1, 2 and 4 MiB bands: smaller bands cost more numpy calls per step, each an
-#: interpreter-lock hand-off between the threads.  4 MiB leaves grid side 512
-#: with three bands, too few for two threads (4.0 against 2.5 ms), so 2 MiB.
+#: coin terms is still cached for its moves.  Measured with ``advance`` on two
+#: cores, HN4 side 512 stepped in a median 5.8-6.4, 5.6-5.7 and 5.5-6.3 ms on
+#: two processes with 1, 2 and 4 MiB bands, within noise of each other.  4 MiB
+#: leaves grid side 512 with three bands, too few for two parts (6.5-7.3
+#: against 2.8-3.1 ms), so 2 MiB.
 _BAND_BYTES = 2 * 2**20
+
+
+#: Steps an engine of more than one part takes on the calling process alone
+#: before it forks its helpers (:meth:`WalkEngine.advance`), just above their
+#: break-even.  Measured on two cores, moving the buffers and forking, the
+#: first step's faults on fresh shared 4 KiB pages and copy-on-write pages,
+#: and ending the helper took 29-38 ms at HN4 side 512 and 140-150 ms at
+#: side 1024, while a step on the helper saved 3.1-4.6 and 18-20 ms against
+#: one core: 7-11 steps in either mode at either side, as both scale with N.
+#: A short walk, such as a 4-step density job, never forks.
+_WARMUP_STEPS = 12
 
 
 #: Cores a step may use in this process, None for every available core.  A
@@ -251,13 +267,13 @@ _step_cores: int | None = None
 
 
 def _step_on_one_core() -> None:
-    """Job-pool worker initializer: step on the calling thread only, since the
-    sibling workers already fill the other cores."""
+    """Job-pool worker initializer: step on the calling process only, since
+    the sibling workers already fill the other cores."""
     global _step_cores
     _step_cores = 1
 
 
-#: (y0, y1) of every band of every thread's part of a step (:func:`_layout`).
+#: (y0, y1) of every band of every part of a step (:func:`_layout`).
 _Layout = tuple[tuple[tuple[int, int], ...], ...]
 
 
@@ -265,9 +281,9 @@ def _layout(topology: TopologyParams, edge_mode: EdgeMode) -> _Layout:
     """The one band layout of a step: bands of as many y rows as keep their C
     float64 source rows within ``_BAND_BYTES`` (the whole grid up to side 128
     with long-range edges), at least one, split into one contiguous part per
-    thread.  The threads are at most one per core the step may use, and only
-    as many as leave at least two bands per thread.  Only the last band of a
-    part may be shorter than the first band, (0, rows)."""
+    process of the step.  The parts are at most one per core the step may
+    use, and only as many as leave at least two bands per part.  Only the
+    last band of a part may be shorter than the first band, (0, rows)."""
     side = topology.side
     rows = min(side, max(1, _BAND_BYTES // (len(directions(edge_mode)) * side * 8)))
     threads = max(1, min(_step_cores or available_cores(), -(-side // rows) // 2))
@@ -279,12 +295,14 @@ def _layout(topology: TopologyParams, edge_mode: EdgeMode) -> _Layout:
 
 
 def _band_buffer_shape(parts: _Layout, side: int) -> tuple[int, int, int]:
-    """(threads, y rows, L) of a step's overlap or row buffer: one first band per part."""
+    """(parts, y rows, L) of a step's overlap or row buffer: one first band per part."""
     return len(parts), parts[0][0][1], side
 
 
 def step_threads(topology: TopologyParams, edge_mode: EdgeMode) -> int:
-    """Threads one step of a walk on ``topology`` runs on in this process (:func:`_layout`)."""
+    """Processes one step of a walk on ``topology`` runs on from this process,
+    the calling one and its helpers, once past the serial warm-up
+    (:func:`_layout`)."""
     return len(_layout(topology, edge_mode))
 
 
@@ -351,7 +369,7 @@ def shift_permutation(topology: TopologyParams, edge_mode: EdgeMode) -> np.ndarr
 
     Slot layout is row * N + vertex with rows ordered per
     :func:`directions`.  The table is the engine's band moves, over the
-    bands of every thread's part of the engine, applied to the negated slot
+    bands of every part of the engine's step, applied to the negated slot
     numbers with zero coin terms (0 - (-slot) = slot), so checking that it is
     a bijection checks the moves every step runs.  Every destination row
     receives from the reversed coin direction at the unique source vertex
@@ -462,11 +480,37 @@ def _check_memory(needed: int, message: str) -> None:
 def memory_requirement(topology: TopologyParams, edge_mode: EdgeMode) -> int:
     """Bytes a :class:`WalkEngine` allocates for a real state: two state buffers
     of C * N float64 amplitudes (2 * 8 * C * N) plus the overlap and row
-    buffers of the banded step, 8 * T * R * L each for T threads
+    buffers of the banded step, 8 * T * R * L each for T parts
     (:func:`step_threads`) with a band of R y rows each (R = L, one band and
-    one thread, up to side 128).  A complex state loaded with
+    one part, up to side 128).  A complex state loaded with
     :meth:`WalkEngine.set_amplitudes` needs twice this."""
     return _held_bytes(topology, edge_mode, _layout(topology, edge_mode), np.float64)
+
+
+class _Helpers:
+    """The forked step helpers of one engine: (pid, command fd, ack fd) of
+    each, and ``owner``, the pid of the process whose helpers share the
+    engine's state buffers (None while the buffers are private)."""
+
+    def __init__(self) -> None:
+        self.procs: list[tuple[int, int, int]] = []
+        self.owner: int | None = None
+
+    def stop(self) -> None:
+        """End every helper by a quit byte and reap it.  A process other than
+        the owner, a forked child, only closes its copies of the pipes."""
+        procs, self.procs = self.procs, []
+        owner = os.getpid() == self.owner
+        for pid, command, ack in procs:
+            if owner:
+                try:
+                    os.write(command, b"q")
+                except BrokenPipeError:  # the helper has died; reap it all the same
+                    pass
+            os.close(command)
+            os.close(ack)
+            if owner:
+                os.waitpid(pid, 0)
 
 
 class WalkEngine:
@@ -475,26 +519,27 @@ class WalkEngine:
     Ping-pongs between two preallocated state buffers: each step walks the
     current one in bands of y rows, builds each band's shared coin terms and
     moves every coined row of the band into its destination in the other
-    buffer.  The bands are split into one contiguous part per thread of
-    :func:`step_threads`, fixed at construction; each thread has its own
-    overlap and row buffers, and the calling thread runs the first part
-    while the engine's own helper threads, one fewer than the parts, run
-    the others.  The helpers end when the engine is dropped; an engine built
-    before a ``fork`` has none in the child and must not be stepped there.
-    The state is float64 unless a complex one is loaded with
-    :meth:`set_amplitudes`.  A single engine must be driven by one thread at
-    a time but may be handed between threads between steps.
+    buffer.  The bands are split into one contiguous part per process of
+    :func:`step_threads`, fixed at construction, each with its own overlap
+    and row buffers.  Once the engine has taken ``_WARMUP_STEPS`` steps on
+    the calling process alone, it moves its state buffers into shared
+    memory and forks one helper process per part past the first; from then
+    on the calling process runs the first part and the helpers the others.
+    The helpers end when the engine is dropped, at interpreter exit, or
+    before a reallocation (a complex :meth:`set_amplitudes`), after which
+    they start again past the warm-up.  An engine whose helpers another
+    process started refuses to step, reset or load a state.  The state is float64 unless a complex
+    one is loaded with :meth:`set_amplitudes`.  A single engine must be
+    driven by one thread at a time but may be handed between threads
+    between steps.
     """
 
     def __init__(self, config: WalkConfig):
         self._config = config
         self._parts = _layout(config.topology, config.edge_mode)
+        self._helpers = _Helpers()
+        weakref.finalize(self, self._helpers.stop)
         self._allocate(np.float64)
-        self._helpers = (
-            ThreadPoolExecutor(len(self._parts) - 1, thread_name_prefix="hn4walk-step")
-            if len(self._parts) > 1
-            else None
-        )
         self._weights = coin_weights(config.loop_weight, config.edge_mode)
         self._targets = target_indices(config)
         flagged = exceptional_vertices(config.topology, "line")[self._targets]
@@ -510,14 +555,17 @@ class WalkEngine:
 
     def _allocate(self, dtype: type) -> None:
         """(Re)allocate the state, scratch, overlap and row buffers for ``dtype``,
-        one band of overlap and row per thread, refusing when they would exceed
-        the memory limit."""
+        one band of overlap and row per part, refusing when they would exceed
+        the memory limit.  Any helpers end first: the new buffers are private."""
         topology, edge_mode = self._config.topology, self._config.edge_mode
         needed = _held_bytes(topology, edge_mode, self._parts, dtype)
         _check_memory(
             needed,
             f"state buffers and the step's band-sized overlap and row buffers need {needed} bytes",
         )
+        self._helpers.stop()
+        self._helpers.owner = None
+        self._shared = None  # the (state, scratch) pair the helpers were forked with
         self._state = self._scratch = self._overlap = self._row = None  # free before allocating
         self._state = np.empty((len(directions(edge_mode)), topology.n_vertices), dtype=dtype)
         self._scratch = np.empty_like(self._state)
@@ -544,6 +592,7 @@ class WalkEngine:
         A complex array switches the buffers to complex128 and a real one
         back to float64; the memory limit is checked before reallocating.
         """
+        self._check_owner()
         arr = np.asarray(values)
         if arr.shape != self._state.shape:
             raise ValueError(f"expected shape {self._state.shape}, got {arr.shape}")
@@ -555,6 +604,7 @@ class WalkEngine:
 
     def reset(self) -> None:
         """Return to the canonical (real) initial state."""
+        self._check_owner()
         if self._state.dtype != np.float64:
             self._allocate(np.float64)
         self._state[...] = _initial_column(self._config)
@@ -576,26 +626,130 @@ class WalkEngine:
         """Apply the evolution operator ``steps`` times: the oracle, then band
         by band the coin's shared terms g and h (in the overlap and row
         buffers) and every coined row moved into the other state buffer.
-        The calling thread runs the first part of the bands and waits for the
-        engine's helper threads to finish the others before the next step."""
-        state, scratch, targets = self._state, self._scratch, self._targets
-        side = self._config.topology.side
+
+        An engine of more than one part runs every part on the calling
+        process until it has taken ``_WARMUP_STEPS`` steps since a reset.
+        The next step starts its helper processes, which from then on run
+        every part but the first, until they end; each step waits for every
+        helper before the next.  Raises RuntimeError when a helper has died,
+        and in a process other than the one that started the helpers.
+        """
+        self._check_owner()
         for _ in range(steps):
-            apply_oracle(state, targets)
-            src, dst = state.reshape(-1, side, side), scratch.reshape(-1, side, side)
-            pending = [
-                self._helpers.submit(self._step_part, src, dst, i)
-                for i in range(1, len(self._parts))
-            ]
+            if len(self._parts) > 1 and not self._helpers.procs and self._steps >= _WARMUP_STEPS:
+                self._start_helpers()
+            self._step()
+
+    def _check_owner(self) -> None:
+        """Refuse to write the state in a process other than the one that
+        started the helpers, such as a forked child: the state buffers are
+        shared, so the writes would reach that process's walk."""
+        owner = self._helpers.owner
+        if owner not in (None, os.getpid()):
+            raise RuntimeError(
+                f"this engine's state buffers are shared with the step helpers of "
+                f"process {owner}; build a new engine in this process"
+            )
+
+    def _step(self) -> None:
+        """One step, on the helpers if they run, then swap the state buffers."""
+        apply_oracle(self._state, self._targets)
+        side = self._config.topology.side
+        src, dst = self._state.reshape(-1, side, side), self._scratch.reshape(-1, side, side)
+        if self._helpers.procs:
+            self._step_on_helpers(src, dst)
+        else:
+            for part in range(len(self._parts)):
+                self._step_part(src, dst, part)
+        self._state, self._scratch = self._scratch, self._state
+        self._steps += 1
+
+    def _step_on_helpers(self, src: np.ndarray, dst: np.ndarray) -> None:
+        """Send each helper the index of the source buffer in ``_shared``, run
+        the first part, and read one ack byte per helper.  A helper that has
+        died, or an interruption before every ack, ends all the helpers."""
+        procs, sent, acks = self._helpers.procs, 0, b""
+        source = bytes((self._state is self._shared[1],))
+        try:
             try:
+                for _, command, _ in procs:
+                    os.write(command, source)
+                    sent += 1
                 self._step_part(src, dst, 0)
-            finally:
-                wait(pending)  # no helper may still write into dst
-            for done in pending:
-                done.result()
-            state, scratch = scratch, state
-        self._state, self._scratch = state, scratch
-        self._steps += steps
+            except BrokenPipeError:  # that helper has died; the others finish first
+                pass
+            finally:  # no helper may still write into dst once the step returns
+                acks = b"".join(os.read(ack, 1) for _, _, ack in procs[:sent])
+        finally:
+            if len(acks) < len(procs):
+                self._helpers.stop()
+        if len(acks) < len(procs):
+            raise RuntimeError("a step helper process ended before its part of the step")
+
+    def _start_helpers(self) -> None:
+        """Move the state buffers into shared anonymous memory, one at a time so
+        that no more than ``_held_bytes`` is held, then fork one helper per
+        part past the first."""
+        import mmap  # only an engine that forks helpers loads it
+
+        shape, dtype, size = self._state.shape, self._state.dtype, self._state.nbytes
+        self._scratch = self._shared = None
+        state = np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
+        np.copyto(state, self._state)
+        self._state = state
+        self._scratch = np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
+        self._shared = (self._state, self._scratch)
+        self._helpers.owner = os.getpid()
+        try:
+            for part in range(1, len(self._parts)):
+                self._helpers.procs.append(self._fork_helper(part))
+        except BaseException:  # a step on fewer helpers than parts would skip bands
+            self._helpers.stop()
+            raise
+
+    def _fork_helper(self, part: int) -> tuple[int, int, int]:
+        """Fork the helper of ``part``: its (pid, command fd, ack fd)."""
+        command_out, command_in = os.pipe()
+        ack_out, ack_in = os.pipe()
+        try:
+            pid = os.fork()
+            if pid == 0:
+                self._serve(part, command_out, ack_in)
+        except OSError:
+            os.close(command_in)
+            os.close(ack_out)
+            raise
+        finally:
+            os.close(command_out)
+            os.close(ack_in)
+        return pid, command_in, ack_out
+
+    def _serve(self, part: int, command: int, ack: int) -> None:
+        """A helper's whole life after the fork: step ``part`` from the shared
+        buffer each command byte names, acknowledging each step with one byte,
+        and leave by ``os._exit`` on a quit byte, end of file or error.  It
+        ignores SIGINT, which the calling process handles, keeps no inherited
+        descriptor but its two pipe ends, and runs no garbage collection, so
+        no inherited object is finalised here."""
+        code = 1
+        try:
+            import gc
+            import signal
+
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            gc.disable()
+            low, high = sorted((command, ack))
+            os.closerange(0, low)
+            os.closerange(low + 1, high)
+            os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
+            side = self._config.topology.side
+            views = [buffer.reshape(-1, side, side) for buffer in self._shared]
+            while (source := os.read(command, 1)) in (b"\x00", b"\x01"):
+                self._step_part(views[source[0]], views[1 - source[0]], part)
+                os.write(ack, b"+")
+            code = 0
+        finally:
+            os._exit(code)
 
     def _step_part(self, src: np.ndarray, dst: np.ndarray, part: int) -> None:
         """Coin and shift the bands of one thread's part, in its own buffers."""

@@ -7,7 +7,7 @@ sample and stops at the earliest confirmed peak: :func:`detect_first_peak`
 runs it over a finished trace and :func:`run_to_first_peak` over a live
 walk.  Every sweep point, scaling trial and density trial is one
 :class:`TrialJob`, run by :func:`trial_record`, which returns its record and
-the threads its step ran on in the job's process.  :func:`run_jobs` is the
+the processes its step runs on from the job's process.  :func:`run_jobs` is the
 one runner of a job list, for the protocols and the CLI alike: it refuses,
 when called, a job list whose pool could not hold all its engines at once,
 then runs the jobs through one bounded process pool and yields results in
@@ -251,7 +251,7 @@ def sweep_jobs(
 def sweep_result(results: Iterable[tuple[ScalingRecord, int]]) -> SweepResult:
     """The sweep read from its jobs' :func:`trial_record` results, in weight order:
     ``optimal_index`` marks the first point of maximal peak probability and
-    ``step_threads`` is the most threads a job's step ran on."""
+    ``step_threads`` is the most processes a job's step runs on."""
     results = list(results)
     points = tuple(record for record, _ in results)
     best = max(range(len(points)), key=lambda i: (points[i].peak_probability, -i))
@@ -311,13 +311,16 @@ def random_target_set(
 
 
 def resolve_na(na_rule: float | str, m: int) -> float:
-    """Finite, non-negative total weight from a rule: a number, or "<c>M"."""
+    """Finite, non-negative total weight from a rule: a number, or a string
+    "<c>M", c times m."""
     if isinstance(na_rule, str):
         text = na_rule.strip()
+        if not text.endswith(("M", "m")):
+            raise ValueError(f"na rule {na_rule!r} needs the 'M' suffix, as in '8.5M'")
         try:
-            na = float(text[:-1] if text.endswith(("M", "m")) else "") * m
+            na = float(text[:-1]) * m
         except ValueError:
-            raise ValueError(f"na rule must be a number or '<coef>M', got {na_rule!r}") from None
+            raise ValueError(f"na rule must be '<coef>M', got {na_rule!r}") from None
     else:
         na = float(na_rule)
     if not math.isfinite(na) or na < 0:
@@ -348,9 +351,10 @@ class TrialJob:
 
 
 def trial_record(job: TrialJob) -> tuple[ScalingRecord, int]:
-    """Run one job: its peak as a record, and the threads its step ran on in
-    the process that ran it (:func:`~hn4walk.engine.step_threads`, 1 in a
-    :func:`run_jobs` pool worker)."""
+    """Run one job: its peak as a record, and the processes its step runs on
+    from the process that ran it, past the serial warm-up
+    (:func:`~hn4walk.engine.step_threads`, 1 in a :func:`run_jobs` pool
+    worker)."""
     topology = TopologyParams.from_side(job.side)
     targets = job.targets
     if targets is None:
@@ -471,7 +475,7 @@ def run_jobs(jobs: Sequence[TrialJob], workers: int) -> Iterator[tuple[ScalingRe
     job's (:func:`~hn4walk.engine.memory_requirement`), are checked against
     :data:`~hn4walk.engine.DEFAULT_MEMORY_LIMIT` when this is called, so
     :class:`~hn4walk.engine.ResourceLimitError` comes before any job runs.
-    Pool workers step their walks on one thread each, since together they
+    Pool workers step their walks on one core each, since together they
     already fill the cores.  A failing job raises at its own position, after
     every earlier result has been yielded.
     """

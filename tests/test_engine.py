@@ -1,9 +1,14 @@
 import io
 import logging
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,27 +355,133 @@ def test_threaded_step_with_more_threads_than_cores(monkeypatch):
     assert parts == 4 and np.array_equal(threaded, serial)
 
 
-def _step_helpers():
-    return {t for t in threading.enumerate() if t.name.startswith("hn4walk-step")}
+def _helper_pids(walk):
+    return [pid for pid, _, _ in walk._helpers.procs]
 
 
-def test_helper_threads_end_with_their_engine(monkeypatch):
-    # a two-part engine steps with one helper thread of its own, which ends
-    # when the engine is dropped; a one-part engine starts none
+def _reaped(pid):
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def test_helper_processes_end_with_their_engine(monkeypatch):
+    # a two-part engine forks no helper at construction or during the serial
+    # warm-up, exactly one once stepped past it, and reaps it when dropped; a
+    # one-part engine never forks
     config = WalkConfig.with_na(TopologyParams.from_side(512), 17.0, ((1, 6),))
-    before = _step_helpers()
     monkeypatch.setattr(engine_module, "_step_cores", 2)
     walk = WalkEngine(config)
-    walk.advance(3)
-    assert len(walk._parts) == 2 and len(_step_helpers() - before) == 1
+    assert len(walk._parts) == 2 and not _helper_pids(walk)
+    walk.advance(engine_module._WARMUP_STEPS)
+    assert not _helper_pids(walk)
+    walk.advance()
+    (pid,) = _helper_pids(walk)
+    assert not _reaped(pid)
     del walk
-    for helper in _step_helpers():
-        helper.join(10)
-    assert not _step_helpers(), "a step helper outlived its engine"
+    assert _reaped(pid), "a step helper outlived its engine"
     monkeypatch.setattr(engine_module, "_step_cores", 1)
     walk = WalkEngine(config)
-    walk.advance(3)
-    assert len(walk._parts) == 1 and not _step_helpers()
+    walk.advance(engine_module._WARMUP_STEPS + 3)
+    assert len(walk._parts) == 1 and not _helper_pids(walk)
+
+
+def test_helper_processes_end_at_interpreter_exit():
+    # a process that exits with its engine still held reaps every helper
+    script = (
+        "from hn4walk import engine\n"
+        "engine._step_cores = 2\n"
+        "walk = engine.WalkEngine(engine.WalkConfig.with_na("
+        "engine.TopologyParams.from_side(512), 17.0, ((1, 6),)))\n"
+        "walk.advance(engine._WARMUP_STEPS + 1)\n"
+        "print(*[pid for pid, _, _ in walk._helpers.procs])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(engine_module.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    pids = [int(pid) for pid in result.stdout.split()]
+    assert len(pids) == 1
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def _helper_engine(monkeypatch, config, state=None):
+    """A two-part engine stepped one step past the warm-up, so on its helper."""
+    monkeypatch.setattr(engine_module, "_step_cores", 2)
+    walk = WalkEngine(config)
+    if state is not None:
+        walk.set_amplitudes(state)
+    walk.advance(engine_module._WARMUP_STEPS + 1)
+    assert len(_helper_pids(walk)) == 1
+    return walk
+
+
+def test_dead_helper_fails_the_next_step(monkeypatch):
+    config = WalkConfig.with_na(TopologyParams.from_side(512), 17.0, ((1, 6),))
+    walk = _helper_engine(monkeypatch, config)
+    (pid,) = _helper_pids(walk)
+    os.kill(pid, signal.SIGKILL)
+    raised = []
+
+    def step():
+        try:
+            walk.advance()
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    stepper = threading.Thread(target=step, daemon=True)  # a hang must not block exit
+    stepper.start()
+    stepper.join(60)
+    assert not stepper.is_alive(), "a step hung on a dead helper"
+    assert len(raised) == 1 and _reaped(pid)
+
+
+def test_forked_child_refuses_to_write_shared_state(monkeypatch):
+    # a child's step, reset or load would write into the parent's shared buffers
+    config = WalkConfig.with_na(TopologyParams.from_side(512), 17.0, ((1, 6), (255, 5)))
+    _, serial = _stepped(monkeypatch, config, 1, steps=2 * engine_module._WARMUP_STEPS)
+    walk = _helper_engine(monkeypatch, config)
+    fork = multiprocessing.get_context("fork")
+    receive, send = fork.Pipe(duplex=False)
+
+    def child():
+        refused = []
+        for write in (walk.advance, walk.reset, lambda: walk.set_amplitudes(serial)):
+            try:
+                write()
+            except RuntimeError as exc:
+                refused.append("build a new engine" in str(exc))
+        send.send(refused)
+
+    process = fork.Process(target=child)
+    process.start()
+    try:
+        assert receive.poll(60), "the forked child did not answer"
+        assert receive.recv() == [True, True, True]
+    finally:
+        process.join(10)
+        if process.is_alive():
+            process.terminate()
+            process.join(10)
+    assert process.exitcode == 0
+    walk.advance(engine_module._WARMUP_STEPS - 1)
+    assert np.array_equal(walk.amplitudes, serial)
+
+
+@pytest.mark.parametrize("mode", list(EdgeMode))
+def test_complex_step_on_helpers_is_bit_identical(monkeypatch, mode):
+    config = WalkConfig.with_na(TopologyParams.from_side(512), 17.0, ((1, 6), (255, 5)), mode)
+    psi = random_state(len(directions(mode)), config.topology.n_vertices)
+    steps = engine_module._WARMUP_STEPS + 3
+    _, serial = _stepped(monkeypatch, config, 1, psi, steps=steps)
+    walk = _helper_engine(monkeypatch, config, psi)
+    walk.advance(2)
+    assert walk.amplitudes.dtype == np.complex128 and np.array_equal(walk.amplitudes, serial)
 
 
 @pytest.mark.parametrize("mode", list(EdgeMode))

@@ -225,6 +225,8 @@ def test_resolve_na():
     for bad in ("M", "xM"):  # a coefficient that does not parse names the rule
         with pytest.raises(ValueError, match="na rule"):
             resolve_na(bad, 3)
+    with pytest.raises(ValueError, match="na rule '8.5' needs the 'M' suffix"):
+        resolve_na("8.5", 3)  # as --na-rule passes it: a string, never a number
 
 
 def test_sweep_self_loop_marks_optimum():
@@ -311,11 +313,11 @@ def _side_512_engine():
 
 
 def test_map_jobs_after_threaded_step_in_parent(monkeypatch):
-    # an engine's helper threads do not survive a fork: pool workers step on
-    # one thread, and a new engine in a forked child starts its own helpers
+    # a fork while an engine's helper processes run: pool workers step on one
+    # core, and a new engine in a forked child forks helpers of its own
     monkeypatch.setattr(engine, "_step_cores", 2)
     walk = _side_512_engine()
-    walk.advance(3)
+    walk.advance(engine._WARMUP_STEPS + 1)
     assert len(walk._parts) == 2
     jobs = density_jobs([512], 0.001, trials=2, seed=17)
     serial = list(run_jobs(jobs, 1))
@@ -328,7 +330,7 @@ def test_map_jobs_after_threaded_step_in_parent(monkeypatch):
 
     def child():
         again = _side_512_engine()
-        again.advance(3)
+        again.advance(engine._WARMUP_STEPS + 1)
         send.send((len(again._parts), np.array_equal(again.amplitudes, walk.amplitudes)))
 
     process = fork.Process(target=child)
