@@ -21,10 +21,12 @@ import logging
 import sys
 from datetime import datetime, timezone
 from itertools import tee
+from pathlib import Path
 
 from .fitting import FitError, fit_scaling, parse_model
 from .reporting import (
     TRACE_HEADER,
+    manifest_path,
     read_records_csv,
     write_manifest,
     write_records_csv,
@@ -166,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> dict:
-    from .engine import WalkConfig, _check_memory, memory_requirement, run, step_threads
+    from .engine import WalkConfig, WalkEngine, step_threads
     from .experiments import step_budget
 
     topology = TopologyParams.from_side(args.side)
@@ -176,11 +178,11 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
         if args.steps == "auto"
         else args.steps
     )
-    needed = memory_requirement(topology, config.edge_mode)
-    _check_memory(needed, f"the walk needs {needed} bytes")  # before --out is opened
+    engine = WalkEngine(config)  # the memory guard, before --out is opened
     with open(args.out, "w", newline="") as handle:
         handle.write(TRACE_HEADER + "\n")
-        run(config, t_max, sink=handle)
+        for t, p in enumerate(engine.trace(t_max)):  # each row as its step ends
+            handle.write(f"{t},{p!r}\n")
     return {"resolved_steps": t_max, "step_threads": step_threads(topology, config.edge_mode)}
 
 
@@ -245,6 +247,9 @@ def _cmd_density(args: argparse.Namespace) -> dict:
 
 
 def _cmd_fit(args: argparse.Namespace) -> dict:
+    written = {Path(args.out).resolve(), manifest_path(args.out).resolve()}
+    if written & {Path(args.records).resolve(), manifest_path(args.records).resolve()}:
+        raise ValueError(f"--out {args.out} would overwrite the records or their manifest")
     model = parse_model(args.model)
     records = read_records_csv(args.records)
     result = fit_scaling(records, model)

@@ -16,8 +16,8 @@ The engine walks the grid in bands of consecutive y rows, sized so that the
 C source rows of a band (about 2 MiB) stay in cache between the two reads
 of it: one builds the band's g, the other coins each row into the row
 buffer and moves it into its destination in the other state buffer.  A
-step needs no table and, beside the two state buffers, two band-sized
-buffers per part.
+step needs no table and, beside the two state buffers, one pair of
+band-sized buffers.
 
 Bands are independent: each reads only the source buffer and, since every
 move is a permutation, writes its own destinations.  A lattice of at least
@@ -25,14 +25,15 @@ two bands per core therefore splits its y rows into one contiguous part per
 core the step may use.  The calling process runs the first part and one
 forked helper process per other part runs that part, each with its own
 interpreter, so no part waits for another's interpreter lock.  The helpers
-step over the two state buffers in shared anonymous memory; an engine moves
-its buffers there and forks its helpers only once it has taken a warm-up of
-steps on the calling process alone, so a short walk never forks.  Each
-vertex is computed by the same operations in the same order whatever the
-banding, so the result is bit-identical for any band size and process
-count.  A job-pool worker steps on one core, as its siblings fill the other
-cores.  An engine whose helpers run shares its state with them, so a forked
-child refuses to step, reset or load it: build a new engine there.
+step over the two state buffers in shared anonymous memory, each in its own
+copy-on-write copy of the band pair; an engine moves its state there and
+forks its helpers only after a serial warm-up, so a short walk never
+forks.  Each vertex is computed by the same operations in the same order
+whatever the banding, so the result is bit-identical for any band size and
+process count.  A job-pool worker steps on one core, as its siblings fill
+the other cores.  An engine whose helpers run shares its state with them,
+so a forked child refuses to step, reset or load it: build a new engine
+there.
 
 Evolution never renormalises: norm drift is a measured property, not a
 silently corrected one.
@@ -46,7 +47,7 @@ import os
 import weakref
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import IO, Iterator
+from typing import Iterator
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -294,11 +295,6 @@ def _layout(topology: TopologyParams, edge_mode: EdgeMode) -> _Layout:
     )
 
 
-def _band_buffer_shape(parts: _Layout, side: int) -> tuple[int, int, int]:
-    """(parts, y rows, L) of a step's overlap or row buffer: one first band per part."""
-    return len(parts), parts[0][0][1], side
-
-
 def step_threads(topology: TopologyParams, edge_mode: EdgeMode) -> int:
     """Processes one step of a walk on ``topology`` runs on from this process,
     the calling one and its helpers, once past the serial warm-up
@@ -380,7 +376,7 @@ def shift_permutation(topology: TopologyParams, edge_mode: EdgeMode) -> np.ndarr
     slots = slots.reshape(-1, side, side)
     table = np.empty_like(slots)
     parts = _layout(topology, edge_mode)
-    zero = np.zeros(_band_buffer_shape(parts, side)[1:], dtype=np.int64)
+    zero = np.zeros((parts[0][0][1], side), dtype=np.int64)
     tmp = np.empty_like(zero)
     moves = _moves(topology, edge_mode)
     for part in parts:
@@ -464,9 +460,9 @@ def amplified_cost(peak_step: int, peak_probability: float) -> float:
 
 def _held_bytes(topology: TopologyParams, edge_mode: EdgeMode, parts: _Layout, dtype: type) -> int:
     """Bytes of an engine's buffers for amplitudes of ``dtype`` on the band
-    layout ``parts``: two C x N state buffers plus the step's overlap and row
-    buffers (:func:`_band_buffer_shape`)."""
-    band = math.prod(_band_buffer_shape(parts, topology.side))
+    layout ``parts``: two C x N state buffers plus the step's one overlap and
+    one row buffer of R x L, R the first band's y rows, whatever the parts."""
+    band = parts[0][0][1] * topology.side
     return 2 * (len(directions(edge_mode)) * topology.n_vertices + band) * np.dtype(dtype).itemsize
 
 
@@ -478,11 +474,10 @@ def _check_memory(needed: int, message: str) -> None:
 
 
 def memory_requirement(topology: TopologyParams, edge_mode: EdgeMode) -> int:
-    """Bytes a :class:`WalkEngine` allocates for a real state: two state buffers
-    of C * N float64 amplitudes (2 * 8 * C * N) plus the overlap and row
-    buffers of the banded step, 8 * T * R * L each for T parts
-    (:func:`step_threads`) with a band of R y rows each (R = L, one band and
-    one part, up to side 128).  A complex state loaded with
+    """Bytes a :class:`WalkEngine` allocates for a real state, the same on any
+    cores: two C x N float64 state buffers plus the step's R x L overlap and
+    row buffers, R the y rows of a band (R = L up to side 128), so
+    16 * (C * N + R * L).  A complex state loaded with
     :meth:`WalkEngine.set_amplitudes` needs twice this."""
     return _held_bytes(topology, edge_mode, _layout(topology, edge_mode), np.float64)
 
@@ -520,11 +515,12 @@ class WalkEngine:
     current one in bands of y rows, builds each band's shared coin terms and
     moves every coined row of the band into its destination in the other
     buffer.  The bands are split into one contiguous part per process of
-    :func:`step_threads`, fixed at construction, each with its own overlap
-    and row buffers.  Once the engine has taken ``_WARMUP_STEPS`` steps on
-    the calling process alone, it moves its state buffers into shared
-    memory and forks one helper process per part past the first; from then
-    on the calling process runs the first part and the helpers the others.
+    :func:`step_threads`, fixed at construction, all stepped in one overlap
+    and one row buffer (each helper in its own copy).  Once the engine has
+    taken ``_WARMUP_STEPS`` steps on the calling process alone, it moves its
+    state buffers into shared memory and forks one helper process per part
+    past the first; from then on the calling process runs the first part and
+    the helpers the others.
     The helpers end when the engine is dropped, at interpreter exit, or
     before a reallocation (a complex :meth:`set_amplitudes`), after which
     they start again past the warm-up.  An engine whose helpers another
@@ -555,7 +551,7 @@ class WalkEngine:
 
     def _allocate(self, dtype: type) -> None:
         """(Re)allocate the state, scratch, overlap and row buffers for ``dtype``,
-        one band of overlap and row per part, refusing when they would exceed
+        one band of overlap and one of row, refusing when they would exceed
         the memory limit.  Any helpers end first: the new buffers are private."""
         topology, edge_mode = self._config.topology, self._config.edge_mode
         needed = _held_bytes(topology, edge_mode, self._parts, dtype)
@@ -569,7 +565,7 @@ class WalkEngine:
         self._state = self._scratch = self._overlap = self._row = None  # free before allocating
         self._state = np.empty((len(directions(edge_mode)), topology.n_vertices), dtype=dtype)
         self._scratch = np.empty_like(self._state)
-        self._overlap = np.empty(_band_buffer_shape(self._parts, topology.side), dtype=dtype)
+        self._overlap = np.empty((self._parts[0][0][1], topology.side), dtype=dtype)
         self._row = np.empty_like(self._overlap)
 
     @property
@@ -752,26 +748,19 @@ class WalkEngine:
             os._exit(code)
 
     def _step_part(self, src: np.ndarray, dst: np.ndarray, part: int) -> None:
-        """Coin and shift the bands of one thread's part, in its own buffers."""
-        overlap, row = self._overlap[part], self._row[part]
+        """Coin and shift the bands of one part in this process's band pair."""
         for y0, y1 in self._parts[part]:
-            g, h = overlap[:y1 - y0], row[:y1 - y0]
+            g, h = self._overlap[:y1 - y0], self._row[:y1 - y0]
             _coin_terms(src[:, y0:y1], self._weights, g, h)
             _shift_band(src, dst, y0, y1, g, h, h, self._moves)
 
 
-def run(config: WalkConfig, t_max: int, sink: IO[str] | None = None) -> np.ndarray:
+def run(config: WalkConfig, t_max: int) -> np.ndarray:
     """Evolve from the initial state and return P(t) for t = 0 .. t_max (float64).
 
-    Deterministic for a fixed config.  When ``sink`` is given, each sample is
-    streamed to it as a CSV row "t,P" as soon as it is computed.
+    Deterministic for a fixed config.  The samples are held outside the memory
+    guard; iterate :meth:`WalkEngine.trace` to stream a long trace.
     """
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    engine = WalkEngine(config)
-    probabilities = np.empty(t_max + 1, dtype=np.float64)
-    for t, p in enumerate(engine.trace(t_max)):
-        probabilities[t] = p
-        if sink is not None:
-            sink.write(f"{t},{p!r}\n")
-    return probabilities
+    return np.fromiter(WalkEngine(config).trace(t_max), np.float64, t_max + 1)

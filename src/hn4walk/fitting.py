@@ -47,7 +47,9 @@ class FitError(ValueError):
 
 
 def model_scale(model: RuntimeModel, n_elements: int, m: int) -> float:
-    """Model value f(N, M) for one record."""
+    """Model value f(N, M) for one record; N and M must be at least 1."""
+    if n_elements < 1 or m < 1:
+        raise FitError(f"a record needs N >= 1 and M >= 1, got N={n_elements}, M={m}")
     ratio = n_elements / m
     if RuntimeModel(model) is RuntimeModel.SQRT:
         return math.sqrt(ratio)

@@ -90,6 +90,32 @@ def test_simulate_warns_on_exceptional_target(tmp_path, caplog):
     assert any("exceptional" in rec.message for rec in caplog.records)
 
 
+def test_simulate_writes_rows_as_the_walk_steps(tmp_path, monkeypatch):
+    # a walk that fails after k steps leaves the header and its first k + 1 rows
+    k = 7
+    config = WalkConfig.with_na(TopologyParams.from_side(16), 8.5, ((1, 6),))
+    expected = "step,probability\n" + "".join(
+        f"{t},{p!r}\n" for t, p in enumerate(run(config, k).tolist())
+    )
+    advance = WalkEngine.advance
+
+    class Interrupted(Exception):
+        pass
+
+    def advance_k_steps(self, steps=1):
+        if self.t + steps > k:
+            raise Interrupted
+        advance(self, steps)
+
+    monkeypatch.setattr(WalkEngine, "advance", advance_k_steps)
+    out = tmp_path / "trace.csv"
+    with pytest.raises(Interrupted):
+        main(["simulate", "--side", "16", "--targets", "1,6", "--na", "8.5",
+              "--steps", "40", "--out", str(out)])
+    assert out.read_bytes() == expected.encode()
+    assert not (tmp_path / "trace.manifest.json").exists()
+
+
 def test_simulate_resource_error(tmp_path):
     code = main([
         "simulate", "--side", "65536", "--targets", "1,6", "--na", "8.5",
@@ -211,7 +237,7 @@ def test_usage_error_in_a_job_writes_nothing(tmp_path, argv):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_manifest_records_step_threads_of_largest_side(tmp_path, workers):
-    # in-process jobs step on every band part of the largest side; pool workers on one thread
+    # in-process jobs step on every band part of the largest side; pool workers on one core
     out = tmp_path / "density.csv"
     assert main(["density", "--sides", "64,512", "--fraction", "0.001", "--trials", "1",
                  "--workers", workers, "--out", str(out)]) == 0
@@ -253,6 +279,33 @@ def test_fit_model_record_mismatch_is_usage_error(tmp_path):
     assert code == 2
     assert main(["fit", "--records", str(records_path), "--model", "cubic",
                  "--out", str(tmp_path / "f.json")]) == 2
+
+
+def test_fit_refuses_records_without_targets(tmp_path):
+    records_path = tmp_path / "run.csv"
+    write_records_csv(records_path, [
+        ScalingRecord(side, side * side, m, 8.5, "hn4", 0, 0, side, 0.9, side / 0.9 ** 0.5)
+        for side, m in ((16, 1), (32, 0), (64, 1))
+    ])
+    fit_path = tmp_path / "fit.json"
+    assert main(["fit", "--records", str(records_path), "--model", "sqrt",
+                 "--out", str(fit_path)]) == 2
+    assert not fit_path.exists()
+    assert not (tmp_path / "fit.manifest.json").exists()
+
+
+@pytest.mark.parametrize("out", ["run.csv", "run.json", "run.manifest.json"])
+def test_fit_refuses_to_overwrite_its_records_or_their_manifest(tmp_path, out):
+    records_path = tmp_path / "run.csv"
+    assert main(["scale", "--sides", "16,32,64", "--m", "1", "--na", "8.5",
+                 "--trials", "1", "--seed", "7", "--out", str(records_path)]) == 0
+    manifest = tmp_path / "run.manifest.json"
+    records, scale_manifest = records_path.read_bytes(), manifest.read_bytes()
+    assert main(["fit", "--records", str(records_path), "--model", "sqrt",
+                 "--out", str(tmp_path / out)]) == 2
+    assert records_path.read_bytes() == records
+    assert manifest.read_bytes() == scale_manifest
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["run.csv", "run.manifest.json"]
 
 
 def test_file_errors_are_usage_errors(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import io
 import logging
 import math
 import multiprocessing
@@ -50,7 +49,7 @@ def random_state(n_coins, n_vertices, rng=RNG):
 
 # side 64 is one band; side 512 takes 10 (HN4) or 6 (grid) bands of y rows, a
 # partial last band and the two bands whose y moves wrap among them, split on
-# two or more cores into one part per thread of 5 or 3 bands, each partial last
+# two or more cores into one part per process of 5 or 3 bands, each partial last
 BAND_CASES = [
     pytest.param(mode, side, id=mode.value if side == 64 else f"{side}-{mode.value}")
     for side in (64, 512)
@@ -543,18 +542,6 @@ def test_run_is_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
-def test_run_streams_rows_to_sink():
-    config = make_config(side=4, targets=((1, 2),))
-    sink = io.StringIO()
-    trace = run(config, 3, sink=sink)
-    lines = sink.getvalue().splitlines()
-    assert len(lines) == 4
-    for t, line in enumerate(lines):
-        step_str, p_str = line.split(",")
-        assert int(step_str) == t
-        assert float(p_str) == trace[t]
-
-
 def test_memory_requirement_and_limit(monkeypatch):
     topo = TopologyParams.from_side(16)
     assert memory_requirement(topo, EdgeMode.HN4) == 2 * 8 * 9 * 256 + 2 * 8 * 256
@@ -575,8 +562,8 @@ def test_memory_requirement_and_limit(monkeypatch):
 @pytest.mark.parametrize("mode, side", BAND_CASES)
 def test_memory_requirement_covers_engine_allocations(mode, side):
     # every large allocation must be counted by the guard; "large" starts at
-    # the float64 overlap buffer, one band per thread (one band at side 64, a
-    # band of y rows for each thread at 512)
+    # the float64 overlap buffer, one band of y rows whatever the parts (the
+    # whole grid at side 64, 56 or 102 of its 512 rows at 512)
     topo = TopologyParams.from_side(side)
     n_coins = len(directions(mode))
     config = WalkConfig.with_na(topo, 8.5, ((1, 6),), mode)
@@ -598,6 +585,21 @@ def test_memory_requirement_covers_engine_allocations(mode, side):
     assert large(snapshot) >= 2 * 8 * n_coins * topo.n_vertices + 2 * band_bytes
     assert engine.amplitudes.dtype == np.complex128
     assert large(complex_snapshot) <= 2 * memory_requirement(topo, mode)
+
+
+@pytest.mark.parametrize("side", [512, 1024])
+@pytest.mark.parametrize("mode", list(EdgeMode))
+def test_memory_requirement_is_one_band_pair_on_any_cores(monkeypatch, mode, side):
+    # every process steps its parts in one overlap and one row buffer of the
+    # first band's R y rows, so the guard counts 16 * (C * N + R * L) bytes
+    # however many parts the step is split into
+    topo = TopologyParams.from_side(side)
+    needed = set()
+    for cores in (1, 2, 4):
+        monkeypatch.setattr(engine_module, "_step_cores", cores)
+        needed.add(memory_requirement(topo, mode))
+        rows = engine_module._layout(topo, mode)[0][0][1]
+    assert needed == {16 * (len(directions(mode)) * topo.n_vertices + rows * side)}
 
 
 def test_engine_counts_steps_and_resets():

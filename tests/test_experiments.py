@@ -305,7 +305,7 @@ def test_map_jobs_pool_never_exceeds_job_count(monkeypatch):
     assert list(run_jobs(trial_jobs([(16, 1)], 8.5, 2, 7), 6)) == [1, 2]
     assert list(run_jobs(trial_jobs([(16, 1)], 8.5, 3, 7), 2)) == [1, 2, 3]
     assert sizes == [2, 2]
-    assert initializers == [engine._step_on_one_core] * 2  # workers step on one thread
+    assert initializers == [engine._step_on_one_core] * 2  # workers step on one core
 
 
 def _side_512_engine():

@@ -53,6 +53,18 @@ def test_model_scale():
         model_scale(RuntimeModel.SQRT_LOG, 16, 16)
 
 
+@pytest.mark.parametrize("model", list(RuntimeModel))
+@pytest.mark.parametrize(
+    "n_elements, m, match",
+    [(4096, 0, "M >= 1, got N=4096, M=0"), (4096, -1, "M >= 1, got N=4096, M=-1"),
+     (0, 1, "M >= 1, got N=0, M=1")],
+    ids=["m-zero", "m-negative", "n-zero"],
+)
+def test_model_scale_refuses_empty_lattice_or_target_set(model, n_elements, m, match):
+    with pytest.raises(FitError, match=match):
+        model_scale(model, n_elements, m)
+
+
 def test_fit_exact_synthetic():
     records = [record(n, 1, 2 * int(math.sqrt(n))) for n in (4096, 16384, 65536)]
     fit = fit_scaling(records, RuntimeModel.SQRT)
