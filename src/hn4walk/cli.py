@@ -1,16 +1,17 @@
 """Command-line front end.
 
-Subcommands drive the library modules and emit CSV/JSON files.  Each
-returns its command-specific manifest fields, and :func:`main` writes the
-manifest JSON beside the output once the command has succeeded.  Progress
-goes to stderr.
+Subcommands drive the library modules and hand their rows to the CSV/JSON
+writers of :mod:`~hn4walk.reporting`.  Each returns its command-specific
+manifest fields, and :func:`main` writes the manifest JSON beside the output
+once the command has succeeded.  Progress goes to stderr.
 
 Only the numpy-free modules load with the CLI; a walk command imports the
 engine and the experiment protocols when it runs, so ``fit``, ``--help``
 and a usage error never load numpy.
 
-Exit codes: 0 success, 2 usage error (including an input file that cannot
-be read or an output file that cannot be opened), 3 no qualifying peak,
+Exit codes: 0 success, 2 usage error (including a negative seed, an input
+file that cannot be read, a malformed records row, named by its file and
+line, or an output file that cannot be opened), 3 no qualifying peak,
 4 resource limit (one engine, or every engine a job pool may hold at once).
 """
 
@@ -25,13 +26,13 @@ from pathlib import Path
 
 from .fitting import FitError, fit_scaling, parse_model
 from .reporting import (
-    TRACE_HEADER,
     manifest_path,
     read_records_csv,
     write_manifest,
     write_records_csv,
     write_fit_json,
     write_sweep_csv,
+    write_trace_csv,
 )
 from .topology import EXCEPTIONAL_POLICIES, EdgeMode, TopologyParams, TopologyError
 
@@ -179,10 +180,7 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
         else args.steps
     )
     engine = WalkEngine(config)  # the memory guard, before --out is opened
-    with open(args.out, "w", newline="") as handle:
-        handle.write(TRACE_HEADER + "\n")
-        for t, p in enumerate(engine.trace(t_max)):  # each row as its step ends
-            handle.write(f"{t},{p!r}\n")
+    write_trace_csv(args.out, engine.trace(t_max))  # each row as its step ends
     return {"resolved_steps": t_max, "step_threads": step_threads(topology, config.edge_mode)}
 
 

@@ -28,12 +28,13 @@ interpreter, so no part waits for another's interpreter lock.  The helpers
 step over the two state buffers in shared anonymous memory, each in its own
 copy-on-write copy of the band pair; an engine moves its state there and
 forks its helpers only after a serial warm-up, so a short walk never
-forks.  Each vertex is computed by the same operations in the same order
-whatever the banding, so the result is bit-identical for any band size and
-process count.  A job-pool worker steps on one core, as its siblings fill
-the other cores.  An engine whose helpers run shares its state with them,
-so a forked child refuses to step, reset or load it: build a new engine
-there.
+forks.  An engine whose shared buffers or helpers cannot be had steps the
+rest of its walk on the calling process.  Each vertex is computed by the
+same operations in the same order whatever the banding, so the result is
+bit-identical for any band size and process count.  A job-pool worker
+steps on one core, as its siblings fill the other cores.  An engine whose
+helpers run shares its state with them, so a forked child refuses to step,
+reset or load it: build a new engine there.
 
 Evolution never renormalises: norm drift is a measured property, not a
 silently corrected one.
@@ -520,7 +521,8 @@ class WalkEngine:
     taken ``_WARMUP_STEPS`` steps on the calling process alone, it moves its
     state buffers into shared memory and forks one helper process per part
     past the first; from then on the calling process runs the first part and
-    the helpers the others.
+    the helpers the others; if they cannot start, every part stays on the
+    calling process for the rest of the engine's life.
     The helpers end when the engine is dropped, at interpreter exit, or
     before a reallocation (a complex :meth:`set_amplitudes`), after which
     they start again past the warm-up.  An engine whose helpers another
@@ -685,23 +687,33 @@ class WalkEngine:
     def _start_helpers(self) -> None:
         """Move the state buffers into shared anonymous memory, one at a time so
         that no more than ``_held_bytes`` is held, then fork one helper per
-        part past the first."""
+        part past the first.  When a buffer or a helper cannot be had (an
+        OSError), the helpers that started end, the engine keeps a full buffer
+        pair, logs one warning and steps every band on this process from then
+        on, as one part."""
         import mmap  # only an engine that forks helpers loads it
 
         shape, dtype, size = self._state.shape, self._state.dtype, self._state.nbytes
         self._scratch = self._shared = None
-        state = np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
-        np.copyto(state, self._state)
-        self._state = state
-        self._scratch = np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
-        self._shared = (self._state, self._scratch)
-        self._helpers.owner = os.getpid()
         try:
-            for part in range(1, len(self._parts)):
-                self._helpers.procs.append(self._fork_helper(part))
-        except BaseException:  # a step on fewer helpers than parts would skip bands
-            self._helpers.stop()
-            raise
+            try:
+                state = np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
+                np.copyto(state, self._state)
+                self._state = state
+                self._scratch = np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
+                self._shared = (self._state, self._scratch)
+                self._helpers.owner = os.getpid()
+                for part in range(1, len(self._parts)):
+                    self._helpers.procs.append(self._fork_helper(part))
+            except BaseException:  # a step on fewer helpers than parts would skip bands
+                self._helpers.stop()
+                if self._scratch is None:
+                    self._scratch = np.empty_like(self._state)
+                raise
+        except OSError as exc:  # such as EAGAIN under a process limit, or ENOMEM
+            self._parts = (sum(self._parts, ()),)
+            logger.warning("step helpers could not start (%s); this walk steps on one process",
+                           exc)
 
     def _fork_helper(self, part: int) -> tuple[int, int, int]:
         """Fork the helper of ``part``: its (pid, command fd, ack fd)."""

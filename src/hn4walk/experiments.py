@@ -39,6 +39,7 @@ from .engine import (
     _check_memory,
     _step_on_one_core,
     amplified_cost,
+    available_cores,
     memory_requirement,
     run,
     step_threads,
@@ -387,11 +388,13 @@ def trial_jobs(
     policy: str = "line", **fields,
 ) -> list[TrialJob]:
     """Seeded trials of each (side, m) cell, ordered by (cell, trial); ``fields``
-    sets the remaining :class:`TrialJob` fields of every job.  Each cell's
-    ``m`` and weight are checked here, and a repeated cell is refused (its
-    seeded rows would repeat too), so a bad cell fails before any job runs."""
+    sets the remaining :class:`TrialJob` fields of every job.  The seed, each
+    cell's ``m`` and weight are checked here, and a repeated cell is refused
+    (its seeded rows would repeat too), so a bad cell fails before any job runs."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     cells = list(cells)
     if len(set(cells)) < len(cells):
         raise ValueError(f"each (side, m) cell may appear once, got {cells}")
@@ -470,9 +473,10 @@ def run_jobs(jobs: Sequence[TrialJob], workers: int) -> Iterator[tuple[ScalingRe
     """Check the pool, then return an iterator over :func:`trial_record` of every
     job in submission order, logging each result.
 
-    The pool holds min(workers, jobs) processes, and ``workers <= 1`` or one
-    job stays in-process.  That many engines, each the size of the largest
-    job's (:func:`~hn4walk.engine.memory_requirement`), are checked against
+    The pool holds min(workers, jobs, cores) processes, the cores being
+    :func:`~hn4walk.engine.available_cores`, and a pool of one stays
+    in-process.  That many engines, each the size of the largest job's
+    (:func:`~hn4walk.engine.memory_requirement`), are checked against
     :data:`~hn4walk.engine.DEFAULT_MEMORY_LIMIT` when this is called, so
     :class:`~hn4walk.engine.ResourceLimitError` comes before any job runs.
     Pool workers step their walks on one core each, since together they
@@ -484,7 +488,7 @@ def run_jobs(jobs: Sequence[TrialJob], workers: int) -> Iterator[tuple[ScalingRe
         (memory_requirement(TopologyParams.from_side(side), mode) for side, mode in walks),
         default=0,
     )
-    engines = min(workers, len(jobs))
+    engines = min(workers, len(jobs), available_cores())
     _check_memory(
         engines * largest, f"{engines} walks held at once need {engines} x {largest} bytes"
     )

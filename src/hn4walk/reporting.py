@@ -1,9 +1,11 @@
 """Reproducible file emission: CSV tables, fit JSON, and run manifests.
 
-All CSV output uses a header row, comma separators, "." decimals, and LF
-line endings.  Floats are written with repr (shortest round-trip form), so a
-rerun with the same manifest and a single worker produces byte-identical
-files.  :func:`write_manifest` writes the pretty-printed manifest JSON that
+One streaming writer emits every data CSV (trace, sweep, records): a header
+row, then each row as it arrives, comma-separated, with "." decimals, LF
+line endings and floats in repr (shortest round-trip) form, so a rerun with
+the same manifest produces byte-identical files.  The records' columns and
+their parsing come from the fields of :class:`ScalingRecord`.
+:func:`write_manifest` writes the pretty-printed manifest JSON that
 accompanies every output file, recording the command, the full parameter
 set, the seed and PRNG identifier, the engine version, the worker count,
 the python version, the version of the numpy the command loaded (null when
@@ -26,8 +28,9 @@ import resource
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, get_type_hints
 
 if TYPE_CHECKING:
     from .experiments import SweepResult
@@ -43,6 +46,7 @@ __all__ = [
     "available_cores",
     "manifest_path",
     "write_manifest",
+    "write_trace_csv",
     "write_sweep_csv",
     "write_records_csv",
     "read_records_csv",
@@ -54,9 +58,6 @@ PRNG_ALGORITHM = "numpy-pcg64"
 
 TRACE_HEADER = "step,probability"
 SWEEP_HEADER = "na,peak_step,peak_probability,optimal"
-RECORDS_HEADER = (
-    "side,n_elements,m,na,mode,seed,trial,peak_step,peak_probability,amplified_cost"
-)
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,12 @@ class ScalingRecord:
     peak_step: int
     peak_probability: float
     amplified_cost: float
+
+
+#: Each record column's name and type, in column order, and a record's row.
+_RECORD_TYPES = get_type_hints(ScalingRecord)
+_record_row = attrgetter(*_RECORD_TYPES)
+RECORDS_HEADER = ",".join(_RECORD_TYPES)
 
 
 def available_cores() -> int:
@@ -92,10 +99,13 @@ def _peak_rss_bytes() -> dict:
     }
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _write_csv(path: str | Path, header: str, rows: Iterable[tuple]) -> None:
+    """Write ``header``, then each of ``rows`` as it arrives (``str`` of a
+    float is its shortest round-trip repr)."""
+    with open(path, "w", newline="") as handle:
+        handle.write(header + "\n")
+        for row in rows:
+            handle.write(",".join(map(str, row)) + "\n")
 
 
 def manifest_path(out_path: str | Path) -> Path:
@@ -135,51 +145,40 @@ def write_manifest(
     return path
 
 
+def write_trace_csv(path: str | Path, samples: Iterable[float]) -> None:
+    """Write P(t) for t = 0, 1, ..., one row per sample as it arrives."""
+    _write_csv(path, TRACE_HEADER, enumerate(samples))
+
+
 def write_sweep_csv(path: str | Path, sweep: SweepResult) -> None:
-    with open(path, "w", newline="") as handle:
-        handle.write(SWEEP_HEADER + "\n")
-        for i, point in enumerate(sweep.points):
-            optimal = 1 if i == sweep.optimal_index else 0
-            handle.write(
-                f"{_fmt(point.na)},{point.peak_step},"
-                f"{_fmt(point.peak_probability)},{optimal}\n"
-            )
+    _write_csv(path, SWEEP_HEADER, (
+        (point.na, point.peak_step, point.peak_probability, int(i == sweep.optimal_index))
+        for i, point in enumerate(sweep.points)
+    ))
 
 
-def write_records_csv(path: str | Path, records: Sequence[ScalingRecord]) -> None:
-    with open(path, "w", newline="") as handle:
-        handle.write(RECORDS_HEADER + "\n")
-        for r in records:
-            handle.write(
-                f"{r.side},{r.n_elements},{r.m},{_fmt(r.na)},{r.mode},{r.seed},"
-                f"{r.trial},{r.peak_step},{_fmt(r.peak_probability)},"
-                f"{_fmt(r.amplified_cost)}\n"
-            )
+def write_records_csv(path: str | Path, records: Iterable[ScalingRecord]) -> None:
+    _write_csv(path, RECORDS_HEADER, map(_record_row, records))
 
 
 def read_records_csv(path: str | Path) -> list[ScalingRecord]:
+    """The records of a records CSV; a malformed row's ValueError names its path:line."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != RECORDS_HEADER:
         raise ValueError(f"{path}: not a scaling-record CSV (bad header)")
     records = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], 2):
         if not line:
             continue
-        side, n_elements, m, na, mode, seed, trial, peak_step, peak_p, cost = line.split(",")
-        records.append(
-            ScalingRecord(
-                side=int(side),
-                n_elements=int(n_elements),
-                m=int(m),
-                na=float(na),
-                mode=mode,
-                seed=int(seed),
-                trial=int(trial),
-                peak_step=int(peak_step),
-                peak_probability=float(peak_p),
-                amplified_cost=float(cost),
-            )
-        )
+        values = line.split(",")
+        try:
+            if len(values) != len(_RECORD_TYPES):
+                raise ValueError(f"expected {len(_RECORD_TYPES)} fields, got {len(values)}")
+            records.append(ScalingRecord(
+                *(kind(value) for kind, value in zip(_RECORD_TYPES.values(), values))
+            ))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{number}: {exc}") from None
     return records
 
 

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from hn4walk.engine import (
     step_threads,
 )
 from hn4walk.fitting import model_scale, RuntimeModel
-from hn4walk.reporting import read_records_csv, write_records_csv
+from hn4walk.reporting import RECORDS_HEADER, read_records_csv, write_records_csv
 from hn4walk.experiments import ScalingRecord
 from hn4walk.topology import TopologyParams
 
@@ -47,6 +48,21 @@ def test_simulate_writes_trace_and_manifest(tmp_path):
     assert doc["parameters"]["steps"] == 40
     assert doc["resolved_steps"] == 40
     assert doc["step_threads"] == 1  # side 16 is one band
+
+
+def test_simulate_trace_keeps_its_bytes(tmp_path):
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", "--side", "16", "--targets", "1,6", "--na", "8.5",
+                 "--steps", "5", "--out", str(out)]) == 0
+    assert out.read_bytes() == (
+        b"step,probability\n"
+        b"0,0.00390625\n"
+        b"1,0.00390625\n"
+        b"2,0.02449707873429496\n"
+        b"3,0.022758352126162597\n"
+        b"4,0.06317467598684454\n"
+        b"5,0.05987841692850291\n"
+    )
 
 
 def test_simulate_is_byte_identical_across_reruns(tmp_path):
@@ -294,6 +310,19 @@ def test_fit_refuses_records_without_targets(tmp_path):
     assert not (tmp_path / "fit.manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "row", ["64,4096,1,8.5,hn4,123,0", "64,4096,1,8.5,hn4,123,0,113.5,0.99,114.1"],
+    ids=["seven-fields", "non-integer-peak-step"],
+)
+def test_fit_names_the_file_and_line_of_a_bad_record(tmp_path, capsys, row):
+    records = tmp_path / "bad.csv"
+    records.write_text(RECORDS_HEADER + "\n" + row + "\n")
+    assert main(["fit", "--records", str(records), "--model", "sqrt",
+                 "--out", str(tmp_path / "fit.json")]) == 2
+    assert f"hn4walk: {records}:2: " in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.csv"]
+
+
 @pytest.mark.parametrize("out", ["run.csv", "run.json", "run.manifest.json"])
 def test_fit_refuses_to_overwrite_its_records_or_their_manifest(tmp_path, out):
     records_path = tmp_path / "run.csv"
@@ -354,11 +383,49 @@ def test_pool_beyond_the_memory_limit_runs_nothing(tmp_path, monkeypatch, argv):
     # one side-512 engine fits the limit, the two a 2-worker pool holds do not
     one = memory_requirement(TopologyParams.from_side(512), EdgeMode.HN4)
     monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", one * 3 // 2)
+    monkeypatch.setattr(experiments, "available_cores", lambda: 2)
     _fail_on_any_job(monkeypatch)
     out = tmp_path / "pool.csv"
     assert main(argv + ["--workers", "2", "--out", str(out)]) == 4
     assert not out.exists()
     assert not (tmp_path / "pool.manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scale", "--sides", "16", "--m", "1", "--na", "8.5", "--trials", "1"],
+        ["density", "--sides", "16", "--fraction", "0.1", "--trials", "1"],
+    ],
+    ids=["scale", "density"],
+)
+def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    _fail_on_any_job(monkeypatch)
+    out = tmp_path / "seed.csv"
+    assert main(argv + ["--seed", "-1", "--out", str(out)]) == 2
+    assert "hn4walk: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scale_steps_on_one_process_when_no_helper_can_start(tmp_path, monkeypatch, caplog):
+    # a fork refused under a process limit leaves the walk, and its record, on one process
+    forks = []
+
+    def refuse_fork():
+        forks.append(1)
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(engine, "_step_cores", 2)
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    out = tmp_path / "records.csv"
+    assert main(["scale", "--sides", "512", "--m", "4", "--na-rule", "8.5M", "--trials", "1",
+                 "--seed", "602", "--out", str(out)]) == 0
+    assert out.read_text() == (
+        RECORDS_HEADER + "\n"
+        "512,262144,4,34.0,hn4,3559554422,0,525,0.8702242595546996,562.7865508306262\n"
+    )
+    assert forks == [1]
+    assert [r.message for r in caplog.records if "could not start" in r.message] != []
 
 
 def test_one_memory_limit_guards_engines_pools_and_commands(tmp_path, monkeypatch):

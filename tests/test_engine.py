@@ -1,5 +1,7 @@
+import errno
 import logging
 import math
+import mmap
 import multiprocessing
 import os
 import signal
@@ -470,6 +472,38 @@ def test_forked_child_refuses_to_write_shared_state(monkeypatch):
     assert process.exitcode == 0
     walk.advance(engine_module._WARMUP_STEPS - 1)
     assert np.array_equal(walk.amplitudes, serial)
+
+
+@pytest.mark.parametrize("refused", [1, 2, 3], ids=["state-mmap", "scratch-mmap", "fork"])
+def test_helper_that_cannot_start_leaves_the_walk_on_one_process(monkeypatch, caplog, refused):
+    # the first shared buffer, the second, or the helper itself refused by an
+    # OSError: one warning, a full buffer pair, and no second attempt
+    config = WalkConfig.with_na(TopologyParams.from_side(512), 17.0, ((1, 6), (255, 5)))
+    steps = engine_module._WARMUP_STEPS + 3
+    _, serial = _stepped(monkeypatch, config, 1, steps=steps)
+    attempts = []
+
+    def attempt(call):
+        def refuse_or_call(*args):
+            attempts.append(call.__name__)
+            if len(attempts) == refused:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return call(*args)
+        return refuse_or_call
+
+    monkeypatch.setattr(mmap, "mmap", attempt(mmap.mmap))
+    monkeypatch.setattr(os, "fork", attempt(os.fork))
+    monkeypatch.setattr(engine_module, "_step_cores", 2)
+    walk = WalkEngine(config)
+    with caplog.at_level(logging.WARNING, logger="hn4walk.engine"):
+        walk.advance(steps)
+        assert np.array_equal(walk.amplitudes, serial)
+        walk.reset()
+        walk.advance(steps)
+    assert np.array_equal(walk.amplitudes, serial)
+    assert attempts == ["mmap", "mmap", "fork"][:refused]
+    assert len(walk._parts) == 1 and not _helper_pids(walk)
+    assert len([r for r in caplog.records if "could not start" in r.message]) == 1
 
 
 @pytest.mark.parametrize("mode", list(EdgeMode))

@@ -282,8 +282,9 @@ def test_scaling_experiment_worker_count_does_not_change_results():
     assert pooled == serial
 
 
-def test_map_jobs_pool_never_exceeds_job_count(monkeypatch):
-    # a recording stand-in: the real pool forks all its workers at the first submit
+def _recording_pool(monkeypatch):
+    """The sizes and initializers of every pool run_jobs builds, on a stand-in:
+    the real pool forks all its workers at the first submit."""
     sizes, initializers = [], []
 
     class RecordingPool:
@@ -302,10 +303,32 @@ def test_map_jobs_pool_never_exceeds_job_count(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiments, "trial_record", lambda job: job.trial + 1)
+    return sizes, initializers
+
+
+def test_map_jobs_pool_never_exceeds_job_count(monkeypatch):
+    sizes, initializers = _recording_pool(monkeypatch)
+    monkeypatch.setattr(experiments, "available_cores", lambda: 2)
     assert list(run_jobs(trial_jobs([(16, 1)], 8.5, 2, 7), 6)) == [1, 2]
     assert list(run_jobs(trial_jobs([(16, 1)], 8.5, 3, 7), 2)) == [1, 2, 3]
     assert sizes == [2, 2]
     assert initializers == [engine._step_on_one_core] * 2  # workers step on one core
+
+
+def test_pool_never_exceeds_the_cores(monkeypatch):
+    # one worker per core: more workers than cores would share them, each
+    # with its own interpreter and engine
+    sizes, _ = _recording_pool(monkeypatch)
+    jobs = trial_jobs([(16, 1)], 8.5, 5, 7)
+    monkeypatch.setattr(experiments, "available_cores", lambda: 2)
+    assert list(run_jobs(jobs, 6)) == [1, 2, 3, 4, 5]
+    assert sizes == [2]
+    monkeypatch.setattr(experiments, "available_cores", lambda: 1)
+    assert list(run_jobs(jobs, 6)) == [1, 2, 3, 4, 5]
+    assert sizes == [2]  # one core runs the jobs in-process
+    one = memory_requirement(TopologyParams.from_side(512), EdgeMode.HN4)
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", one * 3 // 2)
+    run_jobs(trial_jobs([(512, 1)], 8.5, 2, 7), 2)  # the guard counts one engine too
 
 
 def _side_512_engine():
@@ -316,6 +339,7 @@ def test_map_jobs_after_threaded_step_in_parent(monkeypatch):
     # a fork while an engine's helper processes run: pool workers step on one
     # core, and a new engine in a forked child forks helpers of its own
     monkeypatch.setattr(engine, "_step_cores", 2)
+    monkeypatch.setattr(experiments, "available_cores", lambda: 2)
     walk = _side_512_engine()
     walk.advance(engine._WARMUP_STEPS + 1)
     assert len(walk._parts) == 2
@@ -361,6 +385,7 @@ def test_check_pool_memory_counts_every_engine_of_the_pool(monkeypatch):
     # one side-512 engine fits the limit, two at once do not
     one = memory_requirement(TopologyParams.from_side(512), EdgeMode.HN4)
     monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", one * 3 // 2)
+    monkeypatch.setattr(experiments, "available_cores", lambda: 2)
     jobs = trial_jobs([(64, 1), (512, 1)], 8.5, 2, 7)
     run_jobs(jobs, 1)  # the check runs when called; no job runs until the results are read
     run_jobs(jobs[2:3], 4)  # one job holds one engine, whatever the workers
@@ -368,6 +393,16 @@ def test_check_pool_memory_counts_every_engine_of_the_pool(monkeypatch):
         run_jobs(jobs, 2)
     with pytest.raises(ResourceLimitError):
         scaling_experiment([512], 1, 8.5, trials=2, seed=7, workers=3)
+
+
+def test_negative_seed_is_refused_before_any_job(monkeypatch):
+    monkeypatch.setattr(experiments, "trial_record", lambda job: pytest.fail("a job ran"))
+    with pytest.raises(ValueError, match="seed"):
+        trial_jobs([(16, 1)], 8.5, 1, -1)
+    with pytest.raises(ValueError, match="seed"):
+        scaling_experiment([16], 1, 8.5, trials=1, seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        density_experiment([16], 0.1, trials=1, seed=-1)
 
 
 def test_scaling_experiment_na_rule():

@@ -1,5 +1,6 @@
 import json
 import platform
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hn4walk.reporting import (
     write_manifest,
     write_records_csv,
     write_sweep_csv,
+    write_trace_csv,
 )
 
 
@@ -24,6 +26,55 @@ def sample_records():
         ScalingRecord(64, 4096, 1, 8.5, "hn4", 123, 0, 113, 0.9978988985252377, 113.118),
         ScalingRecord(128, 16384, 1, 8.5, "hn4", 124, 1, 227, 0.99884, 227.13),
     ]
+
+
+#: The bytes of every data CSV, as written before the writers shared one loop.
+RECORDS_CSV = (
+    "side,n_elements,m,na,mode,seed,trial,peak_step,peak_probability,amplified_cost\n"
+    "64,4096,1,8.5,hn4,123,0,113,0.9978988985252377,113.118\n"
+    "128,16384,1,8.5,hn4,124,1,227,0.99884,227.13\n"
+)
+SWEEP_CSV = "na,peak_step,peak_probability,optimal\n7.0,118,0.9943,0\n8.5,113,0.9979,1\n"
+
+
+def sample_sweep():
+    return SweepResult(
+        points=(
+            ScalingRecord(64, 4096, 1, 7.0, "hn4", 0, 0, 118, 0.9943, 118 / 0.9943**0.5),
+            ScalingRecord(64, 4096, 1, 8.5, "hn4", 0, 1, 113, 0.9979, 113 / 0.9979**0.5),
+        ),
+        optimal_index=1,
+        step_threads=1,
+    )
+
+
+def test_data_csvs_keep_their_bytes(tmp_path):
+    records, sweep, trace = tmp_path / "r.csv", tmp_path / "s.csv", tmp_path / "t.csv"
+    write_records_csv(records, iter(sample_records()))
+    write_sweep_csv(sweep, sample_sweep())
+    write_trace_csv(trace, iter([0.00390625, 0.1, 1.0]))
+    assert records.read_bytes() == RECORDS_CSV.encode()
+    assert RECORDS_HEADER == RECORDS_CSV.splitlines()[0]
+    assert sweep.read_bytes() == SWEEP_CSV.encode()
+    assert trace.read_bytes() == b"step,probability\n0,0.00390625\n1,0.1\n2,1.0\n"
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        ("64,4096,1,8.5,hn4,123,0", "expected 10 fields, got 7"),
+        ("64,4096,1,8.5,hn4,123,0,113.5,0.99,114.1", "invalid literal for int"),
+    ],
+    ids=["seven-fields", "non-integer-peak-step"],
+)
+def test_records_reader_names_the_file_and_line_of_a_bad_row(tmp_path, row, error):
+    path = tmp_path / "bad.csv"
+    path.write_text(RECORDS_HEADER + "\n" + row + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: {error}")):
+        read_records_csv(path)
+    path.write_text(RECORDS_CSV + "\n" + row + "\n")  # a blank line still counts
+    with pytest.raises(ValueError, match=re.escape(f"{path}:5: ")):
+        read_records_csv(path)
 
 
 def test_records_csv_round_trip(tmp_path):
