@@ -34,7 +34,7 @@ from .reporting import (
     write_sweep_csv,
     write_trace_csv,
 )
-from .topology import EXCEPTIONAL_POLICIES, EdgeMode, TopologyParams, TopologyError
+from .topology import EdgeMode, TopologyParams, TopologyError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -143,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     na_group.add_argument("--na-rule", help="heuristic total weight, e.g. 8.5M")
     scl.add_argument("--trials", type=int, default=10)
     scl.add_argument("--mode", choices=[m.value for m in EdgeMode], default="hn4")
-    scl.add_argument("--policy", choices=EXCEPTIONAL_POLICIES, default="line")
     scl.add_argument("--out", required=True)
     scl.add_argument("--seed", type=int, default=0)
     scl.add_argument("--workers", type=_positive_int, default=1)
@@ -153,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     den.add_argument("--sides", type=_side_list, required=True)
     den.add_argument("--fraction", type=float, required=True)
     den.add_argument("--trials", type=int, default=10)
-    den.add_argument("--policy", choices=EXCEPTIONAL_POLICIES, default="line")
     den.add_argument("--out", required=True)
     den.add_argument("--seed", type=int, default=0)
     den.add_argument("--workers", type=_positive_int, default=1)
@@ -169,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> dict:
-    from .engine import WalkConfig, WalkEngine, step_threads
+    from .engine import WalkConfig, WalkEngine
     from .experiments import step_budget
 
     topology = TopologyParams.from_side(args.side)
@@ -181,7 +179,7 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
     )
     engine = WalkEngine(config)  # the memory guard, before --out is opened
     write_trace_csv(args.out, engine.trace(t_max))  # each row as its step ends
-    return {"resolved_steps": t_max, "step_threads": step_threads(topology, config.edge_mode)}
+    return {"resolved_steps": t_max, "step_threads": engine.stepped_processes}
 
 
 def _cmd_sweep(args: argparse.Namespace) -> dict:
@@ -224,7 +222,7 @@ def _cmd_scale(args: argparse.Namespace) -> dict:
     na_rule = args.na if args.na is not None else args.na_rule
     jobs = trial_jobs(
         [(side, m) for m in m_values for side in args.sides], na_rule, args.trials, args.seed,
-        edge_mode=EdgeMode(args.mode), policy=args.policy,
+        edge_mode=EdgeMode(args.mode),
     )
     return {"step_threads": _write_job_records(args, jobs)[1]}
 
@@ -232,7 +230,7 @@ def _cmd_scale(args: argparse.Namespace) -> dict:
 def _cmd_density(args: argparse.Namespace) -> dict:
     from .experiments import density_jobs
 
-    jobs = density_jobs(args.sides, args.fraction, args.trials, args.seed, policy=args.policy)
+    jobs = density_jobs(args.sides, args.fraction, args.trials, args.seed)
     records, threads = _write_job_records(args, jobs)
     for side in args.sides:
         cell = [r.peak_probability for r in records if r.side == side]

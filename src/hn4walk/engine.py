@@ -81,7 +81,6 @@ __all__ = [
     "success_probability",
     "amplified_cost",
     "available_cores",
-    "step_threads",
     "memory_requirement",
     "run",
     "DEFAULT_MEMORY_LIMIT",
@@ -294,13 +293,6 @@ def _layout(topology: TopologyParams, edge_mode: EdgeMode) -> _Layout:
         tuple((y0, min(y0 + rows, end)) for y0 in range(start, end, rows))
         for start, end in zip(cuts, cuts[1:])
     )
-
-
-def step_threads(topology: TopologyParams, edge_mode: EdgeMode) -> int:
-    """Processes one step of a walk on ``topology`` runs on from this process,
-    the calling one and its helpers, once past the serial warm-up
-    (:func:`_layout`)."""
-    return len(_layout(topology, edge_mode))
 
 
 def _moves(
@@ -516,13 +508,14 @@ class WalkEngine:
     current one in bands of y rows, builds each band's shared coin terms and
     moves every coined row of the band into its destination in the other
     buffer.  The bands are split into one contiguous part per process of
-    :func:`step_threads`, fixed at construction, all stepped in one overlap
+    :func:`_layout`, fixed at construction, all stepped in one overlap
     and one row buffer (each helper in its own copy).  Once the engine has
     taken ``_WARMUP_STEPS`` steps on the calling process alone, it moves its
     state buffers into shared memory and forks one helper process per part
     past the first; from then on the calling process runs the first part and
     the helpers the others; if they cannot start, every part stays on the
     calling process for the rest of the engine's life.
+    :attr:`stepped_processes` counts the processes its steps ran on.
     The helpers end when the engine is dropped, at interpreter exit, or
     before a reallocation (a complex :meth:`set_amplitudes`), after which
     they start again past the warm-up.  An engine whose helpers another
@@ -540,7 +533,7 @@ class WalkEngine:
         self._allocate(np.float64)
         self._weights = coin_weights(config.loop_weight, config.edge_mode)
         self._targets = target_indices(config)
-        flagged = exceptional_vertices(config.topology, "line")[self._targets]
+        flagged = exceptional_vertices(config.topology)[self._targets]
         if flagged.any():
             logger.warning(
                 "%d of %d targets lie on an exceptional line (their long-range edges "
@@ -549,6 +542,7 @@ class WalkEngine:
                 tuple(config.targets[np.argmax(flagged)].tolist()),
             )
         self._moves = _moves(config.topology, config.edge_mode)
+        self._stepped = 1
         self.reset()
 
     def _allocate(self, dtype: type) -> None:
@@ -578,6 +572,12 @@ class WalkEngine:
     def t(self) -> int:
         """Steps taken since the last reset."""
         return self._steps
+
+    @property
+    def stepped_processes(self) -> int:
+        """The most processes any step of this engine ran on, the calling one
+        and its helpers: 1 until its helpers start."""
+        return self._stepped
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -656,6 +656,7 @@ class WalkEngine:
         src, dst = self._state.reshape(-1, side, side), self._scratch.reshape(-1, side, side)
         if self._helpers.procs:
             self._step_on_helpers(src, dst)
+            self._stepped = max(self._stepped, 1 + len(self._helpers.procs))
         else:
             for part in range(len(self._parts)):
                 self._step_part(src, dst, part)

@@ -2,12 +2,14 @@
 
 Covers first-peak detection on probability traces, self-loop-weight sweeps,
 random target sets, scaling runs over lattice size and target count, and
-fixed-density runs.  One scan, :func:`_first_peak`, reads P(t) sample by
+fixed-density runs.  A random target is drawn only from the admissible
+vertices, those with neither coordinate on an exceptional line, where the
+HN4 walk cannot find it.  One scan, :func:`_first_peak`, reads P(t) sample by
 sample and stops at the earliest confirmed peak: :func:`detect_first_peak`
 runs it over a finished trace and :func:`run_to_first_peak` over a live
 walk.  Every sweep point, scaling trial and density trial is one
 :class:`TrialJob`, run by :func:`trial_record`, which returns its record and
-the processes its step runs on from the job's process.  :func:`run_jobs` is the
+the most processes a step of its walk ran on.  :func:`run_jobs` is the
 one runner of a job list, for the protocols and the CLI alike: it refuses,
 when called, a job list whose pool could not hold all its engines at once,
 then runs the jobs through one bounded process pool and yields results in
@@ -41,8 +43,6 @@ from .engine import (
     amplified_cost,
     available_cores,
     memory_requirement,
-    run,
-    step_threads,
 )
 from .reporting import ScalingRecord
 from .topology import TopologyParams, exceptional_vertices
@@ -196,11 +196,19 @@ def run_to_first_peak(
     detection over the full horizon of ``t_max`` steps (None:
     :func:`step_budget`), just cheaper.
     """
+    return _walk_to_first_peak(WalkEngine(config), t_max, rule)
+
+
+def _walk_to_first_peak(
+    engine: WalkEngine, t_max: int | None, rule: PeakRule
+) -> tuple[PeakResult, np.ndarray]:
+    """:func:`run_to_first_peak` on a fresh ``engine`` of its config."""
+    config = engine.config
     if config.target_count == 0:
         raise ValueError("search runs need at least one target")
     if t_max is None:
         t_max = step_budget(config.topology.n_vertices, config.target_count, config.edge_mode)
-    return _first_peak(WalkEngine(config).trace(t_max), rule)
+    return _first_peak(engine.trace(t_max), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -284,23 +292,21 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _admissible(m: int, topology: TopologyParams, policy: str) -> np.ndarray:
-    """Linear indices of the admissible vertices; ``m`` must lie in [1, their count]."""
-    candidates = np.flatnonzero(~exceptional_vertices(topology, policy))
+def _admissible(m: int, topology: TopologyParams) -> np.ndarray:
+    """Linear indices of the admissible vertices, those with neither coordinate
+    on an exceptional line (:func:`~hn4walk.topology.exceptional_vertices`);
+    ``m`` must lie in [1, their count]."""
+    candidates = np.flatnonzero(~exceptional_vertices(topology))
     if not 1 <= m <= len(candidates):
-        raise ValueError(
-            f"m must lie in [1, {len(candidates)}] (admissible vertices under "
-            f"policy {policy!r}), got {m}"
-        )
+        raise ValueError(f"m must lie in [1, {len(candidates)}] (admissible vertices), got {m}")
     return candidates
 
 
-def random_target_set(
-    m: int, topology: TopologyParams, seed: int, policy: str = "line"
-) -> np.ndarray:
-    """Uniform sample of m distinct admissible vertices: an (m, 2) array of
-    (x, y) rows in linear-index order."""
-    candidates = _admissible(m, topology, policy)
+def random_target_set(m: int, topology: TopologyParams, seed: int) -> np.ndarray:
+    """Uniform sample of m distinct admissible vertices (no coordinate on an
+    exceptional line, where the HN4 walk cannot find a target): an (m, 2) array
+    of (x, y) rows in linear-index order."""
+    candidates = _admissible(m, topology)
     rng = np.random.default_rng(seed)
     chosen = np.sort(candidates[rng.choice(len(candidates), size=m, replace=False)])
     y, x = np.divmod(chosen, topology.side)
@@ -331,8 +337,8 @@ def resolve_na(na_rule: float | str, m: int) -> float:
 
 @dataclass(frozen=True)
 class TrialJob:
-    """One walk: on the explicit ``targets``, or else on ``m`` targets drawn
-    from ``seed``.
+    """One walk: on the explicit ``targets``, or else on ``m`` admissible
+    targets drawn from ``seed`` (:func:`random_target_set`).
 
     With a peak ``rule`` the walk runs to its first peak within ``t_max``
     steps (None: :func:`step_budget`).  With ``rule=None`` it runs the fixed
@@ -345,29 +351,28 @@ class TrialJob:
     seed: int
     trial: int
     edge_mode: EdgeMode = EdgeMode.HN4
-    policy: str = "line"
     rule: PeakRule | None = DEFAULT_PEAK_RULE
     targets: Sequence[tuple[int, int]] | None = None
     t_max: int | None = None
 
 
 def trial_record(job: TrialJob) -> tuple[ScalingRecord, int]:
-    """Run one job: its peak as a record, and the processes its step runs on
-    from the process that ran it, past the serial warm-up
-    (:func:`~hn4walk.engine.step_threads`, 1 in a :func:`run_jobs` pool
-    worker)."""
+    """Run one job: its peak as a record, and the most processes a step of its
+    walk ran on (:attr:`~hn4walk.engine.WalkEngine.stepped_processes`: 1 for a
+    walk that ended within the serial warm-up or whose step helpers could not
+    start, and in a :func:`run_jobs` pool worker)."""
     topology = TopologyParams.from_side(job.side)
     targets = job.targets
     if targets is None:
-        targets = random_target_set(job.m, topology, job.seed, job.policy)
-    config = WalkConfig.with_na(topology, job.na, targets, job.edge_mode)
+        targets = random_target_set(job.m, topology, job.seed)
+    engine = WalkEngine(WalkConfig.with_na(topology, job.na, targets, job.edge_mode))
     if job.rule is None:
         horizon = int(1.75 * math.sqrt(topology.n_vertices / job.m) + 0.5)
-        probs = run(config, horizon)
+        probs = np.fromiter(engine.trace(horizon), np.float64, horizon + 1)
         peak_step = int(np.argmax(probs))
         peak_probability = float(probs[peak_step])
     else:
-        peak, _ = run_to_first_peak(config, t_max=job.t_max, rule=job.rule)
+        peak, _ = _walk_to_first_peak(engine, job.t_max, job.rule)
         peak_step, peak_probability = peak.peak_step, peak.peak_probability
     return ScalingRecord(
         side=job.side,
@@ -380,12 +385,11 @@ def trial_record(job: TrialJob) -> tuple[ScalingRecord, int]:
         peak_step=peak_step,
         peak_probability=peak_probability,
         amplified_cost=amplified_cost(peak_step, peak_probability),
-    ), step_threads(topology, job.edge_mode)
+    ), engine.stepped_processes
 
 
 def trial_jobs(
-    cells: Iterable[tuple[int, int]], na_rule: float | str, trials: int, seed: int,
-    policy: str = "line", **fields,
+    cells: Iterable[tuple[int, int]], na_rule: float | str, trials: int, seed: int, **fields,
 ) -> list[TrialJob]:
     """Seeded trials of each (side, m) cell, ordered by (cell, trial); ``fields``
     sets the remaining :class:`TrialJob` fields of every job.  The seed, each
@@ -400,11 +404,11 @@ def trial_jobs(
         raise ValueError(f"each (side, m) cell may appear once, got {cells}")
     jobs = []
     for side, m in cells:
-        _admissible(m, TopologyParams.from_side(side), policy)
+        _admissible(m, TopologyParams.from_side(side))
         side_seed = derive_seed(seed, side, m)
         na = resolve_na(na_rule, m)
         jobs += [
-            TrialJob(side, m, na, derive_seed(side_seed, trial), trial, policy=policy, **fields)
+            TrialJob(side, m, na, derive_seed(side_seed, trial), trial, **fields)
             for trial in range(trials)
         ]
     return jobs
@@ -417,14 +421,10 @@ def scaling_experiment(
     trials: int,
     seed: int,
     edge_mode: EdgeMode = EdgeMode.HN4,
-    policy: str = "line",
     workers: int = 1,
 ) -> list[ScalingRecord]:
     """First-peak records over lattice sizes, with fresh random targets per trial."""
-    jobs = trial_jobs(
-        [(side, m) for side in sides], na_rule, trials, seed,
-        edge_mode=edge_mode, policy=policy,
-    )
+    jobs = trial_jobs([(side, m) for side in sides], na_rule, trials, seed, edge_mode=edge_mode)
     return [record for record, _ in run_jobs(jobs, workers)]
 
 
@@ -433,15 +433,24 @@ def density_jobs(
     fraction: float,
     trials: int,
     seed: int,
-    policy: str = "line",
 ) -> list[TrialJob]:
     """Fixed-horizon trials marking round(fraction * N) vertices on each side,
-    at the Na = 8.5M heuristic."""
+    at the Na = 8.5M heuristic.  A side on which that count is 0 or exceeds
+    the admissible vertices is refused, naming the side and the fraction."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
-    cells = [(side, int(fraction * TopologyParams.from_side(side).n_vertices + 0.5))
-             for side in sides]
-    return trial_jobs(cells, "8.5M", trials, seed, policy=policy, rule=None)
+    cells = []
+    for side in sides:
+        topology = TopologyParams.from_side(side)
+        m = int(fraction * topology.n_vertices + 0.5)
+        admissible = np.count_nonzero(~exceptional_vertices(topology))
+        if not 1 <= m <= admissible:
+            raise ValueError(
+                f"fraction {fraction} marks {m} vertices at side {side}, outside "
+                f"[1, {admissible}] (admissible vertices)"
+            )
+        cells.append((side, m))
+    return trial_jobs(cells, "8.5M", trials, seed, rule=None)
 
 
 def density_experiment(
@@ -449,7 +458,6 @@ def density_experiment(
     fraction: float,
     trials: int,
     seed: int,
-    policy: str = "line",
     workers: int = 1,
 ) -> list[ScalingRecord]:
     """Runs with a fixed fraction of marked vertices.
@@ -461,7 +469,7 @@ def density_experiment(
     early cannot satisfy the first-peak rule's gain threshold (P(0) is
     already the marked fraction), so the trace maximum stands in for it.
     """
-    jobs = density_jobs(sides, fraction, trials, seed, policy)
+    jobs = density_jobs(sides, fraction, trials, seed)
     return [record for record, _ in run_jobs(jobs, workers)]
 
 

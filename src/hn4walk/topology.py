@@ -37,7 +37,6 @@ __all__ = [
     "TopologyError",
     "TopologyParams",
     "HierCoord",
-    "EXCEPTIONAL_POLICIES",
     "rank_limit",
     "level_size",
     "decompose",
@@ -45,12 +44,6 @@ __all__ = [
     "long_range_lines",
     "exceptional_vertices",
 ]
-
-#: Supported classifications of exceptional vertices.  "line" flags a vertex
-#: when either of its coordinates sits on an exceptional level; the stricter
-#: "intersection" requires both.
-EXCEPTIONAL_POLICIES = ("line", "intersection")
-
 
 class EdgeMode(str, Enum):
     """Graph flavour: grid plus long-range edges, or the bare grid."""
@@ -155,18 +148,16 @@ def long_range_lines(params: TopologyParams) -> tuple[np.ndarray, np.ndarray]:
     return lr_next, lr_prev
 
 
-def exceptional_vertices(params: TopologyParams, policy: str = "line") -> np.ndarray:
+def exceptional_vertices(params: TopologyParams) -> np.ndarray:
     """Boolean mask over the N vertices, in linear-index order, of the exceptional ones.
 
     A line coordinate is exceptional when its long-range move is a fixed
-    point.  Policy "line" flags a vertex when either of its coordinates is
-    exceptional; "intersection" only when both are.
+    point, and a vertex when either of its coordinates is: its long-range
+    edges along that line are self-loops, so an HN4 walk cannot find a
+    target there.
     """
     import numpy as np
 
-    if policy not in EXCEPTIONAL_POLICIES:
-        raise TopologyError(f"unknown exceptional policy {policy!r}")
     lr_next, _ = long_range_lines(params)
     line = lr_next == np.arange(params.side)
-    combine = np.logical_or if policy == "line" else np.logical_and
-    return combine.outer(line, line).reshape(-1)  # [y, x] flattens to x + L * y
+    return np.logical_or.outer(line, line).reshape(-1)  # [y, x] flattens to x + L * y

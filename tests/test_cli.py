@@ -1,3 +1,4 @@
+import argparse
 import errno
 import json
 import math
@@ -20,7 +21,6 @@ from hn4walk.engine import (
     WalkEngine,
     memory_requirement,
     run,
-    step_threads,
 )
 from hn4walk.fitting import model_scale, RuntimeModel
 from hn4walk.reporting import RECORDS_HEADER, read_records_csv, write_records_csv
@@ -258,8 +258,64 @@ def test_manifest_records_step_threads_of_largest_side(tmp_path, workers):
     assert main(["density", "--sides", "64,512", "--fraction", "0.001", "--trials", "1",
                  "--workers", workers, "--out", str(out)]) == 0
     doc = json.loads((tmp_path / "density.manifest.json").read_text())
-    in_process = step_threads(TopologyParams.from_side(512), EdgeMode.HN4)
+    in_process = len(engine._layout(TopologyParams.from_side(512), EdgeMode.HN4))
     assert doc["step_threads"] == (in_process if workers == "1" else 1)
+
+
+def _refuse_fork():
+    raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize(
+    "argv, refuse_fork, stepped",
+    [
+        (["simulate", "--side", "512", "--targets", "1,6", "--na", "8.5", "--steps", "5"],
+         False, 1),
+        (["density", "--sides", "512", "--fraction", "0.2", "--trials", "1", "--seed", "7"],
+         False, 1),
+        (["simulate", "--side", "512", "--targets", "1,6", "--na", "8.5", "--steps", "20"],
+         True, 1),
+        (["scale", "--sides", "512", "--m", "4", "--na-rule", "8.5M", "--trials", "1",
+          "--seed", "602"], False, 2),
+    ],
+    ids=["simulate-within-warm-up", "density-4-steps", "simulate-fork-refused",
+         "scale-on-helpers"],
+)
+def test_step_threads_counts_the_processes_that_stepped(
+    tmp_path, monkeypatch, argv, refuse_fork, stepped
+):
+    # a two-part walk that ends within the serial warm-up, or whose helper cannot
+    # start, stepped on one process; one past the warm-up stepped on two
+    monkeypatch.setattr(engine, "_step_cores", 2)
+    if refuse_fork:
+        monkeypatch.setattr(os, "fork", _refuse_fork)
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert json.loads((tmp_path / "out.manifest.json").read_text())["step_threads"] == stepped
+
+
+@pytest.mark.parametrize("fraction, marked", [("0.01", 0), ("0.5", 8)])
+def test_density_names_the_fraction_of_an_unfit_side(tmp_path, capsys, fraction, marked):
+    # side 4 has 4 admissible vertices; the message names what the user passed
+    out = tmp_path / "density.csv"
+    assert main(["density", "--sides", "4", "--fraction", fraction, "--out", str(out)]) == 2
+    assert (f"hn4walk: fraction {fraction} marks {marked} vertices at side 4, outside [1, 4]"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scale_draws_no_target_the_walk_cannot_find(tmp_path):
+    # random targets on an exceptional line wrote t = 4 rows with P near P(0),
+    # which fit read as peaks; the option that drew them is gone
+    argv = ["scale", "--sides", "64", "--m", "1", "--na-rule", "8.5M", "--trials", "60",
+            "--seed", "3"]
+    out = tmp_path / "records.csv"
+    assert main(argv + ["--policy", "intersection", "--out", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert main(argv + ["--out", str(out)]) == 0
+    records = read_records_csv(out)
+    assert len(records) == 60
+    assert all(r.peak_probability > 0.99 for r in records)
 
 
 def test_fit_synthetic_records_exact_coefficient(tmp_path):
@@ -529,13 +585,13 @@ def test_commands_write_what_the_protocols_return(tmp_path, command):
     out = tmp_path / "out.csv"
     if command == "scale":
         argv = ["scale", "--sides", "16", "--m", "2", "--na-rule", "8.5M", "--trials", "2",
-                "--mode", "grid", "--policy", "intersection", "--seed", "11"]
+                "--mode", "grid", "--seed", "11"]
         expected = experiments.scaling_experiment(
-            [16], 2, "8.5M", 2, 11, edge_mode=EdgeMode.GRID, policy="intersection")
+            [16], 2, "8.5M", 2, 11, edge_mode=EdgeMode.GRID)
     elif command == "density":
         argv = ["density", "--sides", "16", "--fraction", "0.1", "--trials", "2",
-                "--policy", "intersection", "--seed", "5"]
-        expected = experiments.density_experiment([16], 0.1, 2, 5, policy="intersection")
+                "--seed", "5"]
+        expected = experiments.density_experiment([16], 0.1, 2, 5)
     else:
         argv = ["sweep", "--side", "16", "--targets", "1,6;9,3", "--na-min", "10",
                 "--na-max", "22", "--na-step", "4"]
@@ -578,3 +634,16 @@ def test_readme_cli_examples_parse():
             parser.parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {shlex.join(argv)}")
+
+
+def test_readme_cli_section_names_only_accepted_flags():
+    # every --flag in README's CLI section, prose included, is an option of some subcommand
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    (subcommands,) = (action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    accepted = {option for sub in subcommands.choices.values()
+                for option in sub._option_string_actions}
+    assert "--workers" in flags
+    assert sorted(flags - accepted) == []

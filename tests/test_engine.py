@@ -389,6 +389,18 @@ def test_helper_processes_end_with_their_engine(monkeypatch):
     assert len(walk._parts) == 1 and not _helper_pids(walk)
 
 
+def test_stepped_processes_counts_the_helpers_that_ran(monkeypatch):
+    # a two-part engine steps on one process through the warm-up, then on two
+    config = WalkConfig.with_na(TopologyParams.from_side(512), 8.5, ((1, 6),))
+    monkeypatch.setattr(engine_module, "_step_cores", 2)
+    walk = WalkEngine(config)
+    assert walk.stepped_processes == 1
+    walk.advance(engine_module._WARMUP_STEPS)
+    assert walk.stepped_processes == 1
+    walk.advance()
+    assert walk.stepped_processes == 2
+
+
 def test_helper_processes_end_at_interpreter_exit():
     # a process that exits with its engine still held reaps every helper
     script = (

@@ -150,14 +150,14 @@ def test_random_target_set_reproducible_and_admissible():
     assert np.array_equal(a, b)
     index = a[:, 0] + topo.side * a[:, 1]
     assert len(np.unique(index)) == 5
-    assert not exceptional_vertices(topo, "line")[index].any()
+    assert not exceptional_vertices(topo)[index].any()
     c = random_target_set(5, topo, seed=43)
     assert not np.array_equal(a, c)
 
 
 def test_random_target_set_full_draw_and_overflow():
     topo = TopologyParams.from_side(16)
-    admissible = np.flatnonzero(~exceptional_vertices(topo, "line"))
+    admissible = np.flatnonzero(~exceptional_vertices(topo))
     drawn = random_target_set(len(admissible), topo, seed=7)
     assert [x + topo.side * y for x, y in drawn] == admissible.tolist()
     with pytest.raises(ValueError):
@@ -166,18 +166,28 @@ def test_random_target_set_full_draw_and_overflow():
         random_target_set(0, topo, seed=7)
 
 
-def test_random_target_set_intersection_policy():
+def test_every_admissible_target_is_found():
+    # each vertex the sampler can draw, as a lone target, peaks near P = 1; on an
+    # exceptional line the same walk stops at t = 4 near P(0) or finds no peak
     topo = TopologyParams.from_side(16)
-    n_admissible = int(np.count_nonzero(~exceptional_vertices(topo, "intersection")))
-    assert n_admissible == 256 - 4
-    targets = random_target_set(n_admissible, topo, seed=3, policy="intersection")
-    assert len(targets) == n_admissible
+    drawn = random_target_set(14 * 14, topo, seed=5)
+    assert [x + 16 * y for x, y in drawn] == np.flatnonzero(~exceptional_vertices(topo)).tolist()
+    for target in drawn:
+        peak, _ = run_to_first_peak(WalkConfig.with_na(topo, 8.5, [target]))
+        assert 27 <= peak.peak_step <= 29 and peak.peak_probability >= 0.98, (target, peak)
+
+
+def test_density_jobs_name_the_fraction_of_an_unfit_side():
+    with pytest.raises(ValueError, match="fraction 0.01 marks 0 vertices at side 4"):
+        density_jobs([4, 64], 0.01, 1, 0)
+    with pytest.raises(ValueError, match="fraction 0.5 marks 8 vertices at side 4"):
+        density_jobs([64, 4], 0.5, 1, 0)
 
 
 def test_random_target_set_uniformity_chi_square():
     # 1e4 single-target draws on 16x16: chi-square against uniform within 5 sigma
     topo = TopologyParams.from_side(16)
-    admissible = np.flatnonzero(~exceptional_vertices(topo, "line"))
+    admissible = np.flatnonzero(~exceptional_vertices(topo))
     counts = {int(v): 0 for v in admissible}
     draws = 10_000
     for i in range(draws):
@@ -196,9 +206,6 @@ def test_random_target_set_pinned_draws():
     drawn = random_target_set(5, side16, seed=42)
     assert drawn.tolist() == [[3, 1], [0, 6], [1, 6], [0, 10], [10, 11]]
     assert drawn.shape == (5, 2) and drawn.dtype.kind == "i"
-    assert random_target_set(5, side16, seed=3, policy="intersection").tolist() == [
-        [5, 1], [12, 2], [13, 2], [11, 3], [11, 12],
-    ]
     (job,) = trial_jobs([(512, 4)], "8.5M", 1, 602)
     assert job.seed == 3559554422
     assert random_target_set(4, side512, job.seed).tolist() == [

@@ -123,34 +123,28 @@ def test_long_range_single_cycle_per_level():
 
 
 def test_is_exceptional_examples():
-    line = exceptional_vertices(TopologyParams(4), "line")
+    line = exceptional_vertices(TopologyParams(4))
     assert line[7 + 16 * 3]  # x + 1 = 8 = 2**(n-1)
     assert line[6 + 16 * 7]  # y + 1 = 8
     assert line[15 + 16 * 0]  # x + 1 = 16 = 2**n
     assert not line[0 + 16 * 6]
-    with pytest.raises(TopologyError):
-        exceptional_vertices(TopologyParams(4), "diagonal")
 
 
 def test_exceptional_counts_by_enumeration():
     for n in range(2, 7):
         side = 1 << n
-        line = exceptional_vertices(TopologyParams(n), "line")
-        meet = exceptional_vertices(TopologyParams(n), "intersection")
-        assert line.shape == meet.shape == (side * side,)
+        line = exceptional_vertices(TopologyParams(n))
+        assert line.shape == (side * side,)
         assert line.sum() == 4 * side - 4
-        assert meet.sum() == 4
 
 
 def test_admissible_vertices():
     # the mask agrees with the scalar hierarchy, vertex by vertex in linear order
     for n in range(2, 7):
         side = 1 << n
-        for policy, combine in (("line", any), ("intersection", all)):
-            expected = [
-                combine(decompose(c + 1, n).level >= n - 1 for c in (x, y))
-                for y in range(side)
-                for x in range(side)
-            ]
-            mask = exceptional_vertices(TopologyParams(n), policy)
-            assert mask.tolist() == expected
+        expected = [
+            any(decompose(c + 1, n).level >= n - 1 for c in (x, y))
+            for y in range(side)
+            for x in range(side)
+        ]
+        assert exceptional_vertices(TopologyParams(n)).tolist() == expected
