@@ -183,7 +183,7 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> dict:
-    from .experiments import run_jobs, sweep_jobs, sweep_result
+    from .experiments import SweepResult, run_jobs, sweep_jobs
 
     jobs = sweep_jobs(
         args.side,
@@ -196,23 +196,25 @@ def _cmd_sweep(args: argparse.Namespace) -> dict:
     )
     results = run_jobs(jobs, args.workers)
     open(args.out, "w").close()  # an --out that cannot be opened fails before the first job
-    sweep = sweep_result(results)
+    results = list(results)
+    sweep = SweepResult(tuple(result.record for result in results))
     write_sweep_csv(args.out, sweep)
     logger.info("optimal na=%g (peak_probability=%.6f)", sweep.optimal.na,
                 sweep.optimal.peak_probability)
-    return {"optimal_na": sweep.optimal.na, "step_threads": sweep.step_threads}
+    return {"optimal_na": sweep.optimal.na,
+            "step_threads": max(result.stepped_processes for result in results)}
 
 
 def _write_job_records(args: argparse.Namespace, jobs: list) -> tuple[list, int]:
     """Stream the jobs' records into ``args.out`` as they finish; return the
-    records and the most processes a job's step runs on.  The pool's memory is
+    records and the most processes a job's step ran on.  The pool's memory is
     checked, and the CSV opened, before the first job runs."""
     from .experiments import run_jobs
 
     results, kept = tee(run_jobs(jobs, args.workers))
-    write_records_csv(args.out, (record for record, _ in results))
-    records, threads = zip(*kept)
-    return list(records), max(threads)
+    write_records_csv(args.out, (result.record for result in results))
+    kept = list(kept)
+    return [result.record for result in kept], max(result.stepped_processes for result in kept)
 
 
 def _cmd_scale(args: argparse.Namespace) -> dict:

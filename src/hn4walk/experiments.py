@@ -8,8 +8,10 @@ HN4 walk cannot find it.  One scan, :func:`_first_peak`, reads P(t) sample by
 sample and stops at the earliest confirmed peak: :func:`detect_first_peak`
 runs it over a finished trace and :func:`run_to_first_peak` over a live
 walk.  Every sweep point, scaling trial and density trial is one
-:class:`TrialJob`, run by :func:`trial_record`, which returns its record and
-the most processes a step of its walk ran on.  :func:`run_jobs` is the
+:class:`TrialJob`, run by :func:`trial_record`, which returns one
+:class:`JobResult`: the job's record and the most processes a step of its
+walk ran on.  The protocols keep only the records; the count is run
+telemetry, which the CLI writes to its manifests.  :func:`run_jobs` is the
 one runner of a job list, for the protocols and the CLI alike: it refuses,
 when called, a job list whose pool could not hold all its engines at once,
 then runs the jobs through one bounded process pool and yields results in
@@ -30,6 +32,7 @@ import logging
 import math
 from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -58,13 +61,13 @@ __all__ = [
     "run_to_first_peak",
     "SweepResult",
     "sweep_jobs",
-    "sweep_result",
     "sweep_self_loop",
     "derive_seed",
     "random_target_set",
     "ScalingRecord",
     "resolve_na",
     "TrialJob",
+    "JobResult",
     "trial_record",
     "trial_jobs",
     "scaling_experiment",
@@ -202,10 +205,21 @@ def run_to_first_peak(
 def _walk_to_first_peak(
     engine: WalkEngine, t_max: int | None, rule: PeakRule
 ) -> tuple[PeakResult, np.ndarray]:
-    """:func:`run_to_first_peak` on a fresh ``engine`` of its config."""
+    """:func:`run_to_first_peak` on a fresh ``engine`` of its config.
+
+    An HN4 walk whose every target lies on an exceptional line never finds
+    one, so it raises :class:`NoPeakError`, carrying P(0), before any step:
+    the rule's gain floor alone would confirm the t = 4 ripple as a peak.
+    """
     config = engine.config
     if config.target_count == 0:
         raise ValueError("search runs need at least one target")
+    if engine._exceptional.all():
+        p0 = engine.probability()
+        raise NoPeakError(
+            f"every target lies on an exceptional line, where the HN4 walk never finds "
+            f"one (P(0) = {p0:.6g})", p0,
+        )
     if t_max is None:
         t_max = step_budget(config.topology.n_vertices, config.target_count, config.edge_mode)
     return _first_peak(engine.trace(t_max), rule)
@@ -217,11 +231,14 @@ def _walk_to_first_peak(
 
 @dataclass(frozen=True)
 class SweepResult:
-    """The records of a sweep's jobs, in weight order."""
+    """The records of a sweep's jobs, in weight order; the optimum is the first
+    point of maximal peak probability."""
 
     points: tuple[ScalingRecord, ...]
-    optimal_index: int
-    step_threads: int
+
+    @cached_property
+    def optimal_index(self) -> int:
+        return max(range(len(self.points)), key=lambda i: (self.points[i].peak_probability, -i))
 
     @property
     def optimal(self) -> ScalingRecord:
@@ -257,16 +274,6 @@ def sweep_jobs(
                      targets=targets, t_max=t_max) for i, na in enumerate(values)]
 
 
-def sweep_result(results: Iterable[tuple[ScalingRecord, int]]) -> SweepResult:
-    """The sweep read from its jobs' :func:`trial_record` results, in weight order:
-    ``optimal_index`` marks the first point of maximal peak probability and
-    ``step_threads`` is the most processes a job's step runs on."""
-    results = list(results)
-    points = tuple(record for record, _ in results)
-    best = max(range(len(points)), key=lambda i: (points[i].peak_probability, -i))
-    return SweepResult(points, best, max(threads for _, threads in results))
-
-
 def sweep_self_loop(
     side: int,
     targets: Sequence[tuple[int, int]],
@@ -278,9 +285,9 @@ def sweep_self_loop(
     workers: int = 1,
 ) -> SweepResult:
     """Peak statistics for each total weight on the grid na_min .. na_max
-    (:func:`sweep_jobs`, read by :func:`sweep_result`)."""
+    (the records of :func:`sweep_jobs`)."""
     jobs = sweep_jobs(side, targets, na_min, na_max, na_step, edge_mode, t_max)
-    return sweep_result(run_jobs(jobs, workers))
+    return SweepResult(tuple(result.record for result in run_jobs(jobs, workers)))
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +363,20 @@ class TrialJob:
     t_max: int | None = None
 
 
-def trial_record(job: TrialJob) -> tuple[ScalingRecord, int]:
-    """Run one job: its peak as a record, and the most processes a step of its
-    walk ran on (:attr:`~hn4walk.engine.WalkEngine.stepped_processes`: 1 for a
-    walk that ended within the serial warm-up or whose step helpers could not
-    start, and in a :func:`run_jobs` pool worker)."""
+@dataclass(frozen=True)
+class JobResult:
+    """What one :class:`TrialJob` gave: its peak as a record, and the most
+    processes a step of its walk ran on
+    (:attr:`~hn4walk.engine.WalkEngine.stepped_processes`: 1 for a walk that
+    ended within the serial warm-up or whose step helpers could not start,
+    and in a :func:`run_jobs` pool worker)."""
+
+    record: ScalingRecord
+    stepped_processes: int
+
+
+def trial_record(job: TrialJob) -> JobResult:
+    """Run one job: its :class:`JobResult`."""
     topology = TopologyParams.from_side(job.side)
     targets = job.targets
     if targets is None:
@@ -374,7 +390,7 @@ def trial_record(job: TrialJob) -> tuple[ScalingRecord, int]:
     else:
         peak, _ = _walk_to_first_peak(engine, job.t_max, job.rule)
         peak_step, peak_probability = peak.peak_step, peak.peak_probability
-    return ScalingRecord(
+    return JobResult(ScalingRecord(
         side=job.side,
         n_elements=topology.n_vertices,
         m=job.m,
@@ -385,7 +401,7 @@ def trial_record(job: TrialJob) -> tuple[ScalingRecord, int]:
         peak_step=peak_step,
         peak_probability=peak_probability,
         amplified_cost=amplified_cost(peak_step, peak_probability),
-    ), engine.stepped_processes
+    ), engine.stepped_processes)
 
 
 def trial_jobs(
@@ -425,7 +441,7 @@ def scaling_experiment(
 ) -> list[ScalingRecord]:
     """First-peak records over lattice sizes, with fresh random targets per trial."""
     jobs = trial_jobs([(side, m) for side in sides], na_rule, trials, seed, edge_mode=edge_mode)
-    return [record for record, _ in run_jobs(jobs, workers)]
+    return [result.record for result in run_jobs(jobs, workers)]
 
 
 def density_jobs(
@@ -470,16 +486,16 @@ def density_experiment(
     already the marked fraction), so the trace maximum stands in for it.
     """
     jobs = density_jobs(sides, fraction, trials, seed)
-    return [record for record, _ in run_jobs(jobs, workers)]
+    return [result.record for result in run_jobs(jobs, workers)]
 
 
 # ---------------------------------------------------------------------------
 # Job pipeline
 
 
-def run_jobs(jobs: Sequence[TrialJob], workers: int) -> Iterator[tuple[ScalingRecord, int]]:
-    """Check the pool, then return an iterator over :func:`trial_record` of every
-    job in submission order, logging each result.
+def run_jobs(jobs: Sequence[TrialJob], workers: int) -> Iterator[JobResult]:
+    """Check the pool, then return an iterator over the :class:`JobResult` of
+    every job (:func:`trial_record`) in submission order, logging each result.
 
     The pool holds min(workers, jobs, cores) processes, the cores being
     :func:`~hn4walk.engine.available_cores`, and a pool of one stays

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -32,3 +33,49 @@ def test_moved_names_stay_importable_from_their_old_modules():
     assert engine.EdgeMode is topology.EdgeMode
     assert engine.available_cores is reporting.available_cores
     assert experiments.ScalingRecord is reporting.ScalingRecord
+
+
+def test_experiments_names_one_job_result():
+    assert "JobResult" in experiments.__all__
+    assert "sweep_result" not in experiments.__all__
+    assert not hasattr(experiments, "sweep_result")
+
+
+#: A Sphinx cross-reference to a Python object, with an optional leading ``~``.
+CROSS_REFERENCE = re.compile(r":(?:func|class|meth|attr|data|exc):`~?([\w.]+)`")
+
+
+def _resolves(module, target: str) -> bool:
+    """Whether ``target`` names an object: a full ``hn4walk.<module>.<name>``
+    path, or a name in ``module`` or in one of the classes it defines."""
+
+    def lookup(scope, path):
+        for part in path.split("."):
+            fields = getattr(scope, "__dataclass_fields__", {})
+            if hasattr(scope, part):
+                scope = getattr(scope, part)
+            elif part in fields:  # a dataclass field without a default
+                scope = fields[part]
+            else:
+                return False
+        return True
+
+    if target.startswith("hn4walk."):
+        _, name, rest = target.split(".", 2)
+        return lookup(importlib.import_module(f"hn4walk.{name}"), rest)
+    own = [value for value in vars(module).values()
+           if isinstance(value, type) and value.__module__ == module.__name__]
+    return any(lookup(scope, target) for scope in [module, *own])
+
+
+def test_docstring_cross_references_resolve():
+    references = []
+    for path in sorted(Path(hn4walk.__file__).parent.glob("*.py")):
+        targets = CROSS_REFERENCE.findall(path.read_text())
+        if targets:  # __main__ runs the CLI when imported, and has none
+            module = importlib.import_module(f"hn4walk.{path.stem}")
+            references += [(path.name, target, _resolves(module, target)) for target in targets]
+    assert references
+    assert [(name, target) for name, target, ok in references if not ok] == []
+    assert not _resolves(experiments, "sweep_result")
+    assert not _resolves(engine, "hn4walk.engine.step_threads")

@@ -180,6 +180,17 @@ def test_no_peak_exit_code(tmp_path):
     assert not (tmp_path / "s.manifest.json").exists()
 
 
+def test_sweep_of_targets_only_on_exceptional_lines_exits_3(tmp_path, capsys):
+    # the HN4 walk cannot find such a target, at any weight
+    code = main([
+        "sweep", "--side", "64", "--targets", "31,6;63,40", "--na-min", "8",
+        "--na-max", "9", "--na-step", "1", "--out", str(tmp_path / "s.csv"),
+    ])
+    assert code == 3
+    assert "every target lies on an exceptional line" in capsys.readouterr().err
+    assert not (tmp_path / "s.manifest.json").exists()
+
+
 def test_scale_then_fit_round_trip(tmp_path):
     records_path = tmp_path / "records.csv"
     code = main([

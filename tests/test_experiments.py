@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import multiprocessing
 
 import numpy as np
@@ -19,6 +20,8 @@ from hn4walk.experiments import (
     NoPeakError,
     PeakRule,
     SWEEP_PEAK_RULE,
+    ScalingRecord,
+    SweepResult,
     density_experiment,
     derive_seed,
     detect_first_peak,
@@ -111,6 +114,41 @@ def test_run_to_first_peak_no_peak_within_budget():
         run_to_first_peak(config, t_max=10)
 
 
+@pytest.mark.parametrize(
+    "targets", [[(31, 6)], [(63, 6)], [(31, 6), (63, 40)]], ids=["x-half", "x-last", "two"]
+)
+def test_run_to_first_peak_refuses_targets_only_on_exceptional_lines(monkeypatch, targets):
+    # the default rule confirmed these walks' t = 4 ripple as a peak (P = 0.00218
+    # for one target, 0.00436 for two), and no later step rose above it
+    monkeypatch.setattr(WalkEngine, "advance", lambda self, steps=1: pytest.fail("a step ran"))
+    config = WalkConfig.with_na(TopologyParams.from_side(64), 8.5 * len(targets), targets)
+    with pytest.raises(NoPeakError, match="every target lies on an exceptional line") as excinfo:
+        run_to_first_peak(config)
+    assert excinfo.value.max_probability == pytest.approx(len(targets) / 4096, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "targets, na, mode, peak_step, peak_probability",
+    [
+        ([(31, 6), (1, 6)], 17.0, EdgeMode.HN4, 92, 0.868013),
+        ([(31, 6)], 4.0, EdgeMode.GRID, 170, 0.975548),
+    ],
+    ids=["hn4-one-admissible", "grid"],
+)
+def test_run_to_first_peak_walks_when_a_target_can_be_found(
+    targets, na, mode, peak_step, peak_probability
+):
+    # one admissible target is enough for the HN4 walk, and a grid walk has no
+    # long-range edges to degenerate
+    config = WalkConfig.with_na(TopologyParams.from_side(64), na, targets, mode)
+    peak, _ = run_to_first_peak(config)
+    assert peak.peak_step == peak_step
+    assert peak.peak_probability == pytest.approx(peak_probability, abs=1e-6)
+    if mode is EdgeMode.GRID:  # translation invariant: (31, 6) peaks as (1, 6) does
+        moved = WalkConfig.with_na(config.topology, na, [(1, 6)], mode)
+        assert run_to_first_peak(moved)[0] == peak
+
+
 def test_stride_two_rule_follows_the_envelope():
     # a period-2 parity dip on a rising-then-falling envelope: neighbouring
     # samples never fall five times in a row, same-parity samples do
@@ -167,8 +205,8 @@ def test_random_target_set_full_draw_and_overflow():
 
 
 def test_every_admissible_target_is_found():
-    # each vertex the sampler can draw, as a lone target, peaks near P = 1; on an
-    # exceptional line the same walk stops at t = 4 near P(0) or finds no peak
+    # each vertex the sampler can draw, as a lone target, peaks near P = 1; a walk
+    # whose every target is on an exceptional line raises NoPeakError unstepped
     topo = TopologyParams.from_side(16)
     drawn = random_target_set(14 * 14, topo, seed=5)
     assert [x + 16 * y for x, y in drawn] == np.flatnonzero(~exceptional_vertices(topo)).tolist()
@@ -241,6 +279,15 @@ def test_sweep_self_loop_marks_optimum():
     assert [p.na for p in sweep.points] == [6.0, 8.0, 10.0]
     best = max(sweep.points, key=lambda p: p.peak_probability)
     assert sweep.optimal == best
+
+
+def test_sweep_optimum_is_the_first_of_equal_maxima():
+    points = tuple(ScalingRecord(64, 4096, 1, na, "hn4", 0, i, 110, p, 110 / p**0.5)
+                   for i, (na, p) in enumerate([(7.0, 0.90), (8.5, 0.95), (10.0, 0.95)]))
+    sweep = SweepResult(points)
+    assert sweep.optimal_index == 1
+    assert sweep.optimal is points[1]
+    assert [field.name for field in dataclasses.fields(SweepResult)] == ["points"]
 
 
 def test_sweep_multi_target_optimum_region():
@@ -353,9 +400,10 @@ def test_map_jobs_after_threaded_step_in_parent(monkeypatch):
     jobs = density_jobs([512], 0.001, trials=2, seed=17)
     serial = list(run_jobs(jobs, 1))
     pooled = list(run_jobs(jobs, 2))
-    assert [record for record, _ in pooled] == [record for record, _ in serial]
-    assert [threads for _, threads in serial] == [2, 2]
-    assert [threads for _, threads in pooled] == [1, 1]  # each job reports its own worker
+    assert [result.record for result in pooled] == [result.record for result in serial]
+    assert [result.stepped_processes for result in serial] == [2, 2]
+    # each job reports its own worker
+    assert [result.stepped_processes for result in pooled] == [1, 1]
     fork = multiprocessing.get_context("fork")
     receive, send = fork.Pipe(duplex=False)
 

@@ -43,8 +43,6 @@ def sample_sweep():
             ScalingRecord(64, 4096, 1, 7.0, "hn4", 0, 0, 118, 0.9943, 118 / 0.9943**0.5),
             ScalingRecord(64, 4096, 1, 8.5, "hn4", 0, 1, 113, 0.9979, 113 / 0.9979**0.5),
         ),
-        optimal_index=1,
-        step_threads=1,
     )
 
 
@@ -118,8 +116,6 @@ def test_sweep_csv_marks_optimal_row(tmp_path):
             ScalingRecord(64, 4096, 1, 7.0, "hn4", 0, 0, 118, 0.9943, 118 / 0.9943**0.5),
             ScalingRecord(64, 4096, 1, 8.5, "hn4", 0, 1, 113, 0.9979, 113 / 0.9979**0.5),
         ),
-        optimal_index=1,
-        step_threads=1,
     )
     path = tmp_path / "sweep.csv"
     write_sweep_csv(path, sweep)
