@@ -6,7 +6,8 @@ operator is real, so a real state stays real.  Complex states, loaded for
 analysis, evolve through the same code.  One step applies, in order, the
 phase oracle over the marked vertices, the weighted Grover coin, and the
 flip-flop shift.  The shift follows the lattice: every grid and long-range
-move permutes the L entries of a line, so on the C x L x L view of the state
+move permutes the L entries of a line by one of the lines of
+:func:`~hn4walk.topology.move_lines`, so on the C x L x L view of the state
 each is an L-entry gather along x or a row scatter along y, and hold is a
 plain write.
 
@@ -59,7 +60,7 @@ from .topology import (
     TopologyError,
     TopologyParams,
     exceptional_vertices,
-    long_range_lines,
+    move_lines,
 )
 
 __all__ = [
@@ -111,26 +112,10 @@ class CoinDirection(IntEnum):
     HOLD = 8
 
 
+#: Per kind of move of :func:`~hn4walk.topology.move_lines` the rows are +x,
+#: -x, +y, -y, so an edge row r reverses into row r ^ 1; hold comes last.
 _HN4_DIRECTIONS = tuple(CoinDirection)
-_GRID_DIRECTIONS = (
-    CoinDirection.X_PLUS,
-    CoinDirection.X_MINUS,
-    CoinDirection.Y_PLUS,
-    CoinDirection.Y_MINUS,
-    CoinDirection.HOLD,
-)
-
-_FLIP = {
-    CoinDirection.X_PLUS: CoinDirection.X_MINUS,
-    CoinDirection.X_MINUS: CoinDirection.X_PLUS,
-    CoinDirection.Y_PLUS: CoinDirection.Y_MINUS,
-    CoinDirection.Y_MINUS: CoinDirection.Y_PLUS,
-    CoinDirection.LX_PLUS: CoinDirection.LX_MINUS,
-    CoinDirection.LX_MINUS: CoinDirection.LX_PLUS,
-    CoinDirection.LY_PLUS: CoinDirection.LY_MINUS,
-    CoinDirection.LY_MINUS: CoinDirection.LY_PLUS,
-    CoinDirection.HOLD: CoinDirection.HOLD,
-}
+_GRID_DIRECTIONS = _HN4_DIRECTIONS[:4] + _HN4_DIRECTIONS[-1:]  # the ring's rows and hold
 
 
 def directions(edge_mode: EdgeMode) -> tuple[CoinDirection, ...]:
@@ -139,8 +124,10 @@ def directions(edge_mode: EdgeMode) -> tuple[CoinDirection, ...]:
 
 
 def flip(direction: CoinDirection) -> CoinDirection:
-    """Reverse of a coin direction; hold is its own reverse."""
-    return _FLIP[direction]
+    """Reverse of a coin direction, the row r ^ 1 of its kind of move; hold is
+    its own reverse."""
+    direction = CoinDirection(direction)
+    return direction if direction is CoinDirection.HOLD else CoinDirection(direction ^ 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,27 +287,20 @@ def _moves(
 ) -> tuple[tuple[int, int, bool, np.ndarray], ...]:
     """(source row, destination row, along x, line) of every edge move.
 
-    The coined row of direction d moves one step along d into the row of
-    flip(d), an L-entry permutation of every line: along x a gather,
-    dst[y, x] = coined[y, line[x]] with line[x] the neighbour of x along
-    flip(d), along y a row scatter, dst[line[y]] = coined[y] with line[y]
-    the neighbour of y along d.  A line is the ring successor or
-    predecessor for a grid move and ``lr_next`` or ``lr_prev`` for a
-    long-range one.
+    Kind k of :func:`~hn4walk.topology.move_lines` holds the rows 4k .. 4k + 3,
+    +x, -x, +y and -y, and its (forward, backward) lines.  The coined row r
+    moves one step along its own direction, forward for + and backward for -,
+    into the reversed row r ^ 1: an L-entry permutation of every line.  Along
+    y that is a row scatter, dst[line[y]] = coined[y] with the row's own line;
+    along x a gather, dst[y, x] = coined[y, line[x]] with the inverse line,
+    the other one of the pair.
     """
-    d = CoinDirection
-    side = topology.side
-    succ, pred = (np.arange(side) + 1) % side, (np.arange(side) - 1) % side
-    lr_next, lr_prev = long_range_lines(topology)
-    lines = {  # keyed by the destination row's direction
-        d.X_PLUS: (True, succ), d.X_MINUS: (True, pred),
-        d.Y_PLUS: (False, pred), d.Y_MINUS: (False, succ),
-        d.LX_PLUS: (True, lr_next), d.LX_MINUS: (True, lr_prev),
-        d.LY_PLUS: (False, lr_prev), d.LY_MINUS: (False, lr_next),
-    }
-    dirs = directions(edge_mode)
-    row = {f: r for r, f in enumerate(dirs)}
-    return tuple((r, row[flip(f)], *lines[flip(f)]) for r, f in enumerate(dirs[:-1]))
+    moves = []
+    for kind, lines in enumerate(move_lines(topology, edge_mode)):
+        for r in range(4 * kind, 4 * kind + 4):
+            along_x = r % 4 < 2
+            moves.append((r, r ^ 1, along_x, lines[(r & 1) ^ along_x]))
+    return tuple(moves)
 
 
 def _shift_band(

@@ -11,13 +11,16 @@ walk.  Every sweep point, scaling trial and density trial is one
 :class:`TrialJob`, run by :func:`trial_record`, which returns one
 :class:`JobResult`: the job's record and the most processes a step of its
 walk ran on.  The protocols keep only the records; the count is run
-telemetry, which the CLI writes to its manifests.  :func:`run_jobs` is the
-one runner of a job list, for the protocols and the CLI alike: it refuses,
-when called, a job list whose pool could not hold all its engines at once,
-then runs the jobs through one bounded process pool and yields results in
-submission order as they arrive, so a run is reproducible for a fixed seed
-regardless of worker count, and a failing job leaves every earlier result
-delivered.
+telemetry, which the CLI writes to its manifests.  Every job, like
+:func:`run_to_first_peak`, walks through one path, :func:`_walk`: it
+refuses a walk that cannot find a target before any step, then reads the
+first peak under a peak rule, or without one the trace maximum over a fixed
+horizon.  :func:`run_jobs` is the one runner of a job list, for the
+protocols and the CLI alike: it refuses, when called, a job list whose pool
+could not hold all its engines at once, then runs the jobs through one
+bounded process pool and yields results in submission order as they
+arrive, so a run is reproducible for a fixed seed regardless of worker
+count, and a failing job leaves every earlier result delivered.
 
 Randomness comes from numpy's PCG64 generator.  Per-job seeds are derived
 from the master seed in two documented stages,
@@ -31,7 +34,7 @@ from __future__ import annotations
 import logging
 import math
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -117,9 +120,12 @@ SWEEP_PEAK_RULE = PeakRule(stride=2)
 
 @dataclass(frozen=True)
 class PeakResult:
+    """A walk's peak: its step and probability, and the rule it qualified
+    under, None for the largest P of a fixed horizon."""
+
     peak_step: int
     peak_probability: float
-    rule: PeakRule
+    rule: PeakRule | None
 
 
 class NoPeakError(RuntimeError):
@@ -197,19 +203,24 @@ def run_to_first_peak(
     ``decline_run * stride`` samples past the peak.  The walk feeds the scan
     behind :func:`detect_first_peak` as it steps, so the result equals
     detection over the full horizon of ``t_max`` steps (None:
-    :func:`step_budget`), just cheaper.
+    :func:`step_budget`), just cheaper.  A walk that cannot find a target
+    is refused before it steps (:func:`_walk`).
     """
-    return _walk_to_first_peak(WalkEngine(config), t_max, rule)
+    return _walk(WalkEngine(config), t_max, rule)
 
 
-def _walk_to_first_peak(
-    engine: WalkEngine, t_max: int | None, rule: PeakRule
+def _walk(
+    engine: WalkEngine, t_max: int | None, rule: PeakRule | None
 ) -> tuple[PeakResult, np.ndarray]:
-    """:func:`run_to_first_peak` on a fresh ``engine`` of its config.
+    """The walk of every job, on a fresh ``engine``: its peak and the trace
+    recorded.  Under a peak ``rule`` it is :func:`run_to_first_peak`'s, within
+    ``t_max`` steps (None: :func:`step_budget`); with ``rule=None`` the largest
+    P over exactly ``t_max`` steps, its earliest step, and the whole trace.
 
-    An HN4 walk whose every target lies on an exceptional line never finds
-    one, so it raises :class:`NoPeakError`, carrying P(0), before any step:
-    the rule's gain floor alone would confirm the t = 4 ripple as a peak.
+    A walk needs a target, and an HN4 walk whose every target lies on an
+    exceptional line never finds one, so it raises :class:`NoPeakError`,
+    carrying P(0), before any step: the peak rule's gain floor alone would
+    confirm the t = 4 ripple as a peak, and the trace maximum would read it.
     """
     config = engine.config
     if config.target_count == 0:
@@ -222,7 +233,11 @@ def _walk_to_first_peak(
         )
     if t_max is None:
         t_max = step_budget(config.topology.n_vertices, config.target_count, config.edge_mode)
-    return _first_peak(engine.trace(t_max), rule)
+    if rule is not None:
+        return _first_peak(engine.trace(t_max), rule)
+    probs = np.fromiter(engine.trace(t_max), np.float64, t_max + 1)
+    peak_step = int(np.argmax(probs))
+    return PeakResult(peak_step, float(probs[peak_step]), rule), probs
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +362,11 @@ class TrialJob:
     """One walk: on the explicit ``targets``, or else on ``m`` admissible
     targets drawn from ``seed`` (:func:`random_target_set`).
 
-    With a peak ``rule`` the walk runs to its first peak within ``t_max``
-    steps (None: :func:`step_budget`).  With ``rule=None`` it runs the fixed
-    density horizon round(1.75 * sqrt(N/M)) and records the trace maximum.
+    ``t_max`` bounds the walk under any rule (None: :func:`step_budget`).
+    With a peak ``rule`` the walk runs to its first peak within it; with
+    ``rule=None`` it runs exactly ``t_max`` steps and records the trace
+    maximum, as the density protocol does over its horizon
+    round(1.75 * sqrt(N/M)).
     """
 
     side: int
@@ -376,20 +393,13 @@ class JobResult:
 
 
 def trial_record(job: TrialJob) -> JobResult:
-    """Run one job: its :class:`JobResult`."""
+    """Run one job's walk (:func:`_walk`): its :class:`JobResult`."""
     topology = TopologyParams.from_side(job.side)
     targets = job.targets
     if targets is None:
         targets = random_target_set(job.m, topology, job.seed)
     engine = WalkEngine(WalkConfig.with_na(topology, job.na, targets, job.edge_mode))
-    if job.rule is None:
-        horizon = int(1.75 * math.sqrt(topology.n_vertices / job.m) + 0.5)
-        probs = np.fromiter(engine.trace(horizon), np.float64, horizon + 1)
-        peak_step = int(np.argmax(probs))
-        peak_probability = float(probs[peak_step])
-    else:
-        peak, _ = _walk_to_first_peak(engine, job.t_max, job.rule)
-        peak_step, peak_probability = peak.peak_step, peak.peak_probability
+    peak, _ = _walk(engine, job.t_max, job.rule)
     return JobResult(ScalingRecord(
         side=job.side,
         n_elements=topology.n_vertices,
@@ -398,9 +408,9 @@ def trial_record(job: TrialJob) -> JobResult:
         mode=EdgeMode(job.edge_mode).value,
         seed=job.seed,
         trial=job.trial,
-        peak_step=peak_step,
-        peak_probability=peak_probability,
-        amplified_cost=amplified_cost(peak_step, peak_probability),
+        peak_step=peak.peak_step,
+        peak_probability=peak.peak_probability,
+        amplified_cost=amplified_cost(peak.peak_step, peak.peak_probability),
     ), engine.stepped_processes)
 
 
@@ -451,8 +461,10 @@ def density_jobs(
     seed: int,
 ) -> list[TrialJob]:
     """Fixed-horizon trials marking round(fraction * N) vertices on each side,
-    at the Na = 8.5M heuristic.  A side on which that count is 0 or exceeds
-    the admissible vertices is refused, naming the side and the fraction."""
+    at the Na = 8.5M heuristic: jobs with ``rule=None`` and ``t_max`` the
+    density horizon round(1.75 * sqrt(N/M)).  A side on which the marked
+    count is 0 or exceeds the admissible vertices is refused, naming the side
+    and the fraction."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
     cells = []
@@ -466,7 +478,8 @@ def density_jobs(
                 f"[1, {admissible}] (admissible vertices)"
             )
         cells.append((side, m))
-    return trial_jobs(cells, "8.5M", trials, seed, rule=None)
+    jobs = trial_jobs(cells, "8.5M", trials, seed, rule=None)
+    return [replace(job, t_max=int(1.75 * math.sqrt(job.side**2 / job.m) + 0.5)) for job in jobs]
 
 
 def density_experiment(

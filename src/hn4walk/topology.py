@@ -14,11 +14,13 @@ self-loops, which makes them "exceptional".
 Amplitudes elsewhere in the package are stored against 0-based grid
 coordinates (x in [0, L - 1]); the hierarchy map always applies to x + 1.
 :func:`decompose` and :func:`compose` give the hierarchy one coordinate at
-a time and serve as the scalar reference; :func:`long_range_lines` and
-:func:`exceptional_vertices` give the long-range moves and the exceptional
-vertices of the whole lattice as numpy arrays, the one definition the
-engine and the experiments read; they alone import numpy, so the CLI can
-parse its arguments and fit records without loading it.  :class:`EdgeMode`
+a time and serve as the scalar reference.  :func:`move_lines` states the
+graph once: the forward and backward line of each kind of move, the ring and
+with long-range edges the hierarchy, the same along x and y, which the
+engine's shift reads.  :func:`exceptional_vertices` reads its long-range
+pair for the mask of the exceptional vertices, which the experiments read.
+These two return numpy arrays and alone import numpy, so the CLI can parse
+its arguments and fit records without loading it.  :class:`EdgeMode`
 names the two graph flavours, with and without the long-range edges.
 Nothing here holds state, so all of it is safe to call concurrently.
 """
@@ -41,7 +43,7 @@ __all__ = [
     "level_size",
     "decompose",
     "compose",
-    "long_range_lines",
+    "move_lines",
     "exceptional_vertices",
 ]
 
@@ -129,35 +131,45 @@ def compose(coord: HierCoord | tuple[int, int], n: int) -> int:
     return (1 << level) * (2 * rank + 1)
 
 
-def long_range_lines(params: TopologyParams) -> tuple[np.ndarray, np.ndarray]:
-    """0-based long-range successor and predecessor of each of the L line coordinates.
+def move_lines(
+    params: TopologyParams, edge_mode: EdgeMode
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(forward, backward) line of each kind of move: L 0-based line coordinates each.
 
-    For the 1-based coordinate c, step = 2**level is the lowest set bit of c,
-    its level holds max(L / (2 * step), 1) coordinates and its rank is
-    (c / step - 1) / 2; the move goes to the cyclically adjacent rank
-    of the same level.  At levels n - 1 and n the level holds one
-    coordinate, so the move is a fixed point (a self-loop).
+    Every move changes one coordinate, along x or along y, by the same
+    permutation of the line, so each kind of move has one pair of lines, the
+    backward line the inverse of the forward one.  The grid's kind is the
+    ring, (succ, pred) with succ[c] = (c + 1) mod L and pred[c] = (c - 1) mod L.
+    With long-range edges a second kind, (lr_next, lr_prev), follows it: for
+    the 0-based coordinate c, step = 2**level is the lowest set bit of c + 1,
+    so c + 1 = step * (2 * rank + 1) and the rank is c // (2 * step); the
+    level holds max(L / (2 * step), 1) coordinates, and the move goes to the
+    cyclically adjacent rank of the same level.  At levels n - 1 and n the
+    level holds one coordinate, so the move is a fixed point (a self-loop).
     """
     import numpy as np
 
-    c = np.arange(1, params.side + 1, dtype=np.intp)
-    step = c & -c
-    size = np.maximum(params.side // (2 * step), 1)
-    rank = (c // step - 1) // 2
-    lr_next, lr_prev = (step * (2 * ((rank + d) % size) + 1) - 1 for d in (1, -1))
-    return lr_next, lr_prev
+    side = params.side
+    c = np.arange(side, dtype=np.intp)
+    ring = ((c + 1) % side, (c - 1) % side)
+    if EdgeMode(edge_mode) is EdgeMode.GRID:
+        return (ring,)
+    step = (c + 1) & -(c + 1)
+    size = np.maximum(side // (2 * step), 1)
+    rank = c // (2 * step)
+    return ring, tuple(step * (2 * ((rank + d) % size) + 1) - 1 for d in (1, -1))
 
 
 def exceptional_vertices(params: TopologyParams) -> np.ndarray:
     """Boolean mask over the N vertices, in linear-index order, of the exceptional ones.
 
-    A line coordinate is exceptional when its long-range move is a fixed
-    point, and a vertex when either of its coordinates is: its long-range
-    edges along that line are self-loops, so an HN4 walk cannot find a
-    target there.
+    A line coordinate is exceptional when its long-range move, the second
+    pair of :func:`move_lines`, is a fixed point, and a vertex when either
+    of its coordinates is: its long-range edges along that line are
+    self-loops, so an HN4 walk cannot find a target there.
     """
     import numpy as np
 
-    lr_next, _ = long_range_lines(params)
+    lr_next, _ = move_lines(params, EdgeMode.HN4)[1]
     line = lr_next == np.arange(params.side)
     return np.logical_or.outer(line, line).reshape(-1)  # [y, x] flattens to x + L * y

@@ -79,3 +79,23 @@ def test_docstring_cross_references_resolve():
     assert [(name, target) for name, target, ok in references if not ok] == []
     assert not _resolves(experiments, "sweep_result")
     assert not _resolves(engine, "hn4walk.engine.step_threads")
+
+
+#: A row of README's library layout: the package or module, and its contents.
+LAYOUT_ROW = re.compile(r"^\| `(hn4walk(?:\.\w+)?)` *\|(.*)\|$", re.MULTILINE)
+
+
+def test_readme_layout_names_resolve():
+    # every backticked identifier with an underscore in a module's row names an
+    # attribute of that module or of one of its classes
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    names = [
+        (module, name)
+        for module, contents in LAYOUT_ROW.findall(readme)
+        for name in re.findall(r"`(\w*_\w*)`", contents)
+    ]
+    assert len(names) >= 20
+    stale = [(module, name) for module, name in names
+             if not _resolves(importlib.import_module(module), name)]
+    assert stale == []
+    assert not _resolves(topology, "long_range_lines")

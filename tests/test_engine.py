@@ -68,13 +68,24 @@ def test_direction_cardinality():
     assert len(directions(EdgeMode.GRID)) == 5
     assert directions(EdgeMode.HN4)[-1] is CoinDirection.HOLD
     assert directions(EdgeMode.GRID)[-1] is CoinDirection.HOLD
+    d = CoinDirection
+    assert directions(EdgeMode.HN4) == tuple(d)
+    assert directions(EdgeMode.GRID) == (d.X_PLUS, d.X_MINUS, d.Y_PLUS, d.Y_MINUS, d.HOLD)
 
 
 def test_flip_is_involution():
-    for d in CoinDirection:
-        assert flip(flip(d)) is d
-    assert flip(CoinDirection.HOLD) is CoinDirection.HOLD
-    assert flip(CoinDirection.X_PLUS) is CoinDirection.X_MINUS
+    d = CoinDirection
+    pairs = {
+        d.X_PLUS: d.X_MINUS, d.X_MINUS: d.X_PLUS,
+        d.Y_PLUS: d.Y_MINUS, d.Y_MINUS: d.Y_PLUS,
+        d.LX_PLUS: d.LX_MINUS, d.LX_MINUS: d.LX_PLUS,
+        d.LY_PLUS: d.LY_MINUS, d.LY_MINUS: d.LY_PLUS,
+        d.HOLD: d.HOLD,
+    }
+    assert len(pairs) == len(CoinDirection)
+    for direction, reverse in pairs.items():
+        assert flip(direction) is reverse
+        assert flip(flip(direction)) is direction
 
 
 def test_config_validation():

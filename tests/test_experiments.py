@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import math
 import multiprocessing
 
 import numpy as np
@@ -22,6 +23,7 @@ from hn4walk.experiments import (
     SWEEP_PEAK_RULE,
     ScalingRecord,
     SweepResult,
+    TrialJob,
     density_experiment,
     derive_seed,
     detect_first_peak,
@@ -35,6 +37,7 @@ from hn4walk.experiments import (
     sweep_jobs,
     sweep_self_loop,
     trial_jobs,
+    trial_record,
 )
 from hn4walk import experiments
 from hn4walk.fitting import RuntimeModel, fit_scaling
@@ -483,6 +486,36 @@ def test_density_experiment_rejects_bad_fractions():
     # fraction below 1 can still exceed the admissible count
     with pytest.raises(ValueError):
         density_experiment([16], 0.99, trials=1, seed=1)
+
+
+def test_density_jobs_carry_the_density_horizon():
+    # the horizon round(1.75 * sqrt(N/M)) that the fixed-horizon walk ran before
+    # it moved into each job's t_max
+    jobs = density_jobs([64, 256, 512], 0.01, trials=2, seed=7)
+    assert [(job.m, job.rule, job.t_max) for job in jobs[::2]] == [
+        (41, None, 17), (655, None, 18), (2621, None, 18)
+    ]
+    for fraction in (0.01, 0.2):
+        for job in density_jobs([16, 64, 128, 256, 512], fraction, trials=2, seed=7):
+            n_vertices = TopologyParams.from_side(job.side).n_vertices
+            assert job.t_max == int(1.75 * math.sqrt(n_vertices / job.m) + 0.5)
+
+
+def test_fixed_horizon_job_refuses_targets_only_on_exceptional_lines(monkeypatch):
+    # a rule=None job recorded this walk's t = 4 ripple (P = 0.00218) as its peak
+    monkeypatch.setattr(WalkEngine, "advance", lambda self, steps=1: pytest.fail("a step ran"))
+    job = TrialJob(64, 1, 8.5, 0, 0, rule=None, targets=[(31, 6)], t_max=112)
+    with pytest.raises(NoPeakError, match="every target lies on an exceptional line") as excinfo:
+        trial_record(job)
+    assert excinfo.value.max_probability == pytest.approx(1 / 4096, rel=1e-12)
+
+
+def test_fixed_horizon_job_records_the_trace_maximum_over_t_max_steps():
+    job = TrialJob(64, 1, 8.5, 0, 0, rule=None, targets=[(1, 6)], t_max=112)
+    record = trial_record(job).record
+    assert (record.peak_step, record.peak_probability) == (112, 0.9978801156154584)
+    shorter = trial_record(dataclasses.replace(job, t_max=100)).record
+    assert shorter.peak_step == 100 and shorter.peak_probability < record.peak_probability
 
 
 def test_grid_mode_scales_like_sqrt_n_log_n():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hn4walk.topology import (
+    EdgeMode,
     HierCoord,
     TopologyError,
     TopologyParams,
@@ -10,7 +11,7 @@ from hn4walk.topology import (
     decompose,
     exceptional_vertices,
     level_size,
-    long_range_lines,
+    move_lines,
     rank_limit,
 )
 
@@ -82,9 +83,29 @@ def test_round_trip_property(n, data):
     assert compose(HierCoord(level, rank), n) == x
 
 
+@pytest.mark.parametrize("n", [2, 4, 9])
+def test_move_lines_kinds(n):
+    # one (forward, backward) pair per kind of move: the ring, then with
+    # long-range edges the hierarchy; every line an intp permutation of the side
+    params = TopologyParams(n)
+    grid = move_lines(params, EdgeMode.GRID)
+    hn4 = move_lines(params, "hn4")
+    assert len(grid) == 1 and len(hn4) == 2
+    for lines in (*grid, *hn4):
+        assert len(lines) == 2
+        for line in lines:
+            assert line.dtype == np.intp and line.shape == (params.side,)
+        forward, backward = lines
+        assert np.array_equal(backward[forward], np.arange(params.side))
+    for ring in (grid[0], hn4[0]):
+        x = np.arange(params.side)
+        assert np.array_equal(ring[0], (x + 1) % params.side)
+        assert np.array_equal(ring[1], (x - 1) % params.side)
+
+
 def test_long_range_examples():
     # 0-based: the 1-based move 3 -> 5 is 2 -> 4
-    lr_next, lr_prev = long_range_lines(TopologyParams(4))
+    lr_next, lr_prev = move_lines(TopologyParams(4), EdgeMode.HN4)[1]
     assert lr_next[2] == 4
     assert lr_next[14] == 0  # cyclic wrap within level 0
     assert lr_next[7] == lr_prev[7] == 7  # level n-1 self-loop
@@ -94,7 +115,7 @@ def test_long_range_examples():
 
 def test_long_range_round_trip_and_level():
     for n in range(2, 11):
-        lr_next, lr_prev = long_range_lines(TopologyParams(n))
+        lr_next, lr_prev = move_lines(TopologyParams(n), EdgeMode.HN4)[1]
         assert np.array_equal(lr_prev[lr_next], np.arange(1 << n))
         for x in range(1, (1 << n) + 1):
             level, rank = decompose(x, n)
@@ -106,7 +127,7 @@ def test_long_range_round_trip_and_level():
 def test_long_range_single_cycle_per_level():
     for n in range(2, 11):
         side = 1 << n
-        lr_next, _ = long_range_lines(TopologyParams(n))
+        lr_next, _ = move_lines(TopologyParams(n), EdgeMode.HN4)[1]
         for level in range(n - 1):
             size = level_size(level, n)
             start = compose(HierCoord(level, 0), n) - 1
