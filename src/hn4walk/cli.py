@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from collections.abc import Callable
 from datetime import datetime, timezone
 from itertools import tee
 from pathlib import Path
@@ -53,37 +54,32 @@ def _side(text: str) -> int:
     return value
 
 
-def _side_list(text: str) -> list[int]:
-    sides = [_side(tok) for tok in text.split(",") if tok.strip()]
-    if not sides:
-        raise argparse.ArgumentTypeError("side list must not be empty")
-    return sides
-
-
-def _target_list(text: str) -> tuple[tuple[int, int], ...]:
-    pairs = [tok for tok in text.split(";") if tok.strip()]
-    if not pairs:
-        raise argparse.ArgumentTypeError("target list must not be empty")
-    targets = []
-    for pair in pairs:
-        try:
-            x, y = pair.split(",")
-            targets.append((int(x), int(y)))
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"malformed target {pair!r}; expected 'x,y;x,y;...'"
-            )
-    return tuple(targets)
-
-
-def _int_list(text: str) -> list[int]:
+def _target(text: str) -> tuple[int, int]:
     try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
+        x, y = text.split(",")
+        return int(x), int(y)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"malformed integer list {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("integer list must not be empty")
-    return values
+        raise argparse.ArgumentTypeError(f"malformed target {text!r}; expected 'x,y;x,y;...'")
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"malformed integer {text!r}")
+
+
+def _list(item: Callable[[str], object], what: str, sep: str = ",") -> Callable[[str], tuple]:
+    """An argparse type: the ``sep``-separated items of a text, each parsed by
+    ``item``, as a tuple; blank items are dropped and an empty list refused."""
+
+    def parse(text: str) -> tuple:
+        values = tuple(item(token) for token in text.split(sep) if token.strip())
+        if not values:
+            raise argparse.ArgumentTypeError(f"{what} list must not be empty")
+        return values
+
+    return parse
 
 
 def _positive_int(text: str) -> int:
@@ -114,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="evolve one walk and write its probability trace")
     sim.add_argument("--side", type=_side, required=True)
-    sim.add_argument("--targets", type=_target_list, required=True)
+    sim.add_argument("--targets", type=_list(_target, "target", ";"), required=True)
     sim.add_argument("--na", type=float, required=True, help="total self-loop weight N*a")
     sim.add_argument("--mode", choices=[m.value for m in EdgeMode], default="hn4")
     sim.add_argument("--steps", type=_steps, default="auto")
@@ -123,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     swp = sub.add_parser("sweep", help="scan the self-loop weight and mark the optimum")
     swp.add_argument("--side", type=_side, required=True)
-    swp.add_argument("--targets", type=_target_list, required=True)
+    swp.add_argument("--targets", type=_list(_target, "target", ";"), required=True)
     swp.add_argument("--na-min", type=float, required=True)
     swp.add_argument("--na-max", type=float, required=True)
     swp.add_argument("--na-step", type=float, required=True)
@@ -134,10 +130,10 @@ def build_parser() -> argparse.ArgumentParser:
     swp.set_defaults(func=_cmd_sweep)
 
     scl = sub.add_parser("scale", help="first-peak records over lattice sizes")
-    scl.add_argument("--sides", type=_side_list, required=True)
+    scl.add_argument("--sides", type=_list(_side, "side"), required=True)
     group = scl.add_mutually_exclusive_group(required=True)
     group.add_argument("--m", type=int)
-    group.add_argument("--m-list", type=_int_list)
+    group.add_argument("--m-list", type=_list(_int, "integer"))
     na_group = scl.add_mutually_exclusive_group(required=True)
     na_group.add_argument("--na", type=float)
     na_group.add_argument("--na-rule", help="heuristic total weight, e.g. 8.5M")
@@ -149,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     scl.set_defaults(func=_cmd_scale)
 
     den = sub.add_parser("density", help="runs with a fixed fraction of marked vertices")
-    den.add_argument("--sides", type=_side_list, required=True)
+    den.add_argument("--sides", type=_list(_side, "side"), required=True)
     den.add_argument("--fraction", type=float, required=True)
     den.add_argument("--trials", type=int, default=10)
     den.add_argument("--out", required=True)

@@ -29,13 +29,15 @@ interpreter, so no part waits for another's interpreter lock.  The helpers
 step over the two state buffers in shared anonymous memory, each in its own
 copy-on-write copy of the band pair; an engine moves its state there and
 forks its helpers only after a serial warm-up, so a short walk never
-forks.  An engine whose shared buffers or helpers cannot be had steps the
-rest of its walk on the calling process.  Each vertex is computed by the
-same operations in the same order whatever the banding, so the result is
-bit-identical for any band size and process count.  A job-pool worker
-steps on one core, as its siblings fill the other cores.  An engine whose
-helpers run shares its state with them, so a forked child refuses to step,
-reset or load it: build a new engine there.
+forks.  An engine whose shared buffers or helpers cannot be had, or whose
+helper dies, steps the rest of its walk, from the step in progress on, on
+the calling process.  Each vertex is computed by the same operations in
+the same order whatever the banding, so the result is bit-identical for
+any band size and process count.  A job-pool worker steps on one core, as
+its siblings fill the other cores.  An engine belongs to the process that
+built it, whose helpers may share its state, so a forked child refuses to
+step or load an engine it inherited: build a new engine there.  A step
+that raises, such as on an interrupt, leaves the walk as it was.
 
 Evolution never renormalises: norm drift is a measured property, not a
 silently corrected one.
@@ -274,8 +276,8 @@ def _layout(topology: TopologyParams, edge_mode: EdgeMode) -> _Layout:
     last band of a part may be shorter than the first band, (0, rows)."""
     side = topology.side
     rows = min(side, max(1, _BAND_BYTES // (len(directions(edge_mode)) * side * 8)))
-    threads = max(1, min(_step_cores or available_cores(), -(-side // rows) // 2))
-    cuts = [side * i // threads for i in range(threads + 1)]
+    parts = max(1, min(_step_cores or available_cores(), -(-side // rows) // 2))
+    cuts = [side * i // parts for i in range(parts + 1)]
     return tuple(
         tuple((y0, min(y0 + rows, end)) for y0 in range(start, end, rows))
         for start, end in zip(cuts, cuts[1:])
@@ -457,12 +459,12 @@ def memory_requirement(topology: TopologyParams, edge_mode: EdgeMode) -> int:
 
 class _Helpers:
     """The forked step helpers of one engine: (pid, command fd, ack fd) of
-    each, and ``owner``, the pid of the process whose helpers share the
-    engine's state buffers (None while the buffers are private)."""
+    each, and ``owner``, the pid of the process that built the engine, the
+    only one that may start, drive or end its helpers."""
 
     def __init__(self) -> None:
         self.procs: list[tuple[int, int, int]] = []
-        self.owner: int | None = None
+        self.owner = os.getpid()
 
     def stop(self) -> None:
         """End every helper by a quit byte and reap it.  A process other than
@@ -493,16 +495,17 @@ class WalkEngine:
     taken ``_WARMUP_STEPS`` steps on the calling process alone, it moves its
     state buffers into shared memory and forks one helper process per part
     past the first; from then on the calling process runs the first part and
-    the helpers the others; if they cannot start, every part stays on the
-    calling process for the rest of the engine's life.
+    the helpers the others.  If they cannot start, or one dies, every helper
+    ends and every part runs on the calling process for the rest of the
+    engine's life, from the step in progress on.
     :attr:`stepped_processes` counts the processes its steps ran on.
     The helpers end when the engine is dropped, at interpreter exit, or
     before a reallocation (a complex :meth:`set_amplitudes`), after which
-    they start again past the warm-up.  An engine whose helpers another
-    process started refuses to step, reset or load a state.  The state is float64 unless a complex
-    one is loaded with :meth:`set_amplitudes`.  A single engine must be
-    driven by one thread at a time but may be handed between threads
-    between steps.
+    they start again past the warm-up.  An engine refuses to step or load
+    a state in any process but the one that built it.  The state is float64
+    unless a complex one is loaded with :meth:`set_amplitudes`.  A single
+    engine must be driven by one thread at a time but may be handed between
+    threads between steps.
     """
 
     def __init__(self, config: WalkConfig):
@@ -526,7 +529,8 @@ class WalkEngine:
         self._exceptional = flagged  # per target: on an exceptional line
         self._moves = _moves(config.topology, config.edge_mode)
         self._stepped = 1
-        self.reset()
+        self._state[...] = _initial_column(config)
+        self._steps = 0
 
     def _allocate(self, dtype: type) -> None:
         """(Re)allocate the state, scratch, overlap and row buffers for ``dtype``,
@@ -539,7 +543,6 @@ class WalkEngine:
             f"state buffers and the step's band-sized overlap and row buffers need {needed} bytes",
         )
         self._helpers.stop()
-        self._helpers.owner = None
         self._shared = None  # the (state, scratch) pair the helpers were forked with
         self._state = self._scratch = self._overlap = self._row = None  # free before allocating
         self._state = np.empty((len(directions(edge_mode)), topology.n_vertices), dtype=dtype)
@@ -553,7 +556,7 @@ class WalkEngine:
 
     @property
     def t(self) -> int:
-        """Steps taken since the last reset."""
+        """Steps taken since construction or the last :meth:`set_amplitudes`."""
         return self._steps
 
     @property
@@ -583,14 +586,6 @@ class WalkEngine:
         np.copyto(self._state, arr)
         self._steps = 0
 
-    def reset(self) -> None:
-        """Return to the canonical (real) initial state."""
-        self._check_owner()
-        if self._state.dtype != np.float64:
-            self._allocate(np.float64)
-        self._state[...] = _initial_column(self._config)
-        self._steps = 0
-
     def probability(self) -> float:
         """Success probability of the current state."""
         return success_probability(self._state, self._targets)
@@ -609,11 +604,13 @@ class WalkEngine:
         buffers) and every coined row moved into the other state buffer.
 
         An engine of more than one part runs every part on the calling
-        process until it has taken ``_WARMUP_STEPS`` steps since a reset.
-        The next step starts its helper processes, which from then on run
-        every part but the first, until they end; each step waits for every
-        helper before the next.  Raises RuntimeError when a helper has died,
-        and in a process other than the one that started the helpers.
+        process until it has taken ``_WARMUP_STEPS`` steps since construction
+        or the last :meth:`set_amplitudes`.  The next step starts its helper
+        processes, which from then on run every part but the first, until
+        they end; each step waits for every helper before the next.  A helper
+        that cannot start or dies leaves the rest of the walk, from the step
+        in progress on, on the calling process.  Raises RuntimeError in a
+        process other than the one that built the engine.
         """
         self._check_owner()
         for _ in range(steps):
@@ -623,33 +620,38 @@ class WalkEngine:
 
     def _check_owner(self) -> None:
         """Refuse to write the state in a process other than the one that
-        started the helpers, such as a forked child: the state buffers are
-        shared, so the writes would reach that process's walk."""
+        built the engine, such as a forked child: its helpers may share the
+        state buffers, so the writes would reach that process's walk."""
         owner = self._helpers.owner
-        if owner not in (None, os.getpid()):
+        if owner != os.getpid():
             raise RuntimeError(
-                f"this engine's state buffers are shared with the step helpers of "
-                f"process {owner}; build a new engine in this process"
+                f"this engine belongs to process {owner}, whose step helpers may share "
+                f"its state buffers; build a new engine in this process"
             )
 
     def _step(self) -> None:
-        """One step, on the helpers if they run, then swap the state buffers."""
+        """One step, on the helpers if they run and every one of them steps its
+        part, else on this process, then swap the state buffers.  A step that
+        raises applies the oracle, its own inverse, again: the walk is as it was."""
         apply_oracle(self._state, self._targets)
         side = self._config.topology.side
         src, dst = self._state.reshape(-1, side, side), self._scratch.reshape(-1, side, side)
-        if self._helpers.procs:
-            self._step_on_helpers(src, dst)
-            self._stepped = max(self._stepped, 1 + len(self._helpers.procs))
-        else:
-            for part in range(len(self._parts)):
-                self._step_part(src, dst, part)
+        try:
+            if not (self._helpers.procs and self._step_on_helpers(src, dst)):
+                for part in range(len(self._parts)):
+                    self._step_part(src, dst, part)
+        except BaseException:
+            apply_oracle(self._state, self._targets)
+            raise
+        self._stepped = max(self._stepped, 1 + len(self._helpers.procs))
         self._state, self._scratch = self._scratch, self._state
         self._steps += 1
 
-    def _step_on_helpers(self, src: np.ndarray, dst: np.ndarray) -> None:
+    def _step_on_helpers(self, src: np.ndarray, dst: np.ndarray) -> bool:
         """Send each helper the index of the source buffer in ``_shared``, run
-        the first part, and read one ack byte per helper.  A helper that has
-        died, or an interruption before every ack, ends all the helpers."""
+        the first part, and read one ack byte per helper: whether every helper
+        stepped its part.  A helper that has died, or an interruption before
+        every ack, leaves the walk on this process (:meth:`_step_alone`)."""
         procs, sent, acks = self._helpers.procs, 0, b""
         source = bytes((self._state is self._shared[1],))
         try:
@@ -664,40 +666,42 @@ class WalkEngine:
                 acks = b"".join(os.read(ack, 1) for _, _, ack in procs[:sent])
         finally:
             if len(acks) < len(procs):
-                self._helpers.stop()
-        if len(acks) < len(procs):
-            raise RuntimeError("a step helper process ended before its part of the step")
+                self._step_alone("did not finish a step")
+        return len(acks) == len(procs)
+
+    def _step_alone(self, reason: str) -> None:
+        """The one fallback for helpers that cannot start or stop stepping: end
+        every helper, keep a full buffer pair, log one warning and step every
+        band on this process from then on, as one part, the step in progress
+        first."""
+        self._helpers.stop()
+        if self._scratch is None:
+            self._scratch = np.empty_like(self._state)
+        self._parts = (sum(self._parts, ()),)
+        logger.warning("step helpers %s; this walk steps on one process", reason)
 
     def _start_helpers(self) -> None:
         """Move the state buffers into shared anonymous memory, one at a time so
         that no more than ``_held_bytes`` is held, then fork one helper per
         part past the first.  When a buffer or a helper cannot be had (an
-        OSError), the helpers that started end, the engine keeps a full buffer
-        pair, logs one warning and steps every band on this process from then
-        on, as one part."""
+        OSError), or the start is interrupted, the walk steps on this process
+        from then on (:meth:`_step_alone`); an interruption is raised again."""
         import mmap  # only an engine that forks helpers loads it
 
         shape, dtype, size = self._state.shape, self._state.dtype, self._state.nbytes
         self._scratch = self._shared = None
         try:
-            try:
-                state = np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
-                np.copyto(state, self._state)
-                self._state = state
-                self._scratch = np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
-                self._shared = (self._state, self._scratch)
-                self._helpers.owner = os.getpid()
-                for part in range(1, len(self._parts)):
-                    self._helpers.procs.append(self._fork_helper(part))
-            except BaseException:  # a step on fewer helpers than parts would skip bands
-                self._helpers.stop()
-                if self._scratch is None:
-                    self._scratch = np.empty_like(self._state)
+            state = np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
+            np.copyto(state, self._state)
+            self._state = state
+            self._scratch = np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
+            self._shared = (self._state, self._scratch)
+            for part in range(1, len(self._parts)):
+                self._helpers.procs.append(self._fork_helper(part))
+        except BaseException as exc:  # a step on fewer helpers than parts would skip bands
+            self._step_alone(f"could not start ({exc!r})")
+            if not isinstance(exc, OSError):  # an OSError (EAGAIN, ENOMEM) only falls back
                 raise
-        except OSError as exc:  # such as EAGAIN under a process limit, or ENOMEM
-            self._parts = (sum(self._parts, ()),)
-            logger.warning("step helpers could not start (%s); this walk steps on one process",
-                           exc)
 
     def _fork_helper(self, part: int) -> tuple[int, int, int]:
         """Fork the helper of ``part``: its (pid, command fd, ack fd)."""

@@ -386,7 +386,9 @@ class JobResult:
     processes a step of its walk ran on
     (:attr:`~hn4walk.engine.WalkEngine.stepped_processes`: 1 for a walk that
     ended within the serial warm-up or whose step helpers could not start,
-    and in a :func:`run_jobs` pool worker)."""
+    and in a :func:`run_jobs` pool worker).  A helper that dies mid-walk
+    fails nothing: the rest of the walk steps on one process, and the count
+    keeps the helpers' steps before it."""
 
     record: ScalingRecord
     stepped_processes: int

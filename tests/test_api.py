@@ -79,6 +79,7 @@ def test_docstring_cross_references_resolve():
     assert [(name, target) for name, target, ok in references if not ok] == []
     assert not _resolves(experiments, "sweep_result")
     assert not _resolves(engine, "hn4walk.engine.step_threads")
+    assert not _resolves(engine, "WalkEngine.reset")
 
 
 #: A row of README's library layout: the package or module, and its contents.

@@ -445,8 +445,12 @@ def _helper_engine(monkeypatch, config, state=None):
     return walk
 
 
-def test_dead_helper_fails_the_next_step(monkeypatch):
-    config = WalkConfig.with_na(TopologyParams.from_side(512), 17.0, ((1, 6),))
+def test_dead_helper_leaves_the_walk_on_one_process(monkeypatch, caplog):
+    # the step in progress and every later one run on the calling process,
+    # so the walk is the serial walk of the same steps
+    config = WalkConfig.with_na(TopologyParams.from_side(512), 17.0, ((1, 6), (255, 5)))
+    steps = engine_module._WARMUP_STEPS + 3
+    _, serial = _stepped(monkeypatch, config, 1, steps=steps)
     walk = _helper_engine(monkeypatch, config)
     (pid,) = _helper_pids(walk)
     os.kill(pid, signal.SIGKILL)
@@ -454,28 +458,63 @@ def test_dead_helper_fails_the_next_step(monkeypatch):
 
     def step():
         try:
-            walk.advance()
-        except RuntimeError as exc:
+            walk.advance(2)
+        except BaseException as exc:
             raised.append(exc)
 
-    stepper = threading.Thread(target=step, daemon=True)  # a hang must not block exit
-    stepper.start()
-    stepper.join(60)
+    with caplog.at_level(logging.WARNING, logger="hn4walk.engine"):
+        stepper = threading.Thread(target=step, daemon=True)  # a hang must not block exit
+        stepper.start()
+        stepper.join(60)
     assert not stepper.is_alive(), "a step hung on a dead helper"
-    assert len(raised) == 1 and _reaped(pid)
+    assert raised == [] and _reaped(pid)
+    assert len(walk._parts) == 1 and not _helper_pids(walk)
+    assert len([r for r in caplog.records if "one process" in r.message]) == 1
+    assert walk.t == steps and np.array_equal(walk.amplitudes, serial)
 
 
-def test_forked_child_refuses_to_write_shared_state(monkeypatch):
-    # a child's step, reset or load would write into the parent's shared buffers
-    config = WalkConfig.with_na(TopologyParams.from_side(512), 17.0, ((1, 6), (255, 5)))
-    _, serial = _stepped(monkeypatch, config, 1, steps=2 * engine_module._WARMUP_STEPS)
-    walk = _helper_engine(monkeypatch, config)
+@pytest.mark.parametrize(
+    "side, interrupted, on_ack, helpers",
+    [(64, 6, False, 0), (512, engine_module._WARMUP_STEPS + 3, False, 1),
+     (512, engine_module._WARMUP_STEPS + 3, True, 0)],
+    ids=["one-process", "helpers", "helpers-ack"],
+)
+def test_interrupted_step_leaves_the_walk_as_it_was(monkeypatch, side, interrupted, on_ack,
+                                                    helpers):
+    # an interrupt in the calling process's band pass of step `interrupted`,
+    # or while it waits for the helper's ack, leaves t and the amplitudes of
+    # the step before; the walk then steps on as if never interrupted, on its
+    # helper unless the interrupt left the ack unread
+    config = WalkConfig.with_na(TopologyParams.from_side(side), 8.5, ((1, 6), (side // 2 - 1, 5)))
+    steps = interrupted + 4
+    _, serial = _stepped(monkeypatch, config, 1, steps=steps)
+    monkeypatch.setattr(engine_module, "_step_cores", 2)
+    walk = WalkEngine(config)
+    walk.advance(interrupted - 1)
+    before = walk.amplitudes.copy()
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(*((os, "read") if on_ack else (walk, "_step_part")), interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            walk.advance()
+    assert walk.t == interrupted - 1 and np.array_equal(walk.amplitudes, before)
+    walk.advance(steps - walk.t)
+    assert len(_helper_pids(walk)) == helpers
+    assert np.array_equal(walk.amplitudes, serial)
+
+
+def _refusals_in_forked_child(walk, state):
+    """Whether a forked child's step and load of ``walk`` each raise
+    RuntimeError naming the remedy."""
     fork = multiprocessing.get_context("fork")
     receive, send = fork.Pipe(duplex=False)
 
     def child():
         refused = []
-        for write in (walk.advance, walk.reset, lambda: walk.set_amplitudes(serial)):
+        for write in (walk.advance, lambda: walk.set_amplitudes(state)):
             try:
                 write()
             except RuntimeError as exc:
@@ -486,15 +525,37 @@ def test_forked_child_refuses_to_write_shared_state(monkeypatch):
     process.start()
     try:
         assert receive.poll(60), "the forked child did not answer"
-        assert receive.recv() == [True, True, True]
+        refused = receive.recv()
     finally:
         process.join(10)
         if process.is_alive():
             process.terminate()
             process.join(10)
     assert process.exitcode == 0
+    return refused
+
+
+def test_forked_child_refuses_to_write_shared_state(monkeypatch):
+    # a child's step or load would write into the parent's shared buffers
+    config = WalkConfig.with_na(TopologyParams.from_side(512), 17.0, ((1, 6), (255, 5)))
+    _, serial = _stepped(monkeypatch, config, 1, steps=2 * engine_module._WARMUP_STEPS)
+    walk = _helper_engine(monkeypatch, config)
+    assert _refusals_in_forked_child(walk, serial) == [True, True]
     walk.advance(engine_module._WARMUP_STEPS - 1)
     assert np.array_equal(walk.amplitudes, serial)
+
+
+def test_forked_child_refuses_an_engine_that_never_started_helpers():
+    # an engine belongs to the process that built it, helpers or not
+    config = make_config(side=64, targets=((1, 6),))
+    walk = WalkEngine(config)
+    walk.advance(3)
+    assert _refusals_in_forked_child(walk, initial_state(config)) == [True, True]
+    assert walk.t == 3
+    walk.advance(2)
+    fresh = WalkEngine(config)
+    fresh.advance(5)
+    assert np.array_equal(walk.amplitudes, fresh.amplitudes)
 
 
 @pytest.mark.parametrize("refused", [1, 2, 3], ids=["state-mmap", "scratch-mmap", "fork"])
@@ -504,6 +565,7 @@ def test_helper_that_cannot_start_leaves_the_walk_on_one_process(monkeypatch, ca
     config = WalkConfig.with_na(TopologyParams.from_side(512), 17.0, ((1, 6), (255, 5)))
     steps = engine_module._WARMUP_STEPS + 3
     _, serial = _stepped(monkeypatch, config, 1, steps=steps)
+    _, twice = _stepped(monkeypatch, config, 1, steps=2 * steps)
     attempts = []
 
     def attempt(call):
@@ -521,9 +583,8 @@ def test_helper_that_cannot_start_leaves_the_walk_on_one_process(monkeypatch, ca
     with caplog.at_level(logging.WARNING, logger="hn4walk.engine"):
         walk.advance(steps)
         assert np.array_equal(walk.amplitudes, serial)
-        walk.reset()
         walk.advance(steps)
-    assert np.array_equal(walk.amplitudes, serial)
+    assert np.array_equal(walk.amplitudes, twice)
     assert attempts == ["mmap", "mmap", "fork"][:refused]
     assert len(walk._parts) == 1 and not _helper_pids(walk)
     assert len([r for r in caplog.records if "could not start" in r.message]) == 1
@@ -664,7 +725,7 @@ def test_engine_counts_steps_and_resets():
     p0 = engine.probability()
     engine.advance(7)
     assert engine.t == 7
-    engine.reset()
+    engine.set_amplitudes(initial_state(engine.config))
     assert engine.t == 0
     assert engine.probability() == p0
 
@@ -679,7 +740,7 @@ def test_engine_state_dtype_follows_loaded_amplitudes():
     assert engine.amplitudes.dtype == np.complex128
     engine.advance()
     assert engine.amplitudes.dtype == np.complex128
-    engine.reset()
+    engine.set_amplitudes(initial_state(config))
     assert engine.amplitudes.dtype == np.float64
     np.testing.assert_array_equal(engine.amplitudes, initial_state(config))
 
