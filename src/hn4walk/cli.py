@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands drive the library modules and hand their rows to the CSV/JSON
-writers of :mod:`~hn4walk.reporting`.  Each returns its command-specific
-manifest fields, and :func:`main` writes the manifest JSON beside the output
-once the command has succeeded.  Progress goes to stderr.
+writers of :mod:`~hn4walk.reporting`.  A flag that several subcommands take
+is declared once, in an argparse parent parser.  Each subcommand returns its
+command-specific manifest fields, and :func:`main` writes the manifest JSON
+beside the output once the command has succeeded; its seed and worker count
+come from the parsed parameters.  Progress goes to stderr.
 
 Only the numpy-free modules load with the CLI; a walk command imports the
 engine and the experiment protocols when it runs, so ``fit``, ``--help``
@@ -11,7 +13,8 @@ and a usage error never load numpy.
 
 Exit codes: 0 success, 2 usage error (including a negative seed, an input
 file that cannot be read, a malformed records row, named by its file and
-line, or an output file that cannot be opened), 3 no qualifying peak,
+line, an output file that cannot be opened, or a manifest that cannot be
+written, which leaves the data file in place), 3 no qualifying peak,
 4 resource limit (one engine, or every engine a job pool may hold at once).
 """
 
@@ -108,55 +111,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="evolve one walk and write its probability trace")
-    sim.add_argument("--side", type=_side, required=True)
-    sim.add_argument("--targets", type=_list(_target, "target", ";"), required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True)
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument("--workers", type=_positive_int, default=1)
+    mode = argparse.ArgumentParser(add_help=False)
+    mode.add_argument("--mode", choices=[m.value for m in EdgeMode], default="hn4")
+    walk = argparse.ArgumentParser(add_help=False)
+    walk.add_argument("--side", type=_side, required=True)
+    walk.add_argument("--targets", type=_list(_target, "target", ";"), required=True)
+    walk.add_argument("--steps", type=_steps, default="auto")
+    trials = argparse.ArgumentParser(add_help=False)
+    trials.add_argument("--sides", type=_list(_side, "side"), required=True)
+    trials.add_argument("--trials", type=int, default=10)
+    trials.add_argument("--seed", type=int, default=0)
+
+    sim = sub.add_parser("simulate", parents=[walk, mode, out],
+                         help="evolve one walk and write its probability trace")
     sim.add_argument("--na", type=float, required=True, help="total self-loop weight N*a")
-    sim.add_argument("--mode", choices=[m.value for m in EdgeMode], default="hn4")
-    sim.add_argument("--steps", type=_steps, default="auto")
-    sim.add_argument("--out", required=True)
     sim.set_defaults(func=_cmd_simulate)
 
-    swp = sub.add_parser("sweep", help="scan the self-loop weight and mark the optimum")
-    swp.add_argument("--side", type=_side, required=True)
-    swp.add_argument("--targets", type=_list(_target, "target", ";"), required=True)
+    swp = sub.add_parser("sweep", parents=[walk, mode, out, workers],
+                         help="scan the self-loop weight and mark the optimum")
     swp.add_argument("--na-min", type=float, required=True)
     swp.add_argument("--na-max", type=float, required=True)
     swp.add_argument("--na-step", type=float, required=True)
-    swp.add_argument("--mode", choices=[m.value for m in EdgeMode], default="hn4")
-    swp.add_argument("--steps", type=_steps, default="auto")
-    swp.add_argument("--out", required=True)
-    swp.add_argument("--workers", type=_positive_int, default=1)
     swp.set_defaults(func=_cmd_sweep)
 
-    scl = sub.add_parser("scale", help="first-peak records over lattice sizes")
-    scl.add_argument("--sides", type=_list(_side, "side"), required=True)
+    scl = sub.add_parser("scale", parents=[trials, mode, out, workers],
+                         help="first-peak records over lattice sizes")
     group = scl.add_mutually_exclusive_group(required=True)
     group.add_argument("--m", type=int)
     group.add_argument("--m-list", type=_list(_int, "integer"))
     na_group = scl.add_mutually_exclusive_group(required=True)
     na_group.add_argument("--na", type=float)
     na_group.add_argument("--na-rule", help="heuristic total weight, e.g. 8.5M")
-    scl.add_argument("--trials", type=int, default=10)
-    scl.add_argument("--mode", choices=[m.value for m in EdgeMode], default="hn4")
-    scl.add_argument("--out", required=True)
-    scl.add_argument("--seed", type=int, default=0)
-    scl.add_argument("--workers", type=_positive_int, default=1)
     scl.set_defaults(func=_cmd_scale)
 
-    den = sub.add_parser("density", help="runs with a fixed fraction of marked vertices")
-    den.add_argument("--sides", type=_list(_side, "side"), required=True)
+    den = sub.add_parser("density", parents=[trials, out, workers],
+                         help="runs with a fixed fraction of marked vertices")
     den.add_argument("--fraction", type=float, required=True)
-    den.add_argument("--trials", type=int, default=10)
-    den.add_argument("--out", required=True)
-    den.add_argument("--seed", type=int, default=0)
-    den.add_argument("--workers", type=_positive_int, default=1)
     den.set_defaults(func=_cmd_density)
 
-    fit = sub.add_parser("fit", help="fit a runtime model to scaling records")
+    fit = sub.add_parser("fit", parents=[out], help="fit a runtime model to scaling records")
     fit.add_argument("--records", required=True)
     fit.add_argument("--model", required=True, help="sqrt or sqrtlog")
-    fit.add_argument("--out", required=True)
     fit.set_defaults(func=_cmd_fit)
 
     return parser
@@ -278,6 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     started_utc = datetime.now(timezone.utc).isoformat()
     try:
         extra = args.func(args)
+        write_manifest(args.out, args.command, _manifest_params(args), started_utc, extra)
     except (FitError, TopologyError, ValueError, OSError) as exc:
         print(f"hn4walk: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -287,10 +287,6 @@ def main(argv: list[str] | None = None) -> int:
             raise
         print(f"hn4walk: {exc}", file=sys.stderr)
         return code
-    write_manifest(
-        args.out, args.command, _manifest_params(args), getattr(args, "seed", None),
-        getattr(args, "workers", 1), started_utc, extra,
-    )
     return EXIT_OK
 
 

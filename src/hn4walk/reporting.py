@@ -4,10 +4,13 @@ One streaming writer emits every data CSV (trace, sweep, records): a header
 row, then each row as it arrives, comma-separated, with "." decimals, LF
 line endings and floats in repr (shortest round-trip) form, so a rerun with
 the same manifest produces byte-identical files.  The records' columns and
-their parsing come from the fields of :class:`ScalingRecord`.
+their parsing come from the fields of :class:`ScalingRecord`, and the fit
+JSON's keys from those of :class:`~hn4walk.fitting.FitResult`.
 :func:`write_manifest` writes the pretty-printed manifest JSON that
 accompanies every output file, recording the command, the full parameter
-set, the seed and PRNG identifier, the engine version, the worker count,
+set, the seed (the parameters' ``seed``, null for a command that takes
+none) and PRNG identifier, the engine version, the worker count (the
+parameters' ``workers``, 1 for a command without a pool),
 the python version, the version of the numpy the command loaded (null when
 it loaded none), the cores available, timestamps, the peak resident set
 of the command and of its largest finished child process, and any
@@ -26,7 +29,7 @@ import os
 import platform
 import resource
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from operator import attrgetter
 from pathlib import Path
@@ -118,8 +121,6 @@ def write_manifest(
     out_path: str | Path,
     command: str,
     parameters: dict,
-    seed: int | None,
-    workers: int,
     started_utc: str,
     extra: dict,
 ) -> Path:
@@ -128,10 +129,10 @@ def write_manifest(
     doc = {
         "command": command,
         "parameters": parameters,
-        "seed": seed,
+        "seed": parameters.get("seed"),
         "prng": PRNG_ALGORITHM,
         "engine_version": ENGINE_VERSION,
-        "workers": workers,
+        "workers": parameters.get("workers", 1),
         "python": platform.python_version(),
         "numpy": getattr(sys.modules.get("numpy"), "__version__", None),
         "cores": available_cores(),
@@ -183,10 +184,6 @@ def read_records_csv(path: str | Path) -> list[ScalingRecord]:
 
 
 def write_fit_json(path: str | Path, fit: FitResult) -> None:
-    doc = {
-        "model": fit.model.value,
-        "coefficient": fit.coefficient,
-        "rms_relative_residual": fit.rms_relative_residual,
-        "points": fit.points,
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    """Write ``fit``'s fields, in order, as pretty-printed JSON (the model as
+    its name: :class:`~hn4walk.fitting.RuntimeModel` is a ``str`` enum)."""
+    Path(path).write_text(json.dumps(asdict(fit), indent=2) + "\n")

@@ -170,6 +170,20 @@ def test_sweep_empty_range_is_usage_error(tmp_path):
         assert not (tmp_path / "s.csv").exists()
 
 
+def test_sweep_steps_bound_every_walk(tmp_path, capsys):
+    # the peaks lie within 60 steps; 10 steps leave every weight without one
+    argv = ["sweep", "--side", "16", "--targets", "1,6", "--na-min", "6", "--na-max", "10",
+            "--na-step", "2"]
+    auto, sixty, ten = (tmp_path / f"{name}.csv" for name in ("auto", "sixty", "ten"))
+    assert main(argv + ["--steps", "auto", "--out", str(auto)]) == 0
+    assert main(argv + ["--steps", "60", "--out", str(sixty)]) == 0
+    assert sixty.read_bytes() == auto.read_bytes()
+    assert json.loads((tmp_path / "sixty.manifest.json").read_text())["parameters"]["steps"] == 60
+    assert main(argv + ["--steps", "10", "--out", str(ten)]) == 3
+    assert "hn4walk: no qualifying peak in 11 samples" in capsys.readouterr().err
+    assert not (tmp_path / "ten.manifest.json").exists()
+
+
 def test_no_peak_exit_code(tmp_path):
     # P(0) = 4/16 leaves no room for the 5x gain rule: no peak can qualify
     code = main([
@@ -329,9 +343,9 @@ def test_scale_draws_no_target_the_walk_cannot_find(tmp_path):
     assert all(r.peak_probability > 0.99 for r in records)
 
 
-def test_fit_synthetic_records_exact_coefficient(tmp_path):
-    records_path = tmp_path / "synthetic.csv"
-    records = [
+def _write_sqrt_records(path):
+    """Records whose peaks are exactly 2 * sqrt(N): their sqrt fit gives c = 2."""
+    write_records_csv(path, [
         ScalingRecord(
             side=int(math.isqrt(n)), n_elements=n, m=1, na=8.5, mode="hn4",
             seed=0, trial=0,
@@ -339,8 +353,12 @@ def test_fit_synthetic_records_exact_coefficient(tmp_path):
             peak_probability=1.0, amplified_cost=1.0,
         )
         for n in (4096, 16384, 65536)
-    ]
-    write_records_csv(records_path, records)
+    ])
+
+
+def test_fit_synthetic_records_exact_coefficient(tmp_path):
+    records_path = tmp_path / "synthetic.csv"
+    _write_sqrt_records(records_path)
     fit_path = tmp_path / "fit.json"
     assert main(["fit", "--records", str(records_path), "--model", "sqrt",
                  "--out", str(fit_path)]) == 0
@@ -419,6 +437,53 @@ def test_file_errors_are_usage_errors(tmp_path, capsys):
         f"hn4walk: [Errno 2] No such file or directory: '{tmp_path / name}'"
         for name in ("missing.csv", "missing/t.csv")
     ]
+
+
+@pytest.mark.parametrize("command", ["scale", "fit"])
+def test_a_manifest_that_cannot_be_written_is_a_usage_error(
+        tmp_path, monkeypatch, capsys, command):
+    # the data file is written and stays; the command exits 2 with one message
+    monkeypatch.chdir(tmp_path)
+    if command == "fit":
+        _write_sqrt_records(tmp_path / "records.csv")
+        argv, out = ["fit", "--records", "records.csv", "--model", "sqrt"], "x.json"
+    else:
+        argv, out = ["scale", "--sides", "16", "--m", "1", "--na", "8.5", "--trials", "1"], "x.csv"
+    (tmp_path / "x.manifest.json").mkdir()
+    assert main(argv + ["--out", out]) == 2
+    assert [line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("hn4walk: ")] == [
+        f"hn4walk: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: 'x.manifest.json'"
+    ]
+    if command == "fit":
+        assert json.loads((tmp_path / out).read_text())["coefficient"] == 2.0
+    else:
+        assert [(r.side, r.trial) for r in read_records_csv(tmp_path / out)] == [(16, 0)]
+
+
+@pytest.mark.parametrize(
+    "argv, seed, workers",
+    [
+        (["simulate", "--side", "16", "--targets", "1,6", "--na", "8.5", "--steps", "5"],
+         None, 1),
+        (["sweep", "--side", "16", "--targets", "1,6", "--na-min", "6", "--na-max", "10",
+          "--na-step", "2", "--workers", "2"], None, 2),
+        (["scale", "--sides", "16", "--m", "1", "--na", "8.5", "--trials", "2", "--seed", "5",
+          "--workers", "2"], 5, 2),
+        (["density", "--sides", "16", "--fraction", "0.1", "--trials", "1", "--seed", "3"],
+         3, 1),
+        (["fit", "--records", "records.csv", "--model", "sqrt"], None, 1),
+    ],
+    ids=["simulate", "sweep", "scale", "density", "fit"],
+)
+def test_manifest_seed_and_workers_are_the_parameters(tmp_path, monkeypatch, argv, seed,
+                                                      workers):
+    monkeypatch.chdir(tmp_path)
+    _write_sqrt_records(tmp_path / "records.csv")
+    assert main(argv + ["--out", "out.csv"]) == 0
+    doc = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert doc["seed"] == doc["parameters"].get("seed") == seed
+    assert doc["workers"] == doc["parameters"].get("workers", 1) == workers
 
 
 def _fail_on_any_job(monkeypatch):
@@ -630,6 +695,74 @@ def test_scale_keeps_records_before_a_failed_job(tmp_path, workers):
     records = read_records_csv(out)
     assert [(r.side, r.trial) for r in records] == [(16, 0), (16, 1)]
     assert not (tmp_path / "records.manifest.json").exists()
+
+
+#: Every subcommand's options: (type, default, required, choices, help) of each.
+CLI_OPTIONS = {
+    "simulate": {
+        "--side": ("_side", None, True, None, None),
+        "--targets": ("parse", None, True, None, None),
+        "--na": ("float", None, True, None, "total self-loop weight N*a"),
+        "--mode": (None, "hn4", False, ["hn4", "grid"], None),
+        "--steps": ("_steps", "auto", False, None, None),
+        "--out": (None, None, True, None, None),
+    },
+    "sweep": {
+        "--side": ("_side", None, True, None, None),
+        "--targets": ("parse", None, True, None, None),
+        "--na-min": ("float", None, True, None, None),
+        "--na-max": ("float", None, True, None, None),
+        "--na-step": ("float", None, True, None, None),
+        "--mode": (None, "hn4", False, ["hn4", "grid"], None),
+        "--steps": ("_steps", "auto", False, None, None),
+        "--out": (None, None, True, None, None),
+        "--workers": ("_positive_int", 1, False, None, None),
+    },
+    "scale": {
+        "--sides": ("parse", None, True, None, None),
+        "--m": ("int", None, False, None, None),
+        "--m-list": ("parse", None, False, None, None),
+        "--na": ("float", None, False, None, None),
+        "--na-rule": (None, None, False, None, "heuristic total weight, e.g. 8.5M"),
+        "--trials": ("int", 10, False, None, None),
+        "--mode": (None, "hn4", False, ["hn4", "grid"], None),
+        "--out": (None, None, True, None, None),
+        "--seed": ("int", 0, False, None, None),
+        "--workers": ("_positive_int", 1, False, None, None),
+    },
+    "density": {
+        "--sides": ("parse", None, True, None, None),
+        "--fraction": ("float", None, True, None, None),
+        "--trials": ("int", 10, False, None, None),
+        "--out": (None, None, True, None, None),
+        "--seed": ("int", 0, False, None, None),
+        "--workers": ("_positive_int", 1, False, None, None),
+    },
+    "fit": {
+        "--records": (None, None, True, None, None),
+        "--model": (None, None, True, None, "sqrt or sqrtlog"),
+        "--out": (None, None, True, None, None),
+    },
+}
+
+
+def test_subcommands_keep_their_options():
+    (subcommands,) = (action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert {
+        name: {
+            ", ".join(action.option_strings): (
+                getattr(action.type, "__name__", None), action.default, action.required,
+                action.choices, action.help,
+            )
+            for action in sub._actions if not isinstance(action, argparse._HelpAction)
+        }
+        for name, sub in subcommands.choices.items()
+    } == CLI_OPTIONS
+    # scale takes exactly one of --m and --m-list, and one of --na and --na-rule
+    assert [[action.dest for action in group._group_actions]
+            for group in subcommands.choices["scale"]._mutually_exclusive_groups
+            if group.required] == [["m", "m_list"], ["na", "na_rule"]]
 
 
 def test_readme_cli_examples_parse():

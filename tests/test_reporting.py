@@ -128,14 +128,14 @@ def test_sweep_csv_marks_optimal_row(tmp_path):
 def test_manifest_fields_and_path(tmp_path):
     out = tmp_path / "trace.csv"
     written = write_manifest(
-        out, "simulate", {"side": 16, "na": 8.5}, 7, 2, "2026-01-01T00:00:00+00:00",
-        {"resolved_steps": 96, "step_threads": 2},
+        out, "simulate", {"side": 16, "na": 8.5, "seed": 7, "workers": 2},
+        "2026-01-01T00:00:00+00:00", {"resolved_steps": 96, "step_threads": 2},
     )
     assert written == tmp_path / "trace.manifest.json"
     assert manifest_path(out) == written
     doc = json.loads(written.read_text())
     assert doc["command"] == "simulate"
-    assert doc["parameters"] == {"side": 16, "na": 8.5}
+    assert doc["parameters"] == {"side": 16, "na": 8.5, "seed": 7, "workers": 2}
     assert doc["seed"] == 7
     assert doc["workers"] == 2
     assert doc["python"] == platform.python_version()
@@ -157,11 +157,14 @@ def test_manifest_fields_and_path(tmp_path):
 
 
 def test_fit_json(tmp_path):
-    fit = FitResult(RuntimeModel.SQRT, 1.79, 0.02, 4)
+    # the keys are FitResult's fields in order; the model is written by name
     path = tmp_path / "fit.json"
-    write_fit_json(path, fit)
-    doc = json.loads(path.read_text())
-    assert doc["model"] == "sqrt"
-    assert doc["coefficient"] == 1.79
-    assert doc["rms_relative_residual"] == 0.02
-    assert doc["points"] == 4
+    write_fit_json(path, FitResult(RuntimeModel.SQRT, 1.79, 0.02, 4))
+    assert path.read_bytes() == (
+        b'{\n'
+        b'  "model": "sqrt",\n'
+        b'  "coefficient": 1.79,\n'
+        b'  "rms_relative_residual": 0.02,\n'
+        b'  "points": 4\n'
+        b'}\n'
+    )
