@@ -163,10 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args: argparse.Namespace) -> dict:
     from .engine import WalkConfig, WalkEngine
-    from .experiments import step_budget
+    from .experiments import step_budget, warn_exceptional_targets
 
     topology = TopologyParams.from_side(args.side)
     config = WalkConfig.with_na(topology, args.na, args.targets, EdgeMode(args.mode))
+    warn_exceptional_targets(config)
     t_max = (
         step_budget(topology.n_vertices, config.target_count, config.edge_mode)
         if args.steps == "auto"

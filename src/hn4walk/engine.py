@@ -61,7 +61,6 @@ from .topology import (
     EdgeMode,
     TopologyError,
     TopologyParams,
-    exceptional_vertices,
     move_lines,
 )
 
@@ -516,17 +515,6 @@ class WalkEngine:
         self._allocate(np.float64)
         self._weights = coin_weights(config.loop_weight, config.edge_mode)
         self._targets = target_indices(config)
-        flagged = np.zeros(len(self._targets), dtype=bool)  # a grid walk has no long-range edges
-        if config.edge_mode is EdgeMode.HN4:
-            flagged = exceptional_vertices(config.topology)[self._targets]
-        if flagged.any():
-            logger.warning(
-                "%d of %d targets lie on an exceptional line (their long-range edges "
-                "degenerate to self-loops), first %s",
-                np.count_nonzero(flagged), len(flagged),
-                tuple(config.targets[np.argmax(flagged)].tolist()),
-            )
-        self._exceptional = flagged  # per target: on an exceptional line
         self._moves = _moves(config.topology, config.edge_mode)
         self._stepped = 1
         self._state[...] = _initial_column(config)

@@ -2,12 +2,15 @@
 
 Covers first-peak detection on probability traces, self-loop-weight sweeps,
 random target sets, scaling runs over lattice size and target count, and
-fixed-density runs.  A random target is drawn only from the admissible
-vertices, those with neither coordinate on an exceptional line, where the
-HN4 walk cannot find it.  One scan, :func:`_first_peak`, reads P(t) sample by
-sample and stops at the earliest confirmed peak: :func:`detect_first_peak`
-runs it over a finished trace and :func:`run_to_first_peak` over a live
-walk.  Every sweep point, scaling trial and density trial is one
+fixed-density runs.  This module alone applies the exceptional-target rule:
+a vertex with a coordinate on an exceptional line is one the HN4 walk cannot
+find.  A random target is drawn only from the admissible vertices, those
+with neither coordinate on such a line; target sets a caller supplies get
+one warning each (:func:`warn_exceptional_targets`), and a walk whose every
+target is exceptional is refused.  One scan, :func:`_first_peak`, reads P(t)
+sample by sample and stops at the earliest confirmed peak:
+:func:`detect_first_peak` runs it over a finished trace and
+:func:`run_to_first_peak` over a live walk.  Every sweep point, scaling trial and density trial is one
 :class:`TrialJob`, run by :func:`trial_record`, which returns one
 :class:`JobResult`: the job's record and the most processes a step of its
 walk ran on.  The protocols keep only the records; the count is run
@@ -20,7 +23,8 @@ protocols and the CLI alike: it refuses, when called, a job list whose pool
 could not hold all its engines at once, then runs the jobs through one
 bounded process pool and yields results in submission order as they
 arrive, so a run is reproducible for a fixed seed regardless of worker
-count, and a failing job leaves every earlier result delivered.
+count, and a failing job leaves every earlier result delivered and ends the
+jobs still running.
 
 Randomness comes from numpy's PCG64 generator.  Per-job seeds are derived
 from the master seed in two documented stages,
@@ -49,6 +53,7 @@ from .engine import (
     amplified_cost,
     available_cores,
     memory_requirement,
+    target_indices,
 )
 from .reporting import ScalingRecord
 from .topology import TopologyParams, exceptional_vertices
@@ -62,6 +67,7 @@ __all__ = [
     "detect_first_peak",
     "step_budget",
     "run_to_first_peak",
+    "warn_exceptional_targets",
     "SweepResult",
     "sweep_jobs",
     "sweep_self_loop",
@@ -203,10 +209,36 @@ def run_to_first_peak(
     ``decline_run * stride`` samples past the peak.  The walk feeds the scan
     behind :func:`detect_first_peak` as it steps, so the result equals
     detection over the full horizon of ``t_max`` steps (None:
-    :func:`step_budget`), just cheaper.  A walk that cannot find a target
-    is refused before it steps (:func:`_walk`).
+    :func:`step_budget`), just cheaper.  Targets on an exceptional line are
+    warned of once (:func:`warn_exceptional_targets`), and a walk that
+    cannot find a target is refused before it steps (:func:`_walk`).
     """
+    warn_exceptional_targets(config)
     return _walk(WalkEngine(config), t_max, rule)
+
+
+def _exceptional_targets(config: WalkConfig) -> np.ndarray:
+    """Per target of ``config``, in its order: whether it lies on an exceptional
+    line (:func:`~hn4walk.topology.exceptional_vertices`), where its long-range
+    edges are self-loops.  A grid walk has none, so its targets all read False."""
+    if config.edge_mode is not EdgeMode.HN4:
+        return np.zeros(config.target_count, dtype=bool)
+    return exceptional_vertices(config.topology)[target_indices(config)]
+
+
+def warn_exceptional_targets(config: WalkConfig) -> None:
+    """Log one warning when any target of ``config`` lies on an exceptional
+    line: how many do, and the first in linear-index order.  Called once per
+    target set a caller supplies (a sweep, :func:`run_to_first_peak`, the
+    CLI's ``simulate``); random targets are admissible and never warn."""
+    flagged = _exceptional_targets(config)
+    if flagged.any():
+        logger.warning(
+            "%d of %d targets lie on an exceptional line (their long-range edges "
+            "degenerate to self-loops), first %s",
+            np.count_nonzero(flagged), len(flagged),
+            tuple(config.targets[np.argmax(flagged)].tolist()),
+        )
 
 
 def _walk(
@@ -225,7 +257,7 @@ def _walk(
     config = engine.config
     if config.target_count == 0:
         raise ValueError("search runs need at least one target")
-    if engine._exceptional.all():
+    if _exceptional_targets(config).all():
         p0 = engine.probability()
         raise NoPeakError(
             f"every target lies on an exceptional line, where the HN4 walk never finds "
@@ -274,7 +306,8 @@ def sweep_jobs(
     Peaks are read under :data:`SWEEP_PEAK_RULE`, which follows the
     probability envelope (stride 2) that the oscillating off-optimal points
     of a wide sweep require.  The targets and the smallest weight are checked
-    here, so a bad sweep fails before any job runs.
+    here, so a bad sweep fails before any job runs, and targets on an
+    exceptional line are warned of once (:func:`warn_exceptional_targets`).
     """
     if not all(map(math.isfinite, (na_min, na_max, na_step))):
         raise ValueError(f"sweep bounds must be finite, got {na_min}, {na_max}, {na_step}")
@@ -283,7 +316,9 @@ def sweep_jobs(
     count = math.floor((na_max - na_min) / na_step + 1e-9) + 1
     if count < 1:
         raise ValueError(f"empty sweep range [{na_min}, {na_max}]")
-    WalkConfig.with_na(TopologyParams.from_side(side), na_min, targets, edge_mode)
+    warn_exceptional_targets(
+        WalkConfig.with_na(TopologyParams.from_side(side), na_min, targets, edge_mode)
+    )
     values = [na_min + i * na_step for i in range(count)]
     return [TrialJob(side, len(targets), na, 0, i, edge_mode, rule=SWEEP_PEAK_RULE,
                      targets=targets, t_max=t_max) for i, na in enumerate(values)]
@@ -520,7 +555,10 @@ def run_jobs(jobs: Sequence[TrialJob], workers: int) -> Iterator[JobResult]:
     :class:`~hn4walk.engine.ResourceLimitError` comes before any job runs.
     Pool workers step their walks on one core each, since together they
     already fill the cores.  A failing job raises at its own position, after
-    every earlier result has been yielded.
+    every earlier result has been yielded; then, or when the iterator is
+    closed early, the pool's workers are terminated, ending the jobs they
+    still run instead of waiting them out.  A worker that dies raises
+    ``BrokenProcessPool``.
     """
     walks = {(job.side, EdgeMode(job.edge_mode)) for job in jobs}
     largest = max(
@@ -534,16 +572,24 @@ def run_jobs(jobs: Sequence[TrialJob], workers: int) -> Iterator[JobResult]:
 
     def results():
         with ExitStack() as stack:
-            done = map(trial_record, jobs)
+            done, started = map(trial_record, jobs), set()
             if engines > 1:
+                import multiprocessing
                 from concurrent.futures import ProcessPoolExecutor  # only a pool run loads it
 
                 pool = stack.enter_context(ProcessPoolExecutor(
                     max_workers=engines, initializer=_step_on_one_core
                 ))
-                done = pool.map(trial_record, jobs)
-            for i, result in enumerate(done, 1):
-                logger.info("job %d/%d: %s", i, len(jobs), result)
-                yield result
+                before = set(multiprocessing.active_children())
+                done = pool.map(trial_record, jobs)  # submits every job, so starts every worker
+                started = set(multiprocessing.active_children()) - before
+            try:
+                for i, result in enumerate(done, 1):
+                    logger.info("job %d/%d: %s", i, len(jobs), result)
+                    yield result
+            except BaseException:  # a failed job, or the caller closed the results
+                for worker in started:  # the pool's shutdown would wait out their jobs
+                    worker.terminate()
+                raise
 
     return results()

@@ -100,3 +100,18 @@ def test_readme_layout_names_resolve():
              if not _resolves(importlib.import_module(module), name)]
     assert stale == []
     assert not _resolves(topology, "long_range_lines")
+
+
+def test_no_module_reads_another_objects_private_attribute():
+    # a module reads only its own objects' private state, through self or cls;
+    # os._exit, which a forked helper leaves by, is the one allowed exception
+    reads = []
+    for path in sorted(Path(hn4walk.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and not node.attr.endswith("__")):
+                owner = ast.unparse(node.value)
+                if owner not in ("self", "cls"):
+                    reads.append((path.name, f"{owner}.{node.attr}"))
+    assert [read for read in reads if read[1] != "os._exit"] == []
+    assert ("engine.py", "os._exit") in reads

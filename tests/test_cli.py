@@ -103,7 +103,29 @@ def test_simulate_warns_on_exceptional_target(tmp_path, caplog):
         "--steps", "5", "--out", str(out),
     ])
     assert code == 0
-    assert any("exceptional" in rec.message for rec in caplog.records)
+    assert [rec.message for rec in caplog.records if "exceptional" in rec.message] == [
+        "1 of 1 targets lie on an exceptional line (their long-range edges degenerate "
+        "to self-loops), first (6, 7)"
+    ]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_warns_of_exceptional_targets_once(tmp_path, workers):
+    # once for the sweep, not once per weight (45 here) or per worker; run as
+    # a process, so that pool workers' stderr is counted too
+    env = dict(os.environ, PYTHONPATH=str(Path(hn4walk.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "hn4walk", "sweep", "--side", "64", "--targets", "1,6;31,40",
+         "--na-min", "8", "--na-max", "30", "--na-step", "0.5", "--workers", workers,
+         "--out", str(tmp_path / "s.csv")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 46
+    assert [line for line in result.stderr.splitlines() if "exceptional" in line] == [
+        "1 of 2 targets lie on an exceptional line (their long-range edges degenerate "
+        "to self-loops), first (31, 40)"
+    ]
 
 
 def test_simulate_writes_rows_as_the_walk_steps(tmp_path, monkeypatch):

@@ -1,7 +1,14 @@
 import concurrent.futures
 import dataclasses
+import logging
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +45,7 @@ from hn4walk.experiments import (
     sweep_self_loop,
     trial_jobs,
     trial_record,
+    warn_exceptional_targets,
 )
 from hn4walk import experiments
 from hn4walk.fitting import RuntimeModel, fit_scaling
@@ -128,6 +136,54 @@ def test_run_to_first_peak_refuses_targets_only_on_exceptional_lines(monkeypatch
     with pytest.raises(NoPeakError, match="every target lies on an exceptional line") as excinfo:
         run_to_first_peak(config)
     assert excinfo.value.max_probability == pytest.approx(len(targets) / 4096, rel=1e-12)
+
+
+def _exceptional_warnings(caplog) -> list[str]:
+    return [rec.message for rec in caplog.records
+            if rec.name == "hn4walk.experiments" and "exceptional line" in rec.message]
+
+
+@pytest.mark.parametrize(
+    "targets, count, first, mode",
+    [
+        (((1, 2), (7, 3)), "1 of 2", (7, 3), EdgeMode.HN4),
+        (((1, 2), (6, 7)), "1 of 2", (6, 7), EdgeMode.HN4),
+        (((1, 2), (15, 0)), "1 of 2", (15, 0), EdgeMode.HN4),
+        (((1, 2), (1, 6)), None, None, EdgeMode.HN4),
+        (((6, 7), (1, 2), (15, 0)), "2 of 3", (15, 0), EdgeMode.HN4),
+        (((6, 7), (1, 2), (15, 0)), None, None, EdgeMode.GRID),
+    ],
+    ids=["x-half", "y-half", "x-last", "regular", "two-exceptional", "grid"],
+)
+def test_warn_exceptional_targets(caplog, targets, count, first, mode):
+    # side 16: x + 1 or y + 1 equal to 8 = 2**(n-1) or 16 = 2**n is exceptional;
+    # one message per HN4 target set, naming the first flagged target in
+    # linear-index order; a grid walk has no long-range edges to degenerate
+    config = WalkConfig.with_na(TopologyParams.from_side(16), 8.5, targets, mode)
+    with caplog.at_level(logging.WARNING, logger="hn4walk.experiments"):
+        warn_exceptional_targets(config)
+    assert _exceptional_warnings(caplog) == (
+        [f"{count} targets lie on an exceptional line (their long-range "
+         f"edges degenerate to self-loops), first {first}"] if count else [])
+
+
+def test_run_to_first_peak_and_sweep_jobs_warn_once(caplog):
+    # one line per target set given, however many walks or weights it has;
+    # a job built by hand with explicit targets does not warn
+    targets = [(1, 6), (31, 40)]
+    config = WalkConfig.with_na(TopologyParams.from_side(64), 17.0, targets)
+    expected = ["1 of 2 targets lie on an exceptional line (their long-range edges "
+                "degenerate to self-loops), first (31, 40)"]
+    with caplog.at_level(logging.WARNING, logger="hn4walk"):
+        run_to_first_peak(config)
+        assert _exceptional_warnings(caplog) == expected
+        caplog.clear()
+        jobs = sweep_jobs(64, targets, 8.0, 30.0, 0.5)
+        assert len(jobs) == 45
+        assert _exceptional_warnings(caplog) == expected
+        caplog.clear()
+        trial_record(jobs[0])
+        assert _exceptional_warnings(caplog) == []
 
 
 @pytest.mark.parametrize(
@@ -386,6 +442,49 @@ def test_pool_never_exceeds_the_cores(monkeypatch):
     one = memory_requirement(TopologyParams.from_side(512), EdgeMode.HN4)
     monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", one * 3 // 2)
     run_jobs(trial_jobs([(512, 1)], 8.5, 2, 7), 2)  # the guard counts one engine too
+
+
+def _fail_first_sleep_after(job):
+    """A pool job: the first fails at once, every later one sleeps 60 s."""
+    if job.trial == 0:
+        raise NoPeakError("the first job fails", 0.0)
+    time.sleep(60)
+
+
+def test_pool_ends_running_jobs_at_the_first_failure(monkeypatch):
+    # the failure raises at once instead of after the sibling's 60 s sleep
+    monkeypatch.setattr(experiments, "trial_record", _fail_first_sleep_after)
+    monkeypatch.setattr(experiments, "available_cores", lambda: 2)
+    jobs = trial_jobs([(16, 1)], 8.5, 2, 7)
+    before, started = set(multiprocessing.active_children()), time.monotonic()
+    with pytest.raises(NoPeakError, match="the first job fails"):
+        list(run_jobs(jobs, 2))
+    assert time.monotonic() - started < 20
+    assert set(multiprocessing.active_children()) <= before  # the workers have ended
+
+
+def test_pool_raises_when_a_worker_is_killed():
+    # a worker the OOM killer would end: the run raises, never hangs; in a
+    # subprocess, so a hang fails the test by its timeout
+    script = textwrap.dedent("""
+        import os, signal
+        from concurrent.futures.process import BrokenProcessPool
+        from hn4walk import experiments
+
+        def killed(job):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        experiments.trial_record = killed
+        experiments.available_cores = lambda: 2
+        try:
+            list(experiments.run_jobs(experiments.trial_jobs([(16, 1)], 8.5, 2, 7), 2))
+        except BrokenProcessPool:
+            print("broken pool")
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(experiments.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (0, "broken pool\n"), result.stderr
 
 
 def _side_512_engine():
