@@ -71,7 +71,6 @@ __all__ = [
     "ResourceLimitError",
     "WalkEngine",
     "directions",
-    "flip",
     "coin_weights",
     "initial_state",
     "target_indices",
@@ -122,13 +121,6 @@ _GRID_DIRECTIONS = _HN4_DIRECTIONS[:4] + _HN4_DIRECTIONS[-1:]  # the ring's rows
 def directions(edge_mode: EdgeMode) -> tuple[CoinDirection, ...]:
     """Coin basis in state-row order for a mode; the hold direction is always last."""
     return _HN4_DIRECTIONS if EdgeMode(edge_mode) is EdgeMode.HN4 else _GRID_DIRECTIONS
-
-
-def flip(direction: CoinDirection) -> CoinDirection:
-    """Reverse of a coin direction, the row r ^ 1 of its kind of move; hold is
-    its own reverse."""
-    direction = CoinDirection(direction)
-    return direction if direction is CoinDirection.HOLD else CoinDirection(direction ^ 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,7 +243,16 @@ _WARMUP_STEPS = 12
 
 
 #: Cores a step may use in this process, None for every available core.  A
-#: job-pool worker sets 1 (:func:`_step_on_one_core`).
+#: job-pool worker sets 1 (:func:`_step_on_one_core`), so a pool holds one
+#: stepping process per worker.  Without that a pool holds up to workers x
+#: min(cores, bands // 2): 40 processes at HN4 side 512 on 8 cores, and 1008
+#: at side 1024 on 64 cores (56 workers, the most the memory limit admits, x
+#: 18 parts).  Measured on 2 cores with 2 workers, dropping the rule wrote the
+#: same CSVs and gained most where the job that ends last could use both
+#: cores: ``scale --sides 512 --m 4 --na-rule 8.5M --trials 2`` took a median
+#: 4.17 s against 4.57 s with it, 6 trials 10.38 against 10.54 s, and
+#: ``scale --sides 64,128,256,512 --m 1 --na 8.5 --trials 2`` 10.90 against
+#: 10.91 s.
 _step_cores: int | None = None
 
 
@@ -362,8 +363,7 @@ def shift_permutation(topology: TopologyParams, edge_mode: EdgeMode) -> np.ndarr
 
 def apply_oracle(state: np.ndarray, indices: np.ndarray) -> None:
     """Negate every coin amplitude at the marked vertices, in place."""
-    if len(indices):
-        state[:, indices] *= -1.0
+    state[:, indices] *= -1.0
 
 
 def _coin_terms(state: np.ndarray, weights: np.ndarray, g: np.ndarray, h: np.ndarray) -> None:
@@ -417,8 +417,6 @@ def step(state: np.ndarray, config: WalkConfig) -> np.ndarray:
 
 def success_probability(state: np.ndarray, indices: np.ndarray) -> float:
     """Total probability mass on the marked vertices, over all coin directions."""
-    if not len(indices):
-        return 0.0
     block = state[:, indices]  # a copy, squared in place
     if np.iscomplexobj(block):
         return float(np.sum(block.real**2 + block.imag**2))

@@ -53,10 +53,9 @@ from .engine import (
     amplified_cost,
     available_cores,
     memory_requirement,
-    target_indices,
 )
 from .reporting import ScalingRecord
-from .topology import TopologyParams, exceptional_vertices
+from .topology import TopologyParams, exceptional_lines
 
 __all__ = [
     "PeakRule",
@@ -218,12 +217,12 @@ def run_to_first_peak(
 
 
 def _exceptional_targets(config: WalkConfig) -> np.ndarray:
-    """Per target of ``config``, in its order: whether it lies on an exceptional
-    line (:func:`~hn4walk.topology.exceptional_vertices`), where its long-range
-    edges are self-loops.  A grid walk has none, so its targets all read False."""
-    if config.edge_mode is not EdgeMode.HN4:
-        return np.zeros(config.target_count, dtype=bool)
-    return exceptional_vertices(config.topology)[target_indices(config)]
+    """Per target of ``config``, in its order: whether either coordinate lies on
+    an exceptional line of its mode (:func:`~hn4walk.topology.exceptional_lines`),
+    where its long-range edges are self-loops.  The grid has no such line."""
+    line = exceptional_lines(config.topology, config.edge_mode)
+    x, y = config.targets.T
+    return line[x] | line[y]
 
 
 def warn_exceptional_targets(config: WalkConfig) -> None:
@@ -350,24 +349,28 @@ def derive_seed(*parts: int) -> int:
 
 
 def _admissible(m: int, topology: TopologyParams) -> np.ndarray:
-    """Linear indices of the admissible vertices, those with neither coordinate
-    on an exceptional line (:func:`~hn4walk.topology.exceptional_vertices`);
-    ``m`` must lie in [1, their count]."""
-    candidates = np.flatnonzero(~exceptional_vertices(topology))
-    if not 1 <= m <= len(candidates):
-        raise ValueError(f"m must lie in [1, {len(candidates)}] (admissible vertices), got {m}")
-    return candidates
+    """The A free line coordinates, those off the HN4 walk's exceptional lines
+    (:func:`~hn4walk.topology.exceptional_lines`), in increasing order: the
+    admissible vertices are the A² with both coordinates free, and ``m`` must
+    lie in [1, A²]."""
+    free = np.flatnonzero(~exceptional_lines(topology, EdgeMode.HN4))
+    if not 1 <= m <= len(free) ** 2:
+        raise ValueError(f"m must lie in [1, {len(free) ** 2}] (admissible vertices), got {m}")
+    return free
 
 
 def random_target_set(m: int, topology: TopologyParams, seed: int) -> np.ndarray:
     """Uniform sample of m distinct admissible vertices (no coordinate on an
     exceptional line, where the HN4 walk cannot find a target): an (m, 2) array
-    of (x, y) rows in linear-index order."""
-    candidates = _admissible(m, topology)
+    of (x, y) rows in linear-index order.  Draw k is the k-th admissible vertex
+    in that order, (free[k % A], free[k // A]) over the A free coordinates of
+    :func:`_admissible`, in either walk mode, so a grid and an HN4 run of one
+    seed share their targets."""
+    free = _admissible(m, topology)
     rng = np.random.default_rng(seed)
-    chosen = np.sort(candidates[rng.choice(len(candidates), size=m, replace=False)])
-    y, x = np.divmod(chosen, topology.side)
-    return np.stack((x, y), axis=1)
+    chosen = np.sort(rng.choice(len(free) ** 2, size=m, replace=False))
+    y, x = np.divmod(chosen, len(free))
+    return np.stack((free[x], free[y]), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +404,8 @@ class TrialJob:
     With a peak ``rule`` the walk runs to its first peak within it; with
     ``rule=None`` it runs exactly ``t_max`` steps and records the trace
     maximum, as the density protocol does over its horizon
-    round(1.75 * sqrt(N/M)).
+    round(1.75 * sqrt(N/M)).  Explicit targets must number ``m``, the count
+    its record carries.
     """
 
     side: int
@@ -413,6 +417,12 @@ class TrialJob:
     rule: PeakRule | None = DEFAULT_PEAK_RULE
     targets: Sequence[tuple[int, int]] | None = None
     t_max: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.targets is not None and len(self.targets) != self.m:
+            raise ValueError(
+                f"m must equal the number of targets, {len(self.targets)}, got {self.m}"
+            )
 
 
 @dataclass(frozen=True)
@@ -508,7 +518,7 @@ def density_jobs(
     for side in sides:
         topology = TopologyParams.from_side(side)
         m = int(fraction * topology.n_vertices + 0.5)
-        admissible = np.count_nonzero(~exceptional_vertices(topology))
+        admissible = np.count_nonzero(~exceptional_lines(topology, EdgeMode.HN4)) ** 2
         if not 1 <= m <= admissible:
             raise ValueError(
                 f"fraction {fraction} marks {m} vertices at side {side}, outside "

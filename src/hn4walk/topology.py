@@ -17,8 +17,10 @@ coordinates (x in [0, L - 1]); the hierarchy map always applies to x + 1.
 a time and serve as the scalar reference.  :func:`move_lines` states the
 graph once: the forward and backward line of each kind of move, the ring and
 with long-range edges the hierarchy, the same along x and y, which the
-engine's shift reads.  :func:`exceptional_vertices` reads its long-range
-pair for the mask of the exceptional vertices, which the experiments read.
+engine's shift reads.  :func:`exceptional_lines` reads the same lines for
+their fixed points: the L-entry mask of the exceptional line coordinates, a
+vertex being exceptional when either of its coordinates is, which the
+experiments read.
 These two return numpy arrays and alone import numpy, so the CLI can parse
 its arguments and fit records without loading it.  :class:`EdgeMode`
 names the two graph flavours, with and without the long-range edges.
@@ -44,7 +46,7 @@ __all__ = [
     "decompose",
     "compose",
     "move_lines",
-    "exceptional_vertices",
+    "exceptional_lines",
 ]
 
 class EdgeMode(str, Enum):
@@ -160,16 +162,16 @@ def move_lines(
     return ring, tuple(step * (2 * ((rank + d) % size) + 1) - 1 for d in (1, -1))
 
 
-def exceptional_vertices(params: TopologyParams) -> np.ndarray:
-    """Boolean mask over the N vertices, in linear-index order, of the exceptional ones.
+def exceptional_lines(params: TopologyParams, edge_mode: EdgeMode) -> np.ndarray:
+    """Boolean mask over the L line coordinates of the exceptional ones.
 
-    A line coordinate is exceptional when its long-range move, the second
-    pair of :func:`move_lines`, is a fixed point, and a vertex when either
-    of its coordinates is: its long-range edges along that line are
-    self-loops, so an HN4 walk cannot find a target there.
+    A coordinate is exceptional when a forward line of :func:`move_lines` in
+    ``edge_mode`` has a fixed point there: with long-range edges the
+    hierarchy's x + 1 = L/2 and x + 1 = L, whose long-range edges are
+    self-loops, and none on the bare grid.  A vertex is exceptional when
+    either of its coordinates is, and an HN4 walk cannot find a target there.
     """
     import numpy as np
 
-    lr_next, _ = move_lines(params, EdgeMode.HN4)[1]
-    line = lr_next == np.arange(params.side)
-    return np.logical_or.outer(line, line).reshape(-1)  # [y, x] flattens to x + L * y
+    c = np.arange(params.side)
+    return np.logical_or.reduce([forward == c for forward, _ in move_lines(params, edge_mode)])

@@ -100,6 +100,8 @@ def test_readme_layout_names_resolve():
              if not _resolves(importlib.import_module(module), name)]
     assert stale == []
     assert not _resolves(topology, "long_range_lines")
+    assert not _resolves(topology, "exceptional_vertices")
+    assert not _resolves(engine, "flip")
 
 
 def test_no_module_reads_another_objects_private_attribute():

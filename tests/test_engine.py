@@ -28,7 +28,6 @@ from hn4walk.engine import (
     apply_shift,
     coin_weights,
     directions,
-    flip,
     initial_state,
     memory_requirement,
     run,
@@ -71,21 +70,6 @@ def test_direction_cardinality():
     d = CoinDirection
     assert directions(EdgeMode.HN4) == tuple(d)
     assert directions(EdgeMode.GRID) == (d.X_PLUS, d.X_MINUS, d.Y_PLUS, d.Y_MINUS, d.HOLD)
-
-
-def test_flip_is_involution():
-    d = CoinDirection
-    pairs = {
-        d.X_PLUS: d.X_MINUS, d.X_MINUS: d.X_PLUS,
-        d.Y_PLUS: d.Y_MINUS, d.Y_MINUS: d.Y_PLUS,
-        d.LX_PLUS: d.LX_MINUS, d.LX_MINUS: d.LX_PLUS,
-        d.LY_PLUS: d.LY_MINUS, d.LY_MINUS: d.LY_PLUS,
-        d.HOLD: d.HOLD,
-    }
-    assert len(pairs) == len(CoinDirection)
-    for direction, reverse in pairs.items():
-        assert flip(direction) is reverse
-        assert flip(flip(direction)) is direction
 
 
 def test_config_validation():
@@ -144,6 +128,12 @@ def test_oracle_empty_targets_is_identity():
     before = psi.copy()
     apply_oracle(psi, np.array([], dtype=np.int64))
     np.testing.assert_array_equal(psi, before)
+
+
+def test_empty_targets_hold_no_probability():
+    psi = random_state(9, 16)
+    for psi in (psi, psi.real.copy()):
+        assert success_probability(psi, np.array([], dtype=np.int64)) == 0.0
 
 
 def test_oracle_involution():
@@ -223,10 +213,17 @@ def _expected_shift_table(topo, mode):
         d.LY_PLUS: (x, lr_next[y]), d.LY_MINUS: (x, lr_prev[y]),
         d.HOLD: (x, y),
     }
+    reverse = {
+        d.X_PLUS: d.X_MINUS, d.X_MINUS: d.X_PLUS,
+        d.Y_PLUS: d.Y_MINUS, d.Y_MINUS: d.Y_PLUS,
+        d.LX_PLUS: d.LX_MINUS, d.LX_MINUS: d.LX_PLUS,
+        d.LY_PLUS: d.LY_MINUS, d.LY_MINUS: d.LY_PLUS,
+        d.HOLD: d.HOLD,
+    }
     dirs = directions(mode)
     row = {f: r for r, f in enumerate(dirs)}
     table = [
-        row[flip(f)] * topo.n_vertices + source[f][0] + side * source[f][1] for f in dirs
+        row[reverse[f]] * topo.n_vertices + source[f][0] + side * source[f][1] for f in dirs
     ]
     return np.stack(table).reshape(-1)
 

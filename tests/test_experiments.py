@@ -49,7 +49,26 @@ from hn4walk.experiments import (
 )
 from hn4walk import experiments
 from hn4walk.fitting import RuntimeModel, fit_scaling
-from hn4walk.topology import TopologyError, TopologyParams, exceptional_vertices
+from hn4walk.topology import TopologyError, TopologyParams, decompose, exceptional_lines
+
+
+def reference_admissible(topo):
+    """Linear indices of the admissible vertices, from the scalar hierarchy:
+    neither coordinate at level n - 1 or n, where the long-range edges are
+    self-loops."""
+    n = topo.n
+    line = np.array([decompose(c + 1, n).level >= n - 1 for c in range(topo.side)])
+    return np.flatnonzero(~(line[:, None] | line[None, :]).reshape(-1))  # [y, x]
+
+
+def reference_draw(m, topo, seed):
+    """m distinct admissible vertices as a sample over every admissible linear
+    index, sorted: (x, y) rows."""
+    candidates = reference_admissible(topo)
+    rng = np.random.default_rng(seed)
+    chosen = np.sort(candidates[rng.choice(len(candidates), m, replace=False)])
+    y, x = np.divmod(chosen, topo.side)
+    return np.stack((x, y), axis=1)
 
 
 def test_detect_first_peak_synthetic_unimodal():
@@ -247,14 +266,14 @@ def test_random_target_set_reproducible_and_admissible():
     assert np.array_equal(a, b)
     index = a[:, 0] + topo.side * a[:, 1]
     assert len(np.unique(index)) == 5
-    assert not exceptional_vertices(topo)[index].any()
+    assert not exceptional_lines(topo, EdgeMode.HN4)[a].any()
     c = random_target_set(5, topo, seed=43)
     assert not np.array_equal(a, c)
 
 
 def test_random_target_set_full_draw_and_overflow():
     topo = TopologyParams.from_side(16)
-    admissible = np.flatnonzero(~exceptional_vertices(topo))
+    admissible = reference_admissible(topo)
     drawn = random_target_set(len(admissible), topo, seed=7)
     assert [x + topo.side * y for x, y in drawn] == admissible.tolist()
     with pytest.raises(ValueError):
@@ -268,7 +287,7 @@ def test_every_admissible_target_is_found():
     # whose every target is on an exceptional line raises NoPeakError unstepped
     topo = TopologyParams.from_side(16)
     drawn = random_target_set(14 * 14, topo, seed=5)
-    assert [x + 16 * y for x, y in drawn] == np.flatnonzero(~exceptional_vertices(topo)).tolist()
+    assert [x + 16 * y for x, y in drawn] == reference_admissible(topo).tolist()
     for target in drawn:
         peak, _ = run_to_first_peak(WalkConfig.with_na(topo, 8.5, [target]))
         assert 27 <= peak.peak_step <= 29 and peak.peak_probability >= 0.98, (target, peak)
@@ -284,7 +303,7 @@ def test_density_jobs_name_the_fraction_of_an_unfit_side():
 def test_random_target_set_uniformity_chi_square():
     # 1e4 single-target draws on 16x16: chi-square against uniform within 5 sigma
     topo = TopologyParams.from_side(16)
-    admissible = np.flatnonzero(~exceptional_vertices(topo))
+    admissible = reference_admissible(topo)
     counts = {int(v): 0 for v in admissible}
     draws = 10_000
     for i in range(draws):
@@ -308,6 +327,20 @@ def test_random_target_set_pinned_draws():
     assert random_target_set(4, side512, job.seed).tolist() == [
         [128, 182], [150, 248], [106, 454], [108, 454],
     ]
+
+
+@pytest.mark.parametrize("side", [4, 8, 16, 32, 64, 128, 256])
+def test_random_target_set_draws_as_a_sample_over_every_admissible_vertex(side):
+    # the same targets as a draw over the N-entry candidate array, for m on both
+    # sides of numpy's dense-draw branch (m > A²/50)
+    topo = TopologyParams.from_side(side)
+    count = (side - 2) ** 2
+    for m in sorted({1, 2, count // 50, count // 50 + 1, count // 2, count} - {0}):
+        for seed in (0, 602, 2**40 + 3):
+            drawn = random_target_set(m, topo, seed)
+            expected = reference_draw(m, topo, seed)
+            assert drawn.dtype == expected.dtype
+            np.testing.assert_array_equal(drawn, expected, err_msg=f"m={m}, seed={seed}")
 
 
 def test_random_target_set_round_trips_through_config():
@@ -607,6 +640,16 @@ def test_fixed_horizon_job_refuses_targets_only_on_exceptional_lines(monkeypatch
     with pytest.raises(NoPeakError, match="every target lies on an exceptional line") as excinfo:
         trial_record(job)
     assert excinfo.value.max_probability == pytest.approx(1 / 4096, rel=1e-12)
+
+
+def test_job_with_explicit_targets_must_count_them_as_m():
+    # its record carries m, which a fit divides N by
+    with pytest.raises(ValueError, match="m must equal the number of targets, 1, got 3"):
+        TrialJob(16, 3, 8.5, 0, 0, targets=[(1, 6)])
+    job = TrialJob(16, 1, 8.5, 0, 0, targets=[(1, 6)])
+    with pytest.raises(ValueError, match="number of targets, 1, got 2"):
+        dataclasses.replace(job, m=2)
+    assert trial_record(job).record.m == 1
 
 
 def test_fixed_horizon_job_records_the_trace_maximum_over_t_max_steps():

@@ -9,7 +9,7 @@ from hn4walk.topology import (
     TopologyParams,
     compose,
     decompose,
-    exceptional_vertices,
+    exceptional_lines,
     level_size,
     move_lines,
     rank_limit,
@@ -144,28 +144,46 @@ def test_long_range_single_cycle_per_level():
 
 
 def test_is_exceptional_examples():
-    line = exceptional_vertices(TopologyParams(4))
-    assert line[7 + 16 * 3]  # x + 1 = 8 = 2**(n-1)
-    assert line[6 + 16 * 7]  # y + 1 = 8
-    assert line[15 + 16 * 0]  # x + 1 = 16 = 2**n
-    assert not line[0 + 16 * 6]
+    # a vertex is exceptional when either of its coordinates is
+    line = exceptional_lines(TopologyParams(4), EdgeMode.HN4)
+    assert line[[7, 3]].any()  # x + 1 = 8 = 2**(n-1)
+    assert line[[6, 7]].any()  # y + 1 = 8
+    assert line[[15, 0]].any()  # x + 1 = 16 = 2**n
+    assert not line[[0, 6]].any()
 
 
 def test_exceptional_counts_by_enumeration():
     for n in range(2, 7):
         side = 1 << n
-        line = exceptional_vertices(TopologyParams(n))
-        assert line.shape == (side * side,)
-        assert line.sum() == 4 * side - 4
+        line = exceptional_lines(TopologyParams(n), EdgeMode.HN4)
+        assert line.shape == (side,)
+        assert line.sum() == 2
+        vertices = np.logical_or(line[:, None], line[None, :])
+        assert vertices.sum() == 4 * side - 4
 
 
 def test_admissible_vertices():
-    # the mask agrees with the scalar hierarchy, vertex by vertex in linear order
+    # the vertex rule on the line mask agrees with the scalar hierarchy, vertex
+    # by vertex in linear order
     for n in range(2, 7):
         side = 1 << n
+        line = exceptional_lines(TopologyParams(n), EdgeMode.HN4)
         expected = [
             any(decompose(c + 1, n).level >= n - 1 for c in (x, y))
             for y in range(side)
             for x in range(side)
         ]
-        assert exceptional_vertices(TopologyParams(n)).tolist() == expected
+        assert [bool(line[x] or line[y]) for y in range(side) for x in range(side)] == expected
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_exceptional_lines_are_the_fixed_points(n):
+    # HN4 flags exactly x + 1 = L/2 and L, the levels n - 1 and n of the scalar
+    # hierarchy, and the bare grid's ring has no fixed point
+    side = 1 << n
+    params = TopologyParams(n)
+    line = exceptional_lines(params, EdgeMode.HN4)
+    assert line.tolist() == [decompose(c + 1, n).level >= n - 1 for c in range(side)]
+    assert np.flatnonzero(line).tolist() == [side // 2 - 1, side - 1]
+    grid = exceptional_lines(params, EdgeMode.GRID)
+    assert grid.shape == (side,) and not grid.any()
