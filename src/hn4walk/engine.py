@@ -263,19 +263,27 @@ def _step_on_one_core() -> None:
     _step_cores = 1
 
 
+def _band_rows(topology: TopologyParams, edge_mode: EdgeMode) -> int:
+    """The one band rule: the y rows R of a band, as many as keep its C float64
+    source rows within ``_BAND_BYTES`` (the whole grid up to side 128 with
+    long-range edges), at least one.  The step's layout, its overlap and row
+    buffers, :func:`shift_permutation` and :func:`memory_requirement` read it."""
+    side = topology.side
+    return min(side, max(1, _BAND_BYTES // (len(directions(edge_mode)) * side * 8)))
+
+
 #: (y0, y1) of every band of every part of a step (:func:`_layout`).
 _Layout = tuple[tuple[tuple[int, int], ...], ...]
 
 
 def _layout(topology: TopologyParams, edge_mode: EdgeMode) -> _Layout:
-    """The one band layout of a step: bands of as many y rows as keep their C
-    float64 source rows within ``_BAND_BYTES`` (the whole grid up to side 128
-    with long-range edges), at least one, split into one contiguous part per
-    process of the step.  The parts are at most one per core the step may
-    use, and only as many as leave at least two bands per part.  Only the
-    last band of a part may be shorter than the first band, (0, rows)."""
+    """The one band layout of a step: bands of :func:`_band_rows` y rows split
+    into one contiguous part per process of the step.  The parts are at most
+    one per core the step may use, and only as many as leave at least two
+    bands per part.  Only the last band of a part may be shorter than the
+    first band, (0, rows)."""
     side = topology.side
-    rows = min(side, max(1, _BAND_BYTES // (len(directions(edge_mode)) * side * 8)))
+    rows = _band_rows(topology, edge_mode)
     parts = max(1, min(_step_cores or available_cores(), -(-side // rows) // 2))
     cuts = [side * i // parts for i in range(parts + 1)]
     return tuple(
@@ -350,11 +358,10 @@ def shift_permutation(topology: TopologyParams, edge_mode: EdgeMode) -> np.ndarr
     slots = -np.arange(len(directions(edge_mode)) * topology.n_vertices, dtype=np.int64)
     slots = slots.reshape(-1, side, side)
     table = np.empty_like(slots)
-    parts = _layout(topology, edge_mode)
-    zero = np.zeros((parts[0][0][1], side), dtype=np.int64)
+    zero = np.zeros((_band_rows(topology, edge_mode), side), dtype=np.int64)
     tmp = np.empty_like(zero)
     moves = _moves(topology, edge_mode)
-    for part in parts:
+    for part in _layout(topology, edge_mode):
         for y0, y1 in part:
             rows = y1 - y0
             _shift_band(slots, table, y0, y1, zero[:rows], zero[:rows], tmp[:rows], moves)
@@ -430,14 +437,6 @@ def amplified_cost(peak_step: int, peak_probability: float) -> float:
     return peak_step / math.sqrt(peak_probability)
 
 
-def _held_bytes(topology: TopologyParams, edge_mode: EdgeMode, parts: _Layout, dtype: type) -> int:
-    """Bytes of an engine's buffers for amplitudes of ``dtype`` on the band
-    layout ``parts``: two C x N state buffers plus the step's one overlap and
-    one row buffer of R x L, R the first band's y rows, whatever the parts."""
-    band = parts[0][0][1] * topology.side
-    return 2 * (len(directions(edge_mode)) * topology.n_vertices + band) * np.dtype(dtype).itemsize
-
-
 def _check_memory(needed: int, message: str) -> None:
     """Raise :class:`ResourceLimitError`, with ``message`` and the limit, when
     ``needed`` bytes exceed :data:`DEFAULT_MEMORY_LIMIT` as it reads when called."""
@@ -445,13 +444,21 @@ def _check_memory(needed: int, message: str) -> None:
         raise ResourceLimitError(f"{message}, limit is {DEFAULT_MEMORY_LIMIT}")
 
 
-def memory_requirement(topology: TopologyParams, edge_mode: EdgeMode) -> int:
-    """Bytes a :class:`WalkEngine` allocates for a real state, the same on any
-    cores: two C x N float64 state buffers plus the step's R x L overlap and
-    row buffers, R the y rows of a band (R = L up to side 128), so
-    16 * (C * N + R * L).  A complex state loaded with
-    :meth:`WalkEngine.set_amplitudes` needs twice this."""
-    return _held_bytes(topology, edge_mode, _layout(topology, edge_mode), np.float64)
+def memory_requirement(topology: TopologyParams, edge_mode: EdgeMode, m: int = 0) -> int:
+    """Bytes a walk of a real state on ``m`` targets holds in every allocation
+    that grows with N or M, the same on any cores: the one statement of a
+    walk's memory.  Its L-entry move lines and Python objects are not counted.
+
+    The buffers are two C x N float64 state buffers plus the step's R x L
+    overlap and row buffers, R the y rows of a band (:func:`_band_rows`,
+    R = L up to side 128): 16 * (C * N + R * L), whatever the parts.  Each
+    target adds its (x, y) pair in the config (16 bytes), its index in the
+    engine (8) and its C amplitudes in the block that every
+    :func:`apply_oracle` and :func:`success_probability` gathers (8 * C):
+    8 * (C + 3) * m.  ``m=0`` counts the buffers alone.  A complex state
+    loaded with :meth:`WalkEngine.set_amplitudes` is checked at twice this."""
+    coins, rows = len(directions(edge_mode)), _band_rows(topology, edge_mode)
+    return 16 * (coins * topology.n_vertices + rows * topology.side) + 8 * (coins + 3) * m
 
 
 class _Helpers:
@@ -520,20 +527,19 @@ class WalkEngine:
 
     def _allocate(self, dtype: type) -> None:
         """(Re)allocate the state, scratch, overlap and row buffers for ``dtype``,
-        one band of overlap and one of row, refusing when they would exceed
-        the memory limit.  Any helpers end first: the new buffers are private."""
+        one band of overlap and one of row, refusing when the walk would exceed
+        the memory limit: :func:`memory_requirement` of its targets, twice that
+        for a complex state.  Any helpers end first: the new buffers are private."""
         topology, edge_mode = self._config.topology, self._config.edge_mode
-        needed = _held_bytes(topology, edge_mode, self._parts, dtype)
-        _check_memory(
-            needed,
-            f"state buffers and the step's band-sized overlap and row buffers need {needed} bytes",
-        )
+        m = self._config.target_count
+        needed = memory_requirement(topology, edge_mode, m) * (np.dtype(dtype).itemsize // 8)
+        _check_memory(needed, f"a walk's buffers and its {m} targets need {needed} bytes")
         self._helpers.stop()
         self._shared = None  # the (state, scratch) pair the helpers were forked with
         self._state = self._scratch = self._overlap = self._row = None  # free before allocating
         self._state = np.empty((len(directions(edge_mode)), topology.n_vertices), dtype=dtype)
         self._scratch = np.empty_like(self._state)
-        self._overlap = np.empty((self._parts[0][0][1], topology.side), dtype=dtype)
+        self._overlap = np.empty((_band_rows(topology, edge_mode), topology.side), dtype=dtype)
         self._row = np.empty_like(self._overlap)
 
     @property
@@ -590,12 +596,15 @@ class WalkEngine:
         buffers) and every coined row moved into the other state buffer.
 
         An engine of more than one part runs every part on the calling
-        process until it has taken ``_WARMUP_STEPS`` steps since construction
-        or the last :meth:`set_amplitudes`.  The next step starts its helper
-        processes, which from then on run every part but the first, until
-        they end; each step waits for every helper before the next.  A helper
-        that cannot start or dies leaves the rest of the walk, from the step
-        in progress on, on the calling process.  Raises RuntimeError in a
+        process until, with no helper running, it has taken ``_WARMUP_STEPS``
+        steps since construction or the last :meth:`set_amplitudes`.  The next
+        step starts its helper processes, which from then on run every part
+        but the first, until they end; each step waits for every helper before
+        the next.  A :meth:`set_amplitudes` of the same dtype keeps the helpers
+        that run, so the next step runs on them; only a reallocation (a load
+        that changes the dtype) ends them and starts the warm-up again.  A
+        helper that cannot start or dies leaves the rest of the walk, from the
+        step in progress on, on the calling process.  Raises RuntimeError in a
         process other than the one that built the engine.
         """
         self._check_owner()
@@ -668,10 +677,11 @@ class WalkEngine:
 
     def _start_helpers(self) -> None:
         """Move the state buffers into shared anonymous memory, one at a time so
-        that no more than ``_held_bytes`` is held, then fork one helper per
-        part past the first.  When a buffer or a helper cannot be had (an
-        OSError), or the start is interrupted, the walk steps on this process
-        from then on (:meth:`_step_alone`); an interruption is raised again."""
+        that no more than the two that :func:`memory_requirement` counts are
+        held, then fork one helper per part past the first.  When a buffer or
+        a helper cannot be had (an OSError), or the start is interrupted, the
+        walk steps on this process from then on (:meth:`_step_alone`); an
+        interruption is raised again."""
         import mmap  # only an engine that forks helpers loads it
 
         shape, dtype, size = self._state.shape, self._state.dtype, self._state.nbytes

@@ -440,12 +440,13 @@ class JobResult:
 
 
 def trial_record(job: TrialJob) -> JobResult:
-    """Run one job's walk (:func:`_walk`): its :class:`JobResult`."""
+    """Run one job's walk (:func:`_walk`): its :class:`JobResult`.  The targets
+    live only in the walk's config during the walk, as
+    :func:`~hn4walk.engine.memory_requirement` counts them."""
     topology = TopologyParams.from_side(job.side)
-    targets = job.targets
-    if targets is None:
-        targets = random_target_set(job.m, topology, job.seed)
+    targets = random_target_set(job.m, topology, job.seed) if job.targets is None else job.targets
     engine = WalkEngine(WalkConfig.with_na(topology, job.na, targets, job.edge_mode))
+    del targets  # the config holds its own sorted copy
     peak, _ = _walk(engine, job.t_max, job.rule)
     return JobResult(ScalingRecord(
         side=job.side,
@@ -559,8 +560,9 @@ def run_jobs(jobs: Sequence[TrialJob], workers: int) -> Iterator[JobResult]:
 
     The pool holds min(workers, jobs, cores) processes, the cores being
     :func:`~hn4walk.engine.available_cores`, and a pool of one stays
-    in-process.  That many engines, each the size of the largest job's
-    (:func:`~hn4walk.engine.memory_requirement`), are checked against
+    in-process.  That many walks, each the size of the largest job's
+    (:func:`~hn4walk.engine.memory_requirement` of its own side, mode and
+    targets), are checked against
     :data:`~hn4walk.engine.DEFAULT_MEMORY_LIMIT` when this is called, so
     :class:`~hn4walk.engine.ResourceLimitError` comes before any job runs.
     Pool workers step their walks on one core each, since together they
@@ -570,11 +572,8 @@ def run_jobs(jobs: Sequence[TrialJob], workers: int) -> Iterator[JobResult]:
     still run instead of waiting them out.  A worker that dies raises
     ``BrokenProcessPool``.
     """
-    walks = {(job.side, EdgeMode(job.edge_mode)) for job in jobs}
-    largest = max(
-        (memory_requirement(TopologyParams.from_side(side), mode) for side, mode in walks),
-        default=0,
-    )
+    largest = max((memory_requirement(TopologyParams.from_side(job.side), job.edge_mode, job.m)
+                   for job in jobs), default=0)
     engines = min(workers, len(jobs), available_cores())
     _check_memory(
         engines * largest, f"{engines} walks held at once need {engines} x {largest} bytes"

@@ -584,9 +584,11 @@ def test_scale_steps_on_one_process_when_no_helper_can_start(tmp_path, monkeypat
 
 def test_one_memory_limit_guards_engines_pools_and_commands(tmp_path, monkeypatch):
     # the engine's own check and the pool's check both read the one limit when
-    # they run: a side-16 engine fits it, a side-32 engine and a complex state do not
+    # they run: a one-target side-16 engine fits it, a side-32 engine and a
+    # complex state do not
     side_16 = TopologyParams.from_side(16)
-    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", memory_requirement(side_16, EdgeMode.HN4))
+    one_target = memory_requirement(side_16, EdgeMode.HN4, 1)
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", one_target)
     with pytest.raises(ResourceLimitError, match="limit is"):
         WalkEngine(WalkConfig.with_na(TopologyParams.from_side(32), 8.5, ((1, 6),)))
     walk = WalkEngine(WalkConfig.with_na(side_16, 8.5, ((1, 6),)))

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -452,7 +453,7 @@ def _recording_pool(monkeypatch):
     return sizes, initializers
 
 
-def test_map_jobs_pool_never_exceeds_job_count(monkeypatch):
+def test_pool_never_exceeds_job_count(monkeypatch):
     sizes, initializers = _recording_pool(monkeypatch)
     monkeypatch.setattr(experiments, "available_cores", lambda: 2)
     assert list(run_jobs(trial_jobs([(16, 1)], 8.5, 2, 7), 6)) == [1, 2]
@@ -524,7 +525,7 @@ def _side_512_engine():
     return WalkEngine(WalkConfig.with_na(TopologyParams.from_side(512), 8.5, ((1, 6),)))
 
 
-def test_map_jobs_after_threaded_step_in_parent(monkeypatch):
+def test_pool_after_helpers_step_in_parent(monkeypatch):
     # a fork while an engine's helper processes run: pool workers step on one
     # core, and a new engine in a forked child forks helpers of its own
     monkeypatch.setattr(engine, "_step_cores", 2)
@@ -550,7 +551,7 @@ def test_map_jobs_after_threaded_step_in_parent(monkeypatch):
     process = fork.Process(target=child)
     process.start()
     try:
-        assert receive.poll(60), "a forked child's threaded step did not finish"
+        assert receive.poll(60), "a forked child's two-part step did not finish"
         assert receive.recv() == (2, True)
     finally:
         process.join(10)
@@ -572,8 +573,9 @@ def test_trial_jobs_rejects_repeated_cells():
 
 
 def test_check_pool_memory_counts_every_engine_of_the_pool(monkeypatch):
-    # one side-512 engine fits the limit, two at once do not
-    one = memory_requirement(TopologyParams.from_side(512), EdgeMode.HN4)
+    # one side-512 engine fits the limit, two at once do not; each job's walk
+    # is sized with its one target
+    one = memory_requirement(TopologyParams.from_side(512), EdgeMode.HN4, 1)
     monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", one * 3 // 2)
     monkeypatch.setattr(experiments, "available_cores", lambda: 2)
     jobs = trial_jobs([(64, 1), (512, 1)], 8.5, 2, 7)
@@ -583,6 +585,76 @@ def test_check_pool_memory_counts_every_engine_of_the_pool(monkeypatch):
         run_jobs(jobs, 2)
     with pytest.raises(ResourceLimitError):
         scaling_experiment([512], 1, 8.5, trials=2, seed=7, workers=3)
+
+
+#: Target counts of the memory tests: one, a fifth of the vertices (the
+#: density protocol's 0.2) and every admissible vertex, A².
+TARGET_COUNTS = {
+    "one": lambda topo: 1,
+    "fifth": lambda topo: round(0.2 * topo.n_vertices),
+    "admissible": lambda topo: np.count_nonzero(~exceptional_lines(topo, EdgeMode.HN4)) ** 2,
+}
+
+
+def _unsized_bytes(side):
+    """Bytes of a walk that grow with neither N nor M, which no
+    ``memory_requirement`` holds (it is exactly 16 * (C * N + R * L) at
+    m = 0): the L-entry move lines of the engine and of the exceptional-target
+    check, and the Python objects of an engine and a job.  Measured at up to
+    197 * L bytes at side 64 and 132 * L at side 256 (a one-target HN4 job)."""
+    return 128 * side + 16 * 2**10
+
+
+@pytest.mark.parametrize("count", list(TARGET_COUNTS))
+@pytest.mark.parametrize("side", [64, 256])
+@pytest.mark.parametrize("mode", list(EdgeMode))
+def test_memory_requirement_bounds_an_engine_with_its_targets(mode, side, count):
+    # the peak of building an engine, one step and one readout, with the C x M
+    # block that the oracle and the readout gather, is within the guard's figure
+    topo = TopologyParams.from_side(side)
+    m = TARGET_COUNTS[count](topo)
+    config = WalkConfig.with_na(topo, 8.5 * m, random_target_set(m, topo, 7), mode)
+    tracemalloc.start()
+    try:
+        walk = WalkEngine(config)
+        walk.advance()
+        walk.probability()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= memory_requirement(topo, mode, m) + _unsized_bytes(side)
+
+
+@pytest.mark.parametrize("count", list(TARGET_COUNTS))
+@pytest.mark.parametrize("side", [64, 256])
+@pytest.mark.parametrize("mode", list(EdgeMode))
+def test_memory_requirement_bounds_a_job_with_its_targets(mode, side, count):
+    # a whole job holds what the guard counts: its drawn targets only in the
+    # config, beside the engine's indices and the gathered block
+    topo = TopologyParams.from_side(side)
+    m = TARGET_COUNTS[count](topo)
+    job = TrialJob(side, m, 8.5 * m, 7, 0, mode, rule=None, t_max=2)
+    trial_record(job)  # untraced: a process's first draw imports numpy's seeding modules
+    tracemalloc.start()
+    try:
+        trial_record(job)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= memory_requirement(topo, mode, m) + _unsized_bytes(side)
+
+
+def test_pool_guard_counts_each_jobs_targets(monkeypatch):
+    # two density walks of 13107 targets each overrun a limit that two
+    # walks' buffers alone fit, and are refused before any job runs
+    monkeypatch.setattr(experiments, "trial_record", lambda job: pytest.fail("a job ran"))
+    monkeypatch.setattr(experiments, "available_cores", lambda: 2)
+    jobs = density_jobs([256], 0.2, 2, 7)
+    topo = TopologyParams.from_side(256)
+    buffers, walk = (memory_requirement(topo, EdgeMode.HN4, m) for m in (0, jobs[0].m))
+    monkeypatch.setattr(engine, "DEFAULT_MEMORY_LIMIT", buffers + walk)  # within 2 x either
+    with pytest.raises(ResourceLimitError, match=f"2 x {walk} bytes"):
+        run_jobs(jobs, 2)
 
 
 def test_negative_seed_is_refused_before_any_job(monkeypatch):
