@@ -28,7 +28,7 @@ from datetime import datetime, timezone
 from itertools import tee
 from pathlib import Path
 
-from .fitting import FitError, fit_scaling, parse_model
+from .fitting import fit_scaling, parse_model
 from .reporting import (
     manifest_path,
     read_records_csv,
@@ -38,7 +38,7 @@ from .reporting import (
     write_sweep_csv,
     write_trace_csv,
 )
-from .topology import EdgeMode, TopologyParams, TopologyError
+from .topology import EdgeMode, TopologyParams
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -52,7 +52,7 @@ def _side(text: str) -> int:
     try:
         value = int(text)
         TopologyParams.from_side(value)
-    except (ValueError, TopologyError):
+    except ValueError:  # a TopologyError too
         raise argparse.ArgumentTypeError(f"side must be a power of two >= 4, got {text!r}")
     return value
 
@@ -279,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         extra = args.func(args)
         write_manifest(args.out, args.command, _manifest_params(args), started_utc, extra)
-    except (FitError, TopologyError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a FitError and a TopologyError too
         print(f"hn4walk: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:

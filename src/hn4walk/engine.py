@@ -267,7 +267,7 @@ def _band_rows(topology: TopologyParams, edge_mode: EdgeMode) -> int:
     """The one band rule: the y rows R of a band, as many as keep its C float64
     source rows within ``_BAND_BYTES`` (the whole grid up to side 128 with
     long-range edges), at least one.  The step's layout, its overlap and row
-    buffers, :func:`shift_permutation` and :func:`memory_requirement` read it."""
+    buffers and :func:`memory_requirement` read it."""
     side = topology.side
     return min(side, max(1, _BAND_BYTES // (len(directions(edge_mode)) * side * 8)))
 
@@ -320,27 +320,25 @@ def _shift_band(
     y1: int,
     g: np.ndarray,
     h: np.ndarray,
-    tmp: np.ndarray,
     moves: tuple[tuple[int, int, bool, np.ndarray], ...],
 ) -> None:
     """Write source rows y0:y1 of every coin row, coined, into their destinations.
 
     ``src`` and ``dst`` are C x L x L views indexed [row, y, x] (vertex
-    x + L * y).  The coined hold row h - src[-1] is a plain write; every
-    coined edge row g - src[r] goes into ``tmp``, then by one of the
-    :func:`_moves` rules into dst[q]: an L-entry gather along x or a row
-    scatter along y.  ``g``, ``h`` and ``tmp`` are (y1 - y0) x L, and
-    ``tmp`` may be ``h``: the hold row is written first.  The gathers index
-    only valid coordinates, so mode "clip" skips numpy's buffered bounds
-    check.
+    x + L * y), and ``g`` and ``h`` are (y1 - y0) x L.  The coined hold row
+    h - src[-1] is a plain write, made first, so ``h`` is free for every
+    coined edge row g - src[r], which then goes by one of the :func:`_moves`
+    rules into dst[q]: an L-entry gather along x or a row scatter along y.
+    The gathers index only valid coordinates, so mode "clip" skips numpy's
+    buffered bounds check.
     """
     np.subtract(h, src[-1, y0:y1], out=dst[-1, y0:y1])
     for r, q, along_x, line in moves:
-        np.subtract(g, src[r, y0:y1], out=tmp)
+        np.subtract(g, src[r, y0:y1], out=h)
         if along_x:
-            np.take(tmp, line, axis=1, out=dst[q, y0:y1], mode="clip")
+            np.take(h, line, axis=1, out=dst[q, y0:y1], mode="clip")
         else:
-            dst[q][line[y0:y1]] = tmp
+            dst[q][line[y0:y1]] = h
 
 
 def shift_permutation(topology: TopologyParams, edge_mode: EdgeMode) -> np.ndarray:
@@ -348,23 +346,18 @@ def shift_permutation(topology: TopologyParams, edge_mode: EdgeMode) -> np.ndarr
 
     Slot layout is row * N + vertex with rows ordered per
     :func:`directions`.  The table is the engine's band moves, over the
-    bands of every part of the engine's step, applied to the negated slot
-    numbers with zero coin terms (0 - (-slot) = slot), so checking that it is
-    a bijection checks the moves every step runs.  Every destination row
-    receives from the reversed coin direction at the unique source vertex
-    that moves onto it.
+    whole lattice as one band, applied to the negated slot numbers with zero
+    coin terms (0 - (-slot) = slot), so checking that it is a bijection
+    checks the moves every step runs.  Every destination row receives from
+    the reversed coin direction at the unique source vertex that moves onto
+    it.
     """
     side = topology.side
     slots = -np.arange(len(directions(edge_mode)) * topology.n_vertices, dtype=np.int64)
     slots = slots.reshape(-1, side, side)
     table = np.empty_like(slots)
-    zero = np.zeros((_band_rows(topology, edge_mode), side), dtype=np.int64)
-    tmp = np.empty_like(zero)
-    moves = _moves(topology, edge_mode)
-    for part in _layout(topology, edge_mode):
-        for y0, y1 in part:
-            rows = y1 - y0
-            _shift_band(slots, table, y0, y1, zero[:rows], zero[:rows], tmp[:rows], moves)
+    g, h = np.zeros((2, side, side), dtype=np.int64)
+    _shift_band(slots, table, 0, side, g, h, _moves(topology, edge_mode))
     return table.reshape(-1)
 
 
@@ -515,12 +508,13 @@ class WalkEngine:
     def __init__(self, config: WalkConfig):
         self._config = config
         self._parts = _layout(config.topology, config.edge_mode)
+        # the moves first, so their L-entry temporaries never add to the buffers
+        self._moves = _moves(config.topology, config.edge_mode)
         self._helpers = _Helpers()
         weakref.finalize(self, self._helpers.stop)
         self._allocate(np.float64)
         self._weights = coin_weights(config.loop_weight, config.edge_mode)
         self._targets = target_indices(config)
-        self._moves = _moves(config.topology, config.edge_mode)
         self._stepped = 1
         self._state[...] = _initial_column(config)
         self._steps = 0
@@ -748,7 +742,7 @@ class WalkEngine:
         for y0, y1 in self._parts[part]:
             g, h = self._overlap[:y1 - y0], self._row[:y1 - y0]
             _coin_terms(src[:, y0:y1], self._weights, g, h)
-            _shift_band(src, dst, y0, y1, g, h, h, self._moves)
+            _shift_band(src, dst, y0, y1, g, h, self._moves)
 
 
 def run(config: WalkConfig, t_max: int) -> np.ndarray:

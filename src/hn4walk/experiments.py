@@ -10,19 +10,21 @@ one warning each (:func:`warn_exceptional_targets`), and a walk whose every
 target is exceptional is refused.  One scan, :func:`_first_peak`, reads P(t)
 sample by sample and stops at the earliest confirmed peak:
 :func:`detect_first_peak` runs it over a finished trace and
-:func:`run_to_first_peak` over a live walk.  Every sweep point, scaling trial and density trial is one
-:class:`TrialJob`, run by :func:`trial_record`, which returns one
-:class:`JobResult`: the job's record and the most processes a step of its
-walk ran on.  The protocols keep only the records; the count is run
-telemetry, which the CLI writes to its manifests.  Every job, like
-:func:`run_to_first_peak`, walks through one path, :func:`_walk`: it
-refuses a walk that cannot find a target before any step, then reads the
-first peak under a peak rule, or without one the trace maximum over a fixed
-horizon.  :func:`run_jobs` is the one runner of a job list, for the
-protocols and the CLI alike: it refuses, when called, a job list whose pool
-could not hold all its engines at once, then runs the jobs through one
-bounded process pool and yields results in submission order as they
-arrive, so a run is reproducible for a fixed seed regardless of worker
+:func:`run_to_first_peak` over a live walk.  Every sweep point, scaling
+trial and density trial is one :class:`TrialJob`, run by
+:func:`trial_record`, which returns one :class:`JobResult`: the job's
+record and the most processes a step of its walk ran on.  The protocols
+keep only the records; the count is run telemetry, which the CLI writes to
+its manifests.  Every job, like :func:`run_to_first_peak`, walks through
+one path, :func:`_walk`, the one place that builds a
+:class:`~hn4walk.engine.WalkEngine`: it refuses a walk that cannot find a
+target before the engine and its buffers exist, then builds the engine and
+reads the first peak under a peak rule, or without one the trace maximum
+over a fixed horizon.  :func:`run_jobs` is the one runner of a job list,
+for the protocols and the CLI alike: it refuses, when called, a job list
+whose pool could not hold all its engines at once, then runs the jobs
+through one bounded process pool and yields results in submission order as
+they arrive, so a run is reproducible for a fixed seed regardless of worker
 count, and a failing job leaves every earlier result delivered and ends the
 jobs still running.
 
@@ -125,16 +127,15 @@ SWEEP_PEAK_RULE = PeakRule(stride=2)
 
 @dataclass(frozen=True)
 class PeakResult:
-    """A walk's peak: its step and probability, and the rule it qualified
-    under, None for the largest P of a fixed horizon."""
+    """A walk's peak: its step and probability."""
 
     peak_step: int
     peak_probability: float
-    rule: PeakRule | None
 
 
 class NoPeakError(RuntimeError):
-    """No step qualified under the peak rule; carries the largest P seen."""
+    """No step qualified under the peak rule; carries the largest P seen, or
+    P(0) = M/N for a walk refused before its engine is built (:func:`_walk`)."""
 
     def __init__(self, message: str, max_probability: float):
         super().__init__(message)
@@ -172,7 +173,7 @@ def _first_peak(samples: Iterable[float], rule: PeakRule) -> tuple[PeakResult, n
         probs.append(float(p))
         candidate = t - rule.decline_run * rule.stride
         if candidate >= 1 and _qualifies(probs, candidate, rule):
-            return PeakResult(candidate, probs[candidate], rule), np.asarray(probs)
+            return PeakResult(candidate, probs[candidate]), np.asarray(probs)
     raise NoPeakError(
         f"no qualifying peak in {len(probs)} samples (max P = {max(probs):.6g})",
         max(probs),
@@ -210,10 +211,10 @@ def run_to_first_peak(
     detection over the full horizon of ``t_max`` steps (None:
     :func:`step_budget`), just cheaper.  Targets on an exceptional line are
     warned of once (:func:`warn_exceptional_targets`), and a walk that
-    cannot find a target is refused before it steps (:func:`_walk`).
+    cannot find a target is refused before its engine is built (:func:`_walk`).
     """
     warn_exceptional_targets(config)
-    return _walk(WalkEngine(config), t_max, rule)
+    return _walk(config, t_max, rule)[:2]
 
 
 def _exceptional_targets(config: WalkConfig) -> np.ndarray:
@@ -241,34 +242,39 @@ def warn_exceptional_targets(config: WalkConfig) -> None:
 
 
 def _walk(
-    engine: WalkEngine, t_max: int | None, rule: PeakRule | None
-) -> tuple[PeakResult, np.ndarray]:
-    """The walk of every job, on a fresh ``engine``: its peak and the trace
-    recorded.  Under a peak ``rule`` it is :func:`run_to_first_peak`'s, within
-    ``t_max`` steps (None: :func:`step_budget`); with ``rule=None`` the largest
-    P over exactly ``t_max`` steps, its earliest step, and the whole trace.
+    config: WalkConfig, t_max: int | None, rule: PeakRule | None
+) -> tuple[PeakResult, np.ndarray, int]:
+    """The walk of every job on ``config``: its peak, the trace recorded and
+    the engine's :attr:`~hn4walk.engine.WalkEngine.stepped_processes`.  Under a
+    peak ``rule`` it is :func:`run_to_first_peak`'s, within ``t_max`` steps
+    (None: :func:`step_budget`); with ``rule=None`` the largest P over exactly
+    ``t_max`` steps, its earliest step, and the whole trace.
 
-    A walk needs a target, and an HN4 walk whose every target lies on an
-    exceptional line never finds one, so it raises :class:`NoPeakError`,
-    carrying P(0), before any step: the peak rule's gain floor alone would
-    confirm the t = 4 ripple as a peak, and the trace maximum would read it.
+    The targets are checked before the one engine is built, so a refused walk
+    allocates no buffer.  A walk needs a target, and an HN4 walk whose every
+    target lies on an exceptional line never finds one, so it raises
+    :class:`NoPeakError`, carrying P(0) = M/N, the uniform initial state's:
+    the peak rule's gain floor alone would confirm the t = 4 ripple as a
+    peak, and the trace maximum would read it.
     """
-    config = engine.config
     if config.target_count == 0:
         raise ValueError("search runs need at least one target")
     if _exceptional_targets(config).all():
-        p0 = engine.probability()
+        p0 = config.target_count / config.topology.n_vertices
         raise NoPeakError(
             f"every target lies on an exceptional line, where the HN4 walk never finds "
             f"one (P(0) = {p0:.6g})", p0,
         )
     if t_max is None:
         t_max = step_budget(config.topology.n_vertices, config.target_count, config.edge_mode)
+    engine = WalkEngine(config)
     if rule is not None:
-        return _first_peak(engine.trace(t_max), rule)
-    probs = np.fromiter(engine.trace(t_max), np.float64, t_max + 1)
-    peak_step = int(np.argmax(probs))
-    return PeakResult(peak_step, float(probs[peak_step]), rule), probs
+        peak, probs = _first_peak(engine.trace(t_max), rule)
+    else:
+        probs = np.fromiter(engine.trace(t_max), np.float64, t_max + 1)
+        peak_step = int(np.argmax(probs))
+        peak = PeakResult(peak_step, float(probs[peak_step]))
+    return peak, probs, engine.stepped_processes
 
 
 # ---------------------------------------------------------------------------
@@ -440,14 +446,15 @@ class JobResult:
 
 
 def trial_record(job: TrialJob) -> JobResult:
-    """Run one job's walk (:func:`_walk`): its :class:`JobResult`.  The targets
-    live only in the walk's config during the walk, as
-    :func:`~hn4walk.engine.memory_requirement` counts them."""
+    """Build one job's config and run its walk (:func:`_walk`, which builds the
+    engine): its :class:`JobResult`.  The targets live only in the walk's
+    config during the walk, as :func:`~hn4walk.engine.memory_requirement`
+    counts them."""
     topology = TopologyParams.from_side(job.side)
     targets = random_target_set(job.m, topology, job.seed) if job.targets is None else job.targets
-    engine = WalkEngine(WalkConfig.with_na(topology, job.na, targets, job.edge_mode))
+    config = WalkConfig.with_na(topology, job.na, targets, job.edge_mode)
     del targets  # the config holds its own sorted copy
-    peak, _ = _walk(engine, job.t_max, job.rule)
+    peak, _, stepped_processes = _walk(config, job.t_max, job.rule)
     return JobResult(ScalingRecord(
         side=job.side,
         n_elements=topology.n_vertices,
@@ -459,7 +466,7 @@ def trial_record(job: TrialJob) -> JobResult:
         peak_step=peak.peak_step,
         peak_probability=peak.peak_probability,
         amplified_cost=amplified_cost(peak.peak_step, peak.peak_probability),
-    ), engine.stepped_processes)
+    ), stepped_processes)
 
 
 def trial_jobs(

@@ -117,3 +117,15 @@ def test_no_module_reads_another_objects_private_attribute():
                     reads.append((path.name, f"{owner}.{node.attr}"))
     assert [read for read in reads if read[1] != "os._exit"] == []
     assert ("engine.py", "os._exit") in reads
+
+
+def test_experiments_builds_engines_only_in_walk():
+    # every walk of the protocols is built by _walk, after its targets pass
+    tree = ast.parse(Path(experiments.__file__).read_text())
+    builders = [
+        function.name
+        for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "WalkEngine"
+    ]
+    assert builders == ["_walk"]

@@ -77,7 +77,6 @@ def test_detect_first_peak_synthetic_unimodal():
     peak = detect_first_peak(trace)
     assert peak.peak_step == 2
     assert peak.peak_probability == 0.9
-    assert peak.rule == DEFAULT_PEAK_RULE
 
 
 def test_detect_first_peak_monotone_raises():
@@ -156,6 +155,24 @@ def test_run_to_first_peak_refuses_targets_only_on_exceptional_lines(monkeypatch
     with pytest.raises(NoPeakError, match="every target lies on an exceptional line") as excinfo:
         run_to_first_peak(config)
     assert excinfo.value.max_probability == pytest.approx(len(targets) / 4096, rel=1e-12)
+
+
+def test_refused_walk_allocates_no_engine():
+    # a job or walk whose every target is exceptional is refused before its
+    # engine exists: the 36.5 MiB of a side-512 walk's buffers are never held,
+    # and the error carries P(0) = M/N, the uniform initial state's
+    job = TrialJob(512, 1, 8.5, 0, 0, targets=((255, 5),))
+    config = WalkConfig.with_na(TopologyParams.from_side(512), 8.5, job.targets)
+    for walk in (lambda: trial_record(job), lambda: run_to_first_peak(config)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(NoPeakError, match="exceptional line") as excinfo:
+                walk()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert excinfo.value.max_probability == 1 / 512**2
+        assert peak < 2**20
 
 
 def _exceptional_warnings(caplog) -> list[str]:
@@ -599,10 +616,11 @@ TARGET_COUNTS = {
 def _unsized_bytes(side):
     """Bytes of a walk that grow with neither N nor M, which no
     ``memory_requirement`` holds (it is exactly 16 * (C * N + R * L) at
-    m = 0): the L-entry move lines of the engine and of the exceptional-target
-    check, and the Python objects of an engine and a job.  Measured at up to
-    197 * L bytes at side 64 and 132 * L at side 256 (a one-target HN4 job)."""
-    return 128 * side + 16 * 2**10
+    m = 0): the engine's four L-entry int64 move lines (32 * L) and the
+    Python objects of an engine and a job (12 KiB).  The move lines'
+    temporaries and the exceptional-target check come before the buffers,
+    so they add nothing to the peak."""
+    return 32 * side + 12 * 2**10
 
 
 @pytest.mark.parametrize("count", list(TARGET_COUNTS))
