@@ -8,25 +8,28 @@ find.  A random target is drawn only from the admissible vertices, those
 with neither coordinate on such a line; target sets a caller supplies get
 one warning each (:func:`warn_exceptional_targets`), and a walk whose every
 target is exceptional is refused.  One scan, :func:`_first_peak`, reads P(t)
-sample by sample and stops at the earliest confirmed peak:
-:func:`detect_first_peak` runs it over a finished trace and
-:func:`run_to_first_peak` over a live walk.  Every sweep point, scaling
-trial and density trial is one :class:`TrialJob`, run by
-:func:`trial_record`, which returns one :class:`JobResult`: the job's
-record and the most processes a step of its walk ran on.  The protocols
-keep only the records; the count is run telemetry, which the CLI writes to
-its manifests.  Every job, like :func:`run_to_first_peak`, walks through
-one path, :func:`_walk`, the one place that builds a
-:class:`~hn4walk.engine.WalkEngine`: it refuses a walk that cannot find a
-target before the engine and its buffers exist, then builds the engine and
-reads the first peak under a peak rule, or without one the trace maximum
-over a fixed horizon.  :func:`run_jobs` is the one runner of a job list,
-for the protocols and the CLI alike: it refuses, when called, a job list
-whose pool could not hold all its engines at once, then runs the jobs
-through one bounded process pool and yields results in submission order as
-they arrive, so a run is reproducible for a fixed seed regardless of worker
-count, and a failing job leaves every earlier result delivered and ends the
-jobs still running.
+sample by sample and stops at the earliest confirmed peak, one that rises to
+:data:`MIN_GAIN` times P(0) and is followed by :data:`DECLINE_RUN` falling
+samples at a :class:`PeakRule`'s stride: :func:`detect_first_peak` runs it
+over a finished trace and :func:`run_to_first_peak` over a live walk.
+
+Each protocol is a job builder: :func:`sweep_jobs`, :func:`trial_jobs` and
+:func:`density_jobs` return one :class:`TrialJob` per sweep point, scaling
+trial or density trial, and :func:`run_jobs` runs the list, for the CLI
+and any library caller alike.  :func:`trial_record` runs one job and
+returns one :class:`JobResult`: the job's record and the most processes a
+step of its walk ran on, run telemetry that the CLI writes to its
+manifests; a sweep's records make a :class:`SweepResult`.  Every job, like
+:func:`run_to_first_peak`, walks through one path, :func:`_walk`, the one
+place that builds a :class:`~hn4walk.engine.WalkEngine`: it refuses a walk
+that cannot find a target before the engine and its buffers exist, then
+builds the engine and reads the first peak under a peak rule, or without
+one the trace maximum over a fixed horizon.  :func:`run_jobs` refuses, when
+called, a job list whose pool could not hold all its engines at once, then
+runs the jobs through one bounded process pool and yields results in
+submission order as they arrive, so a run is reproducible for a fixed seed
+regardless of worker count, and a failing job leaves every earlier result
+delivered and ends the jobs still running.
 
 Randomness comes from numpy's PCG64 generator.  Per-job seeds are derived
 from the master seed in two documented stages,
@@ -60,6 +63,8 @@ from .reporting import ScalingRecord
 from .topology import TopologyParams, exceptional_lines
 
 __all__ = [
+    "MIN_GAIN",
+    "DECLINE_RUN",
     "PeakRule",
     "PeakResult",
     "NoPeakError",
@@ -71,7 +76,6 @@ __all__ = [
     "warn_exceptional_targets",
     "SweepResult",
     "sweep_jobs",
-    "sweep_self_loop",
     "derive_seed",
     "random_target_set",
     "ScalingRecord",
@@ -80,9 +84,7 @@ __all__ = [
     "JobResult",
     "trial_record",
     "trial_jobs",
-    "scaling_experiment",
     "density_jobs",
-    "density_experiment",
     "run_jobs",
 ]
 
@@ -93,15 +95,21 @@ logger = logging.getLogger(__name__)
 # First-peak detection
 
 
+#: How many times P(0) a first peak must rise to.
+MIN_GAIN = 5.0
+#: How many samples after a first peak must strictly decrease to confirm it.
+DECLINE_RUN = 5
+
+
 @dataclass(frozen=True)
 class PeakRule:
-    """Thresholds that qualify a local maximum as the first peak.
+    """The spacing of the samples that confirm a local maximum as the first peak.
 
     A step t >= 1 qualifies when P(t) >= max(P(t-1), P(t+1)), the peak rises
-    to at least ``min_gain`` times P(0), and the ``decline_run`` samples at
-    t + stride, t + 2*stride, ... are strictly decreasing (with P(t) at least
-    the first of them).  Plateaus resolve to the earliest index that
-    satisfies all conditions.
+    to at least :data:`MIN_GAIN` times P(0), and the :data:`DECLINE_RUN`
+    samples at t + stride, t + 2*stride, ... are strictly decreasing (with
+    P(t) at least the first of them).  Plateaus resolve to the earliest index
+    that satisfies all conditions.
 
     The default stride of 1 demands a cleanly falling flank.  Walks driven
     far from their optimal self-loop weight superimpose a persistent
@@ -110,13 +118,11 @@ class PeakRule:
     envelope instead and detects those peaks.
     """
 
-    min_gain: float = 5.0
-    decline_run: int = 5
     stride: int = 1
 
     def __post_init__(self) -> None:
-        if self.min_gain <= 0 or self.decline_run < 1 or self.stride < 1:
-            raise ValueError("min_gain must be > 0, decline_run and stride >= 1")
+        if self.stride < 1:
+            raise ValueError(f"stride must be >= 1, got {self.stride}")
 
 
 DEFAULT_PEAK_RULE = PeakRule()
@@ -147,9 +153,10 @@ class NoPeakError(RuntimeError):
 
 
 def _qualifies(probs: Sequence[float], t: int, rule: PeakRule) -> bool:
-    if t < 1 or t + rule.decline_run * rule.stride >= len(probs):
+    """Whether step t of ``probs`` is a peak under ``rule`` (see :class:`PeakRule`)."""
+    if t < 1 or t + DECLINE_RUN * rule.stride >= len(probs):
         return False
-    if probs[t] < rule.min_gain * probs[0]:
+    if probs[t] < MIN_GAIN * probs[0]:
         return False
     if probs[t] < probs[t - 1] or probs[t] < probs[t + 1]:
         return False
@@ -157,21 +164,21 @@ def _qualifies(probs: Sequence[float], t: int, rule: PeakRule) -> bool:
         return False
     return all(
         probs[t + i * rule.stride] > probs[t + (i + 1) * rule.stride]
-        for i in range(1, rule.decline_run)
+        for i in range(1, DECLINE_RUN)
     )
 
 
 def _first_peak(samples: Iterable[float], rule: PeakRule) -> tuple[PeakResult, np.ndarray]:
     """Earliest peak of P(t) read sample by sample, and the samples read.
 
-    A candidate t is tested once sample t + decline_run * stride arrives, the
+    A candidate t is tested once sample t + DECLINE_RUN * stride arrives, the
     last one :func:`_qualifies` looks at, so candidates are tested in
     increasing order and the scan stops at the first that qualifies.
     """
     probs: list[float] = []
     for t, p in enumerate(samples):
         probs.append(float(p))
-        candidate = t - rule.decline_run * rule.stride
+        candidate = t - DECLINE_RUN * rule.stride
         if candidate >= 1 and _qualifies(probs, candidate, rule):
             return PeakResult(candidate, probs[candidate]), np.asarray(probs)
     raise NoPeakError(
@@ -206,9 +213,9 @@ def run_to_first_peak(
     """Evolve until the first peak is confirmed, stopping as early as possible.
 
     Returns the peak and the trace recorded so far, which always extends
-    ``decline_run * stride`` samples past the peak.  The walk feeds the scan
-    behind :func:`detect_first_peak` as it steps, so the result equals
-    detection over the full horizon of ``t_max`` steps (None:
+    :data:`DECLINE_RUN` times the rule's stride samples past the peak.  The
+    walk feeds the scan behind :func:`detect_first_peak` as it steps, so the
+    result equals detection over the full horizon of ``t_max`` steps (None:
     :func:`step_budget`), just cheaper.  Targets on an exceptional line are
     warned of once (:func:`warn_exceptional_targets`), and a walk that
     cannot find a target is refused before its engine is built (:func:`_walk`).
@@ -327,22 +334,6 @@ def sweep_jobs(
     values = [na_min + i * na_step for i in range(count)]
     return [TrialJob(side, len(targets), na, 0, i, edge_mode, rule=SWEEP_PEAK_RULE,
                      targets=targets, t_max=t_max) for i, na in enumerate(values)]
-
-
-def sweep_self_loop(
-    side: int,
-    targets: Sequence[tuple[int, int]],
-    na_min: float,
-    na_max: float,
-    na_step: float,
-    edge_mode: EdgeMode = EdgeMode.HN4,
-    t_max: int | None = None,
-    workers: int = 1,
-) -> SweepResult:
-    """Peak statistics for each total weight on the grid na_min .. na_max
-    (the records of :func:`sweep_jobs`)."""
-    jobs = sweep_jobs(side, targets, na_min, na_max, na_step, edge_mode, t_max)
-    return SweepResult(tuple(result.record for result in run_jobs(jobs, workers)))
 
 
 # ---------------------------------------------------------------------------
@@ -495,31 +486,20 @@ def trial_jobs(
     return jobs
 
 
-def scaling_experiment(
-    sides: Sequence[int],
-    m: int,
-    na_rule: float | str,
-    trials: int,
-    seed: int,
-    edge_mode: EdgeMode = EdgeMode.HN4,
-    workers: int = 1,
-) -> list[ScalingRecord]:
-    """First-peak records over lattice sizes, with fresh random targets per trial."""
-    jobs = trial_jobs([(side, m) for side in sides], na_rule, trials, seed, edge_mode=edge_mode)
-    return [result.record for result in run_jobs(jobs, workers)]
-
-
 def density_jobs(
     sides: Sequence[int],
     fraction: float,
     trials: int,
     seed: int,
 ) -> list[TrialJob]:
-    """Fixed-horizon trials marking round(fraction * N) vertices on each side,
-    at the Na = 8.5M heuristic: jobs with ``rule=None`` and ``t_max`` the
-    density horizon round(1.75 * sqrt(N/M)).  A side on which the marked
-    count is 0 or exceeds the admissible vertices is refused, naming the side
-    and the fraction."""
+    """Fixed-horizon trials marking round(fraction * N) random vertices on
+    each side, at the Na = 8.5M heuristic: jobs with ``rule=None`` and
+    ``t_max`` the density horizon round(1.75 * sqrt(N/M)), so each records
+    the highest success probability along its trace and that step.  Peaks
+    this early cannot satisfy the first-peak rule's gain threshold (P(0) is
+    already the marked fraction), so the trace maximum stands in for it.  A
+    side on which the marked count is 0 or exceeds the admissible vertices
+    is refused, naming the side and the fraction."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
     cells = []
@@ -535,26 +515,6 @@ def density_jobs(
         cells.append((side, m))
     jobs = trial_jobs(cells, "8.5M", trials, seed, rule=None)
     return [replace(job, t_max=int(1.75 * math.sqrt(job.side**2 / job.m) + 0.5)) for job in jobs]
-
-
-def density_experiment(
-    sides: Sequence[int],
-    fraction: float,
-    trials: int,
-    seed: int,
-    workers: int = 1,
-) -> list[ScalingRecord]:
-    """Runs with a fixed fraction of marked vertices.
-
-    Each trial marks round(fraction * N) random vertices, sets the total
-    self-loop weight by the Na = 8.5M heuristic, evolves for the
-    prescribed round(1.75 * sqrt(N/M)) steps, and records the highest success
-    probability seen along the trace together with its step.  Peaks this
-    early cannot satisfy the first-peak rule's gain threshold (P(0) is
-    already the marked fraction), so the trace maximum stands in for it.
-    """
-    jobs = density_jobs(sides, fraction, trials, seed)
-    return [result.record for result in run_jobs(jobs, workers)]
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,12 @@ from hn4walk.engine import (
 )
 from hn4walk.experiments import (
     ScalingRecord,
-    density_experiment,
+    SweepResult,
+    density_jobs,
+    run_jobs,
     run_to_first_peak,
-    scaling_experiment,
-    sweep_self_loop,
+    sweep_jobs,
+    trial_jobs,
 )
 from hn4walk.fitting import RuntimeModel, fit_scaling
 from hn4walk.topology import TopologyParams, compose, decompose
@@ -48,6 +50,11 @@ REFERENCE_SQRT_COEFFICIENTS = {2: 1.81, 3: 1.90, 4: 1.96, 5: 1.93, 6: 2.03}
 def _report(number: int, ok: bool, detail: str) -> bool:
     print(f"[acceptance {number}] {'PASS' if ok else 'FAIL'}: {detail}")
     return ok
+
+
+def _records(jobs):
+    """The records of a job list, as the CLI reads them from ``run_jobs``."""
+    return [result.record for result in run_jobs(jobs, 1)]
 
 
 def _peak_records(sides, na, targets, mode):
@@ -208,9 +215,9 @@ def test_criterion_5_multi_target_sqrt_scaling():
     details = []
     ok = True
     for m, reference in REFERENCE_SQRT_COEFFICIENTS.items():
-        records = scaling_experiment(
-            (64, 128, 256, 512), m, TUNED_NA_HN4[m], trials=1, seed=SEED + m
-        )
+        records = _records(trial_jobs(
+            [(side, m) for side in (64, 128, 256, 512)], TUNED_NA_HN4[m], 1, SEED + m
+        ))
         fit = fit_scaling(records, RuntimeModel.SQRT)
         probabilities = [r.peak_probability for r in records]
         in_band = abs(fit.coefficient - reference) <= 0.25 * reference
@@ -230,7 +237,7 @@ def test_criterion_6_target_count_sweep(full_profile):
     trials = 50 if full_profile else 10
     m_values = (1, 4, 16, 64, 256, 1000) if full_profile else (1, 4, 16, 64, 256)
     by_m = {
-        m: scaling_experiment([side], m, "8.5M", trials=trials, seed=SEED + 100 + m)
+        m: _records(trial_jobs([(side, m)], "8.5M", trials, SEED + 100 + m))
         for m in m_values
     }
     pooled = [r for records in by_m.values() for r in records]
@@ -261,9 +268,9 @@ def test_criterion_7_density_success_probability(full_profile):
     details = []
     ok = True
     for fraction in (0.10, 0.20, 0.30):
-        records = density_experiment(
+        records = _records(density_jobs(
             sides, fraction, trials=trials, seed=SEED + int(fraction * 100)
-        )
+        ))
         for side in sides:
             cell = [r.peak_probability for r in records if r.side == side]
             mean = sum(cell) / len(cell)
@@ -273,7 +280,7 @@ def test_criterion_7_density_success_probability(full_profile):
 
 
 def test_criterion_8_self_loop_weight_sweep():
-    sweep = sweep_self_loop(64, [(1, 6)], 1.0, 30.0, 0.5, EdgeMode.HN4)
+    sweep = SweepResult(tuple(_records(sweep_jobs(64, [(1, 6)], 1.0, 30.0, 0.5, EdgeMode.HN4))))
     optimal = sweep.optimal
     ok = abs(optimal.na - 8.5) <= 1.0
     assert _report(

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -39,6 +40,26 @@ def test_experiments_names_one_job_result():
     assert "JobResult" in experiments.__all__
     assert "sweep_result" not in experiments.__all__
     assert not hasattr(experiments, "sweep_result")
+
+
+def test_experiments_protocols_are_the_job_builders():
+    # a protocol is its job builder run through run_jobs; the list-returning
+    # wrappers are gone, and the peak rule's thresholds are module constants
+    # equal to the ones the independent benchmark reference states
+    for name in ("sweep_self_loop", "scaling_experiment", "density_experiment"):
+        assert name not in experiments.__all__
+        assert not hasattr(experiments, name)
+    assert [field.name for field in dataclasses.fields(experiments.PeakRule)] == ["stride"]
+    reference = ast.parse((Path(__file__).parents[1] / "bench" / "reference.py").read_text())
+    stated = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in reference.body
+        if isinstance(node, ast.Assign) and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("MIN_GAIN", "DECLINE_RUN")
+    }
+    assert stated == {"MIN_GAIN": experiments.MIN_GAIN, "DECLINE_RUN": experiments.DECLINE_RUN}
+    assert {"MIN_GAIN", "DECLINE_RUN"} <= set(experiments.__all__)
 
 
 #: A Sphinx cross-reference to a Python object, with an optional leading ``~``.

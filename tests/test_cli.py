@@ -681,21 +681,23 @@ def test_scale_workers_flag_matches_serial(tmp_path, argv):
 
 @pytest.mark.parametrize("command", ["scale", "density", "sweep"])
 def test_commands_write_what_the_protocols_return(tmp_path, command):
-    # the CLI and the library protocols run the same jobs through the same runner
+    # the CLI writes the records of a protocol's jobs as run_jobs returns them
     out = tmp_path / "out.csv"
     if command == "scale":
         argv = ["scale", "--sides", "16", "--m", "2", "--na-rule", "8.5M", "--trials", "2",
                 "--mode", "grid", "--seed", "11"]
-        expected = experiments.scaling_experiment(
-            [16], 2, "8.5M", 2, 11, edge_mode=EdgeMode.GRID)
+        jobs = experiments.trial_jobs([(16, 2)], "8.5M", 2, 11, edge_mode=EdgeMode.GRID)
     elif command == "density":
         argv = ["density", "--sides", "16", "--fraction", "0.1", "--trials", "2",
                 "--seed", "5"]
-        expected = experiments.density_experiment([16], 0.1, 2, 5)
+        jobs = experiments.density_jobs([16], 0.1, 2, 5)
     else:
         argv = ["sweep", "--side", "16", "--targets", "1,6;9,3", "--na-min", "10",
                 "--na-max", "22", "--na-step", "4"]
-        sweep = experiments.sweep_self_loop(16, [(1, 6), (9, 3)], 10.0, 22.0, 4.0)
+        jobs = experiments.sweep_jobs(16, [(1, 6), (9, 3)], 10.0, 22.0, 4.0)
+    expected = [result.record for result in experiments.run_jobs(jobs, 1)]
+    if command == "sweep":
+        sweep = experiments.SweepResult(tuple(expected))
         expected = [(p.na, p.peak_step, p.peak_probability, int(i == sweep.optimal_index))
                     for i, p in enumerate(sweep.points)]
     assert main(argv + ["--out", str(out)]) == 0

@@ -25,14 +25,14 @@ from hn4walk.engine import (
     target_indices,
 )
 from hn4walk.experiments import (
-    DEFAULT_PEAK_RULE,
+    DECLINE_RUN,
+    MIN_GAIN,
     NoPeakError,
     PeakRule,
     SWEEP_PEAK_RULE,
     ScalingRecord,
     SweepResult,
     TrialJob,
-    density_experiment,
     derive_seed,
     detect_first_peak,
     random_target_set,
@@ -40,10 +40,8 @@ from hn4walk.experiments import (
     run_jobs,
     run_to_first_peak,
     density_jobs,
-    scaling_experiment,
     step_budget,
     sweep_jobs,
-    sweep_self_loop,
     trial_jobs,
     trial_record,
     warn_exceptional_targets,
@@ -51,6 +49,11 @@ from hn4walk.experiments import (
 from hn4walk import experiments
 from hn4walk.fitting import RuntimeModel, fit_scaling
 from hn4walk.topology import TopologyError, TopologyParams, decompose, exceptional_lines
+
+
+def _records(jobs, workers=1):
+    """The records of a job list, as the CLI reads them from :func:`run_jobs`."""
+    return [result.record for result in run_jobs(jobs, workers)]
 
 
 def reference_admissible(topo):
@@ -100,20 +103,21 @@ def test_detect_first_peak_never_returns_zero():
     # a trace that starts at its maximum cannot qualify at t = 0
     trace = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2]
     with pytest.raises(NoPeakError):
-        detect_first_peak(trace, PeakRule(min_gain=0.5, decline_run=2))
+        detect_first_peak(trace)
 
 
 def test_peak_rule_thresholds_are_honored():
     trace = [0.1, 0.3, 0.4, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01]
-    # default gain threshold 5*P(0) = 0.5 rejects the bump at t=2
+    # the gain threshold MIN_GAIN * P(0) = 0.5 rejects the bump at t=2
+    assert max(trace) < MIN_GAIN * trace[0]
     with pytest.raises(NoPeakError):
         detect_first_peak(trace)
-    relaxed = detect_first_peak(trace, PeakRule(min_gain=1.0, decline_run=5))
-    assert relaxed.peak_step == 2
-    with pytest.raises(ValueError):
-        PeakRule(min_gain=0.0)
-    with pytest.raises(ValueError):
-        PeakRule(decline_run=0)
+    # the maximum at t=2 falls for only DECLINE_RUN - 1 samples; the one at t=7
+    # falls for DECLINE_RUN
+    trace = [0.01, 0.5, 0.9, 0.8, 0.7, 0.6, 0.5, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1]
+    assert detect_first_peak(trace).peak_step == 7
+    with pytest.raises(ValueError, match="stride"):
+        PeakRule(stride=0)
 
 
 def test_run_to_first_peak_regression_16x16():
@@ -129,7 +133,7 @@ def test_run_to_first_peak_regression_16x16():
         peak.peak_step,
         peak.peak_probability,
     )
-    assert len(trace) == peak.peak_step + DEFAULT_PEAK_RULE.decline_run + 1
+    assert len(trace) == peak.peak_step + DECLINE_RUN + 1
 
 
 def test_run_to_first_peak_requires_targets():
@@ -261,7 +265,7 @@ def test_stride_two_rule_follows_the_envelope():
         run_to_first_peak(config)
     peak, samples = run_to_first_peak(config, rule=SWEEP_PEAK_RULE)
     assert (peak.peak_step, peak.peak_probability) == (94, 0.48742107955817504)
-    assert len(samples) == 94 + 2 * SWEEP_PEAK_RULE.decline_run + 1
+    assert len(samples) == 94 + 2 * DECLINE_RUN + 1
     full = run(config, step_budget(4096, 1, EdgeMode.HN4))
     assert detect_first_peak(full, SWEEP_PEAK_RULE) == peak
 
@@ -385,7 +389,7 @@ def test_resolve_na():
 
 
 def test_sweep_self_loop_marks_optimum():
-    sweep = sweep_self_loop(16, [(1, 6)], 6.0, 10.0, 2.0)
+    sweep = SweepResult(tuple(_records(sweep_jobs(16, [(1, 6)], 6.0, 10.0, 2.0))))
     assert [p.na for p in sweep.points] == [6.0, 8.0, 10.0]
     best = max(sweep.points, key=lambda p: p.peak_probability)
     assert sweep.optimal == best
@@ -404,20 +408,20 @@ def test_sweep_multi_target_optimum_region():
     # five targets at fixed low-hierarchy positions: the best total weight
     # sits in the mid-40s band, far above the single-target optimum
     targets = [(12, 13), (1, 4), (9, 8), (2, 11), (14, 6)]
-    sweep = sweep_self_loop(64, targets, 30.0, 60.0, 5.0)
+    sweep = SweepResult(tuple(_records(sweep_jobs(64, targets, 30.0, 60.0, 5.0))))
     assert 35.0 <= sweep.optimal.na <= 55.0
     assert sweep.optimal.peak_probability > 0.9
 
 
 def test_sweep_self_loop_rejects_bad_ranges():
     with pytest.raises(ValueError):
-        sweep_self_loop(16, [(1, 6)], 10.0, 6.0, 0.5)
+        sweep_jobs(16, [(1, 6)], 10.0, 6.0, 0.5)
     with pytest.raises(ValueError):
-        sweep_self_loop(16, [(1, 6)], 6.0, 10.0, -1.0)
+        sweep_jobs(16, [(1, 6)], 6.0, 10.0, -1.0)
     for bounds in [(1.0, np.inf, 1.0), (np.nan, 30.0, 1.0), (1.0, 30.0, np.inf),
                    (-np.inf, 30.0, 1.0)]:
         with pytest.raises(ValueError, match="finite"):
-            sweep_self_loop(16, [(1, 6)], *bounds)
+            sweep_jobs(16, [(1, 6)], *bounds)
     # the targets and the smallest weight are checked before any job runs
     with pytest.raises(ValueError, match="duplicate"):
         sweep_jobs(16, [(1, 6), (1, 6)], 1.0, 3.0, 1.0)
@@ -428,21 +432,21 @@ def test_sweep_self_loop_rejects_bad_ranges():
 
 
 def test_scaling_experiment_reproducible_and_ordered():
-    records = scaling_experiment([16, 32], 2, 17.0, trials=2, seed=99)
+    records = _records(trial_jobs([(16, 2), (32, 2)], 17.0, 2, 99))
     assert [(r.side, r.trial) for r in records] == [(16, 0), (16, 1), (32, 0), (32, 1)]
     assert all(r.n_elements == r.side**2 for r in records)
     assert all(r.na == 17.0 and r.m == 2 and r.mode == "hn4" for r in records)
     assert all(r.amplified_cost == pytest.approx(
         r.peak_step / np.sqrt(r.peak_probability)) for r in records)
-    again = scaling_experiment([16, 32], 2, 17.0, trials=2, seed=99)
+    again = _records(trial_jobs([(16, 2), (32, 2)], 17.0, 2, 99))
     assert again == records
-    other_seed = scaling_experiment([16, 32], 2, 17.0, trials=2, seed=100)
+    other_seed = _records(trial_jobs([(16, 2), (32, 2)], 17.0, 2, 100))
     assert other_seed != records
 
 
 def test_scaling_experiment_worker_count_does_not_change_results():
-    serial = scaling_experiment([16], 1, 8.5, trials=3, seed=5)
-    pooled = scaling_experiment([16], 1, 8.5, trials=3, seed=5, workers=2)
+    serial = _records(trial_jobs([(16, 1)], 8.5, 3, 5))
+    pooled = _records(trial_jobs([(16, 1)], 8.5, 3, 5), workers=2)
     assert pooled == serial
 
 
@@ -583,7 +587,7 @@ def test_trial_jobs_rejects_repeated_cells():
     with pytest.raises(ValueError, match="once"):
         trial_jobs([(16, 1), (32, 1), (16, 1)], 8.5, 1, 7)
     with pytest.raises(ValueError, match="once"):
-        scaling_experiment([16, 16], 1, 8.5, trials=1, seed=7)
+        trial_jobs([(16, 1), (16, 1)], 8.5, 1, 7)
     with pytest.raises(ValueError, match="once"):
         density_jobs([64, 64], 0.2, 1, 7)
     assert len(trial_jobs([(16, 1), (16, 2), (32, 1)], 8.5, 2, 7)) == 6
@@ -601,7 +605,7 @@ def test_check_pool_memory_counts_every_engine_of_the_pool(monkeypatch):
     with pytest.raises(ResourceLimitError, match=f"2 x {one} bytes"):
         run_jobs(jobs, 2)
     with pytest.raises(ResourceLimitError):
-        scaling_experiment([512], 1, 8.5, trials=2, seed=7, workers=3)
+        run_jobs(trial_jobs([(512, 1)], 8.5, 2, 7), 3)
 
 
 #: Target counts of the memory tests: one, a fifth of the vertices (the
@@ -680,34 +684,32 @@ def test_negative_seed_is_refused_before_any_job(monkeypatch):
     with pytest.raises(ValueError, match="seed"):
         trial_jobs([(16, 1)], 8.5, 1, -1)
     with pytest.raises(ValueError, match="seed"):
-        scaling_experiment([16], 1, 8.5, trials=1, seed=-1)
-    with pytest.raises(ValueError, match="seed"):
-        density_experiment([16], 0.1, trials=1, seed=-1)
+        density_jobs([16], 0.1, trials=1, seed=-1)
 
 
 def test_scaling_experiment_na_rule():
-    records = scaling_experiment([16], 4, "8.5M", trials=1, seed=1)
+    records = _records(trial_jobs([(16, 4)], "8.5M", 1, 1))
     assert records[0].na == pytest.approx(34.0)
 
 
 def test_density_experiment_records_trace_maximum():
-    records = density_experiment([16], 0.1, trials=3, seed=21)
+    records = _records(density_jobs([16], 0.1, trials=3, seed=21))
     assert len(records) == 3
     for r in records:
         assert r.m == 26  # round(0.1 * 256)
         assert 0.0 < r.peak_probability <= 1.0
         assert r.peak_step >= 0
-    again = density_experiment([16], 0.1, trials=3, seed=21)
+    again = _records(density_jobs([16], 0.1, trials=3, seed=21))
     assert again == records
 
 
 def test_density_experiment_rejects_bad_fractions():
     for fraction in (0.0, 1.0, 1.5, -0.1):
         with pytest.raises(ValueError):
-            density_experiment([16], fraction, trials=1, seed=1)
+            density_jobs([16], fraction, trials=1, seed=1)
     # fraction below 1 can still exceed the admissible count
     with pytest.raises(ValueError):
-        density_experiment([16], 0.99, trials=1, seed=1)
+        density_jobs([16], 0.99, trials=1, seed=1)
 
 
 def test_density_jobs_carry_the_density_horizon():
@@ -751,7 +753,7 @@ def test_fixed_horizon_job_records_the_trace_maximum_over_t_max_steps():
 
 
 def test_grid_mode_scales_like_sqrt_n_log_n():
-    records = scaling_experiment([16, 32, 64], 1, 7.0, trials=1, seed=13,
-                                 edge_mode=EdgeMode.GRID)
+    records = _records(trial_jobs([(16, 1), (32, 1), (64, 1)], 7.0, 1, 13,
+                                  edge_mode=EdgeMode.GRID))
     fit = fit_scaling(records, RuntimeModel.SQRT_LOG)
     assert fit.rms_relative_residual < 0.1
