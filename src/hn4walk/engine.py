@@ -8,36 +8,45 @@ phase oracle over the marked vertices, the weighted Grover coin, and the
 flip-flop shift.  The shift follows the lattice: every grid and long-range
 move permutes the L entries of a line by one of the lines of
 :func:`~hn4walk.topology.move_lines`, so on the C x L x L view of the state
-each is an L-entry gather along x or a row scatter along y, and hold is a
-plain write.
+each is an L-entry gather along x or a row gather along y, and hold stays.
 
 Every edge direction has the same coin weight, so the coin turns each edge
 row r into g - state[r] with one term g per vertex that all edge rows share.
-The engine walks the grid in bands of consecutive y rows, sized so that the
-C source rows of a band (about 2 MiB) stay in cache between the two reads
-of it: one builds the band's g, the other coins each row into the row
-buffer and moves it into its destination in the other state buffer.  A
-step needs no table and, beside the two state buffers, one pair of
-band-sized buffers.
+The flip-flop shift sends row r to row r ^ 1 along its own move, and row
+r ^ 1 moves back along the inverse, so the engine never moves its data: it
+steps one state buffer in place and lets the rows stand displaced for one
+step.  After an even step logical row q lives in buffer row q ^ 1, displaced
+by q's own move, psi[q][v] = buffer[q ^ 1][f_q(v)]; the odd step reads each
+row through that label, coins it and writes it back through the same index,
+which leaves the labels the identity again.  The engine walks the grid in
+bands of consecutive y rows, sized so that the C rows of a band (about
+2 MiB) stay in cache between the two reads of it.  At even t a band is
+coined where it lies; at odd t its C - 1 edge rows are gathered into one
+band buffer, coined there and written back, and the hold row is coined in
+place.  A step needs no table and, beside the state buffer, one band buffer
+and the band-sized coin terms g and h.
 
-Bands are independent: each reads only the source buffer and, since every
-move is a permutation, writes its own destinations.  A lattice of at least
-two bands per core therefore splits its y rows into one contiguous part per
-core the step may use.  The calling process runs the first part and one
-forked helper process per other part runs that part, each with its own
-interpreter, so no part waits for another's interpreter lock.  The helpers
-step over the two state buffers in shared anonymous memory, each in its own
-copy-on-write copy of the band pair; an engine moves its state there and
-forks its helpers only after a serial warm-up, so a short walk never
-forks.  An engine whose shared buffers or helpers cannot be had, or whose
-helper dies, steps the rest of its walk, from the step in progress on, on
-the calling process.  Each vertex is computed by the same operations in
-the same order whatever the banding, so the result is bit-identical for
+Bands are independent: at either parity each reads and writes only its own
+entries of the state buffer.  A lattice of at least two bands per core
+therefore splits its y rows into one contiguous part per core the step may
+use.  The calling process runs the first part and one forked helper process
+per other part runs that part, each with its own interpreter, so no part
+waits for another's interpreter lock.  The helpers step the state buffer in
+shared anonymous memory, each in its own copy-on-write copy of the band
+buffers; an engine moves its state there and forks its helpers only after a
+serial warm-up, so a short walk never forks, and only when the move's
+transient second buffer fits the memory limit.  An engine whose shared
+buffer or helpers cannot be had, or whose helper dies, steps the rest of its
+walk on the calling process.  Each vertex is computed by the same operations
+in the same order whatever the banding, so the result is bit-identical for
 any band size and process count.  A job-pool worker steps on one core, as
 its siblings fill the other cores.  An engine belongs to the process that
 built it, whose helpers may share its state, so a forked child refuses to
-step or load an engine it inherited: build a new engine there.  A step
-that raises, such as on an interrupt, leaves the walk as it was.
+step or load an engine it inherited: build a new engine there.  A step that
+raises, such as on an interrupt, or whose helper dies, leaves the buffer
+part-written; before the walk next steps or is read it is rebuilt bit for
+bit by replaying its steps from its origin, the initial state or a copy of
+the loaded one.
 
 Evolution never renormalises: norm drift is a measured property, not a
 silently corrected one.
@@ -222,12 +231,13 @@ def target_indices(config: WalkConfig) -> np.ndarray:
     return t[:, 0] + config.topology.side * t[:, 1]
 
 
-#: Bytes of the C float64 source rows of one band, so that a band read for its
-#: coin terms is still cached for its moves.  Measured with ``advance`` on two
-#: cores, HN4 side 512 stepped in a median 5.8-6.4, 5.6-5.7 and 5.5-6.3 ms on
-#: two processes with 1, 2 and 4 MiB bands, within noise of each other.  4 MiB
-#: leaves grid side 512 with three bands, too few for two parts (6.5-7.3
-#: against 2.8-3.1 ms), so 2 MiB.
+#: Bytes of the C float64 rows of one band, so that a band read for its coin
+#: terms is still cached when it is coined and, at odd t, when its gathered
+#: edge rows are written back.  Measured with ``advance`` (median of 12
+#: blocks of 10 steps), HN4 side 512 stepped in 4.36, 4.54 and 4.84 ms on one
+#: process with 1, 2 and 4 MiB bands, and in 3.03, 2.88 and 3.01 ms on two.
+#: 4 MiB leaves grid side 512 with three bands, too few for two parts (2.77
+#: against 1.54 ms), so 2 MiB.
 _BAND_BYTES = 2 * 2**20
 
 
@@ -265,9 +275,9 @@ def _step_on_one_core() -> None:
 
 def _band_rows(topology: TopologyParams, edge_mode: EdgeMode) -> int:
     """The one band rule: the y rows R of a band, as many as keep its C float64
-    source rows within ``_BAND_BYTES`` (the whole grid up to side 128 with
-    long-range edges), at least one.  The step's layout, its overlap and row
-    buffers and :func:`memory_requirement` read it."""
+    rows within ``_BAND_BYTES`` (the whole grid up to side 128 with long-range
+    edges), at least one.  The step's layout, its band buffers and
+    :func:`memory_requirement` read it."""
     side = topology.side
     return min(side, max(1, _BAND_BYTES // (len(directions(edge_mode)) * side * 8)))
 
@@ -292,73 +302,136 @@ def _layout(topology: TopologyParams, edge_mode: EdgeMode) -> _Layout:
     )
 
 
-def _moves(
-    topology: TopologyParams, edge_mode: EdgeMode
-) -> tuple[tuple[int, int, bool, np.ndarray], ...]:
-    """(source row, destination row, along x, line) of every edge move.
+#: (row, along x, line, inverse line) of every edge row (:func:`_moves`).
+_Moves = tuple[tuple[int, bool, np.ndarray, np.ndarray], ...]
+
+
+def _moves(topology: TopologyParams, edge_mode: EdgeMode) -> _Moves:
+    """(row, along x, line, inverse line) of every edge row q.
 
     Kind k of :func:`~hn4walk.topology.move_lines` holds the rows 4k .. 4k + 3,
-    +x, -x, +y and -y, and its (forward, backward) lines.  The coined row r
-    moves one step along its own direction, forward for + and backward for -,
-    into the reversed row r ^ 1: an L-entry permutation of every line.  Along
-    y that is a row scatter, dst[line[y]] = coined[y] with the row's own line;
-    along x a gather, dst[y, x] = coined[y, line[x]] with the inverse line,
-    the other one of the pair.
+    +x, -x, +y and -y, and its (forward, backward) lines.  Row q moves one step
+    along its own direction, forward for + and backward for -, so its line
+    f_q is the forward line for + rows and the backward one for - rows, and
+    the reversed row q ^ 1 moves along the inverse line.  After an even step
+    logical row q lives in state row q ^ 1 at f_q (:func:`_gather`).
     """
     moves = []
     for kind, lines in enumerate(move_lines(topology, edge_mode)):
-        for r in range(4 * kind, 4 * kind + 4):
-            along_x = r % 4 < 2
-            moves.append((r, r ^ 1, along_x, lines[(r & 1) ^ along_x]))
+        for q in range(4 * kind, 4 * kind + 4):
+            moves.append((q, q % 4 < 2, lines[q & 1], lines[(q & 1) ^ 1]))
     return tuple(moves)
 
 
-def _shift_band(
-    src: np.ndarray,
-    dst: np.ndarray,
+def _gather(
+    state: np.ndarray,
     y0: int,
     y1: int,
+    out: np.ndarray,
+    moves: _Moves,
+) -> None:
+    """The odd-parity label of the edge rows: out[q] = state[q ^ 1] at f_q.
+
+    ``state`` is a C x L x L view indexed [row, y, x] (vertex x + L * y) and
+    ``out`` has one (y1 - y0) x L row per edge row: out[q][y, x] is logical
+    row q at (x, y0 + y), an L-entry gather of state[q ^ 1] along x or a row
+    gather along y by the :func:`_moves` line.  The gathers index only valid
+    coordinates, so mode "clip" skips numpy's buffered bounds check.
+    """
+    for q, along_x, line, _ in moves:
+        if along_x:
+            np.take(state[q ^ 1, y0:y1], line, axis=1, out=out[q], mode="clip")
+        else:
+            np.take(state[q ^ 1], line[y0:y1], axis=0, out=out[q], mode="clip")
+
+
+def _unshifted(state: np.ndarray, moves: _Moves) -> np.ndarray:
+    """The logical state of a C x L x L state buffer at odd parity, as a new
+    array: every edge row read through :func:`_gather`, hold in place."""
+    out = np.empty_like(state)
+    _gather(state, 0, state.shape[1], out, moves)
+    out[-1] = state[-1]
+    return out
+
+
+def _coin_band(state: np.ndarray, y0: int, y1: int, g: np.ndarray, h: np.ndarray,
+               weights: np.ndarray) -> None:
+    """Even parity: coin rows y0:y1 of every coin row where they lie; nothing
+    moves, so after it each edge row stands displaced by its move."""
+    band = state[:, y0:y1]
+    _coin_terms(band[:-1], band[-1], weights, g, h)
+    for row in band[:-1]:  # row by row: numpy buffers a broadcast in-place subtract
+        np.subtract(g, row, out=row)
+    np.subtract(h, band[-1], out=band[-1])
+
+
+def _unshift_band(
+    state: np.ndarray,
+    y0: int,
+    y1: int,
+    band: np.ndarray,
     g: np.ndarray,
     h: np.ndarray,
-    moves: tuple[tuple[int, int, bool, np.ndarray], ...],
+    weights: np.ndarray,
+    moves: _Moves,
 ) -> None:
-    """Write source rows y0:y1 of every coin row, coined, into their destinations.
-
-    ``src`` and ``dst`` are C x L x L views indexed [row, y, x] (vertex
-    x + L * y), and ``g`` and ``h`` are (y1 - y0) x L.  The coined hold row
-    h - src[-1] is a plain write, made first, so ``h`` is free for every
-    coined edge row g - src[r], which then goes by one of the :func:`_moves`
-    rules into dst[q]: an L-entry gather along x or a row scatter along y.
-    The gathers index only valid coordinates, so mode "clip" skips numpy's
-    buffered bounds check.
-    """
-    np.subtract(h, src[-1, y0:y1], out=dst[-1, y0:y1])
-    for r, q, along_x, line in moves:
-        np.subtract(g, src[r, y0:y1], out=h)
+    """Odd parity: gather logical rows y0:y1 of every edge row into ``band``
+    (:func:`_gather`), coin them there with the hold row, which is coined in
+    place, and write each back through the same index: along x an L-entry
+    gather by the inverse line, along y a row scatter by the line itself.
+    Every entry goes back where it was read from, which is where the shift
+    puts it, so the labels are the identity again."""
+    _gather(state, y0, y1, band, moves)
+    hold = state[-1, y0:y1]
+    _coin_terms(band, hold, weights, g, h)
+    np.subtract(h, hold, out=hold)
+    for q, along_x, line, inverse in moves:
+        np.subtract(g, band[q], out=band[q])
         if along_x:
-            np.take(h, line, axis=1, out=dst[q, y0:y1], mode="clip")
+            np.take(band[q], inverse, axis=1, out=state[q ^ 1, y0:y1], mode="clip")
         else:
-            dst[q][line[y0:y1]] = h
+            state[q ^ 1][line[y0:y1]] = band[q]
 
 
 def shift_permutation(topology: TopologyParams, edge_mode: EdgeMode) -> np.ndarray:
     """Flat gather table of the flip-flop shift: new[slot] = old[table[slot]].
 
     Slot layout is row * N + vertex with rows ordered per
-    :func:`directions`.  The table is the engine's band moves, over the
-    whole lattice as one band, applied to the negated slot numbers with zero
-    coin terms (0 - (-slot) = slot), so checking that it is a bijection
-    checks the moves every step runs.  Every destination row receives from
-    the reversed coin direction at the unique source vertex that moves onto
-    it.
+    :func:`directions`.  Every destination row receives from the reversed
+    coin direction at the unique source vertex that moves onto it, which is
+    the engine's odd-parity label: the table is :func:`_gather` over the
+    whole lattice applied to the slot numbers, so checking that it is a
+    bijection checks the index rule that every step runs.
     """
     side = topology.side
-    slots = -np.arange(len(directions(edge_mode)) * topology.n_vertices, dtype=np.int64)
-    slots = slots.reshape(-1, side, side)
-    table = np.empty_like(slots)
-    g, h = np.zeros((2, side, side), dtype=np.int64)
-    _shift_band(slots, table, 0, side, g, h, _moves(topology, edge_mode))
-    return table.reshape(-1)
+    slots = np.arange(len(directions(edge_mode)) * topology.n_vertices, dtype=np.int64)
+    return _unshifted(slots.reshape(-1, side, side), _moves(topology, edge_mode)).reshape(-1)
+
+
+def _odd_targets(config: WalkConfig, moves: _Moves) -> np.ndarray:
+    """Flat indices into the state buffer of the marked vertices' amplitudes
+    at odd parity, C x M: row q of vertex (x, y) at (q ^ 1) * N + f_q(v), the
+    :func:`_gather` label, and hold in place.  Two L x C lookups, the x each
+    row reads from and the flat offset of the y it reads from, are gathered
+    by target into an M x C array, returned transposed: a C x M table in
+    Fortran order, so ``state.reshape(-1)[table]`` lays its block out as
+    ``state[:, indices]`` does and :func:`success_probability` adds it in the
+    same order."""
+    side, n = config.topology.side, config.topology.n_vertices
+    coins = len(moves) + 1
+    offset = np.array([(q ^ 1) * n for q in range(coins - 1)] + [(coins - 1) * n])
+    coordinate = np.arange(side)[:, None]
+    at_x = np.repeat(coordinate, coins, axis=1)
+    at_y = coordinate * side + offset
+    for q, along_x, line, _ in moves:
+        if along_x:
+            at_x[:, q] = line
+        else:
+            at_y[:, q] = line * side + offset[q]
+    x, y = config.targets.T
+    table = np.take(at_x, x, axis=0)
+    table += np.take(at_y, y, axis=0)
+    return table.T
 
 
 def apply_oracle(state: np.ndarray, indices: np.ndarray) -> None:
@@ -366,18 +439,19 @@ def apply_oracle(state: np.ndarray, indices: np.ndarray) -> None:
     state[:, indices] *= -1.0
 
 
-def _coin_terms(state: np.ndarray, weights: np.ndarray, g: np.ndarray, h: np.ndarray) -> None:
+def _coin_terms(edges: np.ndarray, hold: np.ndarray, weights: np.ndarray, g: np.ndarray,
+                h: np.ndarray) -> None:
     """The per-vertex coin 2|w><w| - I as two terms shared by the coin rows.
 
-    With overlap = w_e * (sum of the edge rows) + w_h * state[-1], the coin
-    turns every edge row r into g - state[r], g = 2 * w_e * overlap, and the
-    hold row into h - state[-1], h = 2 * w_h * overlap.  Every edge direction
-    carries the same weight w_e = weights[0] (see :func:`coin_weights`).
-    ``g`` and ``h`` take the shape of one row of ``state``, which is only read.
+    With overlap = w_e * (sum of the edge rows) + w_h * hold, the coin turns
+    every edge row r into g - edges[r], g = 2 * w_e * overlap, and the hold
+    row into h - hold, h = 2 * w_h * overlap.  Every edge direction carries
+    the same weight w_e = weights[0] (see :func:`coin_weights`).  ``g`` and
+    ``h`` take the shape of ``hold``; ``edges`` and ``hold`` are only read.
     """
-    np.add.reduce(state[:-1], axis=0, out=g)
+    np.add.reduce(edges, axis=0, out=g)
     g *= weights[0]
-    np.multiply(state[-1], weights[-1], out=h)
+    np.multiply(hold, weights[-1], out=h)
     g += h
     np.multiply(g, 2.0 * weights[-1], out=h)
     g *= 2.0 * weights[0]
@@ -391,7 +465,7 @@ def apply_coin(state: np.ndarray, weights: np.ndarray) -> None:
     """
     g = np.empty(state.shape[1:], dtype=state.dtype)
     h = np.empty_like(g)
-    _coin_terms(state, weights, g, h)
+    _coin_terms(state[:-1], state[-1], weights, g, h)
     np.subtract(g, state[:-1], out=state[:-1])
     np.subtract(h, state[-1], out=state[-1])
 
@@ -417,7 +491,12 @@ def step(state: np.ndarray, config: WalkConfig) -> np.ndarray:
 
 def success_probability(state: np.ndarray, indices: np.ndarray) -> float:
     """Total probability mass on the marked vertices, over all coin directions."""
-    block = state[:, indices]  # a copy, squared in place
+    return _block_probability(state[:, indices])
+
+
+def _block_probability(block: np.ndarray) -> float:
+    """Squared norm of a gathered C x M block of amplitudes, a copy that is
+    squared in place."""
     if np.iscomplexobj(block):
         return float(np.sum(block.real**2 + block.imag**2))
     return float(np.sum(np.square(block, out=block)))
@@ -442,16 +521,21 @@ def memory_requirement(topology: TopologyParams, edge_mode: EdgeMode, m: int = 0
     that grows with N or M, the same on any cores: the one statement of a
     walk's memory.  Its L-entry move lines and Python objects are not counted.
 
-    The buffers are two C x N float64 state buffers plus the step's R x L
-    overlap and row buffers, R the y rows of a band (:func:`_band_rows`,
-    R = L up to side 128): 16 * (C * N + R * L), whatever the parts.  Each
-    target adds its (x, y) pair in the config (16 bytes), its index in the
-    engine (8) and its C amplitudes in the block that every
-    :func:`apply_oracle` and :func:`success_probability` gathers (8 * C):
-    8 * (C + 3) * m.  ``m=0`` counts the buffers alone.  A complex state
-    loaded with :meth:`WalkEngine.set_amplitudes` is checked at twice this."""
+    The buffers are one C x N float64 state buffer plus the step's band
+    buffers, C - 1 edge rows and the coin terms g and h, each R x L with R
+    the y rows of a band (:func:`_band_rows`, R = L up to side 128):
+    8 * (C * N + (C + 1) * R * L), whatever the parts.  Each target adds its
+    (x, y) pair in the config (16 bytes), its index in the engine (8), its C
+    odd-parity indices (8 * C) and its C amplitudes in the block that the
+    oracle and the readout gather (8 * C): 8 * (2 * C + 3) * m.  ``m=0``
+    counts the buffers alone.  A complex state loaded with
+    :meth:`WalkEngine.set_amplitudes` is checked at twice this, plus the copy
+    of it that the walk keeps; moving the state into shared memory for the
+    step's helpers holds a second state buffer for the move, which is
+    checked when the helpers start."""
     coins, rows = len(directions(edge_mode)), _band_rows(topology, edge_mode)
-    return 16 * (coins * topology.n_vertices + rows * topology.side) + 8 * (coins + 3) * m
+    buffers = coins * topology.n_vertices + (coins + 1) * rows * topology.side
+    return 8 * buffers + 8 * (2 * coins + 3) * m
 
 
 class _Helpers:
@@ -483,58 +567,75 @@ class _Helpers:
 class WalkEngine:
     """Owns the evolving state vector of one walk.
 
-    Ping-pongs between two preallocated state buffers: each step walks the
-    current one in bands of y rows, builds each band's shared coin terms and
-    moves every coined row of the band into its destination in the other
-    buffer.  The bands are split into one contiguous part per process of
-    :func:`_layout`, fixed at construction, all stepped in one overlap
-    and one row buffer (each helper in its own copy).  Once the engine has
+    Steps one preallocated state buffer in place, by a step parity: at even
+    t each band is coined where it lies, leaving every edge row displaced by
+    its move; at odd t each band's edge rows are gathered through that
+    displacement into the band buffer, coined and written back where the
+    shift puts them.  The bands are split into one contiguous part per
+    process of :func:`_layout`, fixed at construction, all stepped in one
+    set of band buffers (each helper in its own copy).  Once the engine has
     taken ``_WARMUP_STEPS`` steps on the calling process alone, it moves its
-    state buffers into shared memory and forks one helper process per part
-    past the first; from then on the calling process runs the first part and
-    the helpers the others.  If they cannot start, or one dies, every helper
+    state buffer into shared memory, if the move's transient second buffer
+    fits the memory limit, and forks one helper process per part past the
+    first; from then on the calling process runs the first part and the
+    helpers the others.  If they cannot start, or one dies, every helper
     ends and every part runs on the calling process for the rest of the
-    engine's life, from the step in progress on.
-    :attr:`stepped_processes` counts the processes its steps ran on.
-    The helpers end when the engine is dropped, at interpreter exit, or
-    before a reallocation (a complex :meth:`set_amplitudes`), after which
-    they start again past the warm-up.  An engine refuses to step or load
-    a state in any process but the one that built it.  The state is float64
-    unless a complex one is loaded with :meth:`set_amplitudes`.  A single
-    engine must be driven by one thread at a time but may be handed between
-    threads between steps.
+    engine's life.  :attr:`stepped_processes` counts the processes its steps
+    ran on.  The helpers end when the engine is dropped, at interpreter
+    exit, or before a reallocation (a complex :meth:`set_amplitudes`), after
+    which they start again past the warm-up.
+
+    A step that raises, or whose helper dies, leaves the buffer part-written
+    and the walk lost.  Before it next steps or is read, the walk is rebuilt
+    bit for bit by replaying its t steps from its origin: the initial state,
+    or the copy of a loaded state that :meth:`set_amplitudes` keeps.  A dead
+    helper's step in progress then completes on the calling process.
+
+    An engine refuses to step or load a state in any process but the one
+    that built it.  The state is float64 unless a complex one is loaded with
+    :meth:`set_amplitudes`.  A single engine must be driven by one thread at
+    a time but may be handed between threads between steps.
     """
 
     def __init__(self, config: WalkConfig):
         self._config = config
         self._parts = _layout(config.topology, config.edge_mode)
-        # the moves first, so their L-entry temporaries never add to the buffers
-        self._moves = _moves(config.topology, config.edge_mode)
         self._helpers = _Helpers()
         weakref.finalize(self, self._helpers.stop)
+        self._check_limit(np.float64, 0, "")
+        # the moves and target indices first, so their temporaries never add to the buffers
+        self._moves = _moves(config.topology, config.edge_mode)
+        self._targets = target_indices(config)
+        self._odd_targets = _odd_targets(config, self._moves)
         self._allocate(np.float64)
         self._weights = coin_weights(config.loop_weight, config.edge_mode)
-        self._targets = target_indices(config)
         self._stepped = 1
-        self._state[...] = _initial_column(config)
-        self._steps = 0
+        self._origin = _initial_column(config)
+        self._state[...] = self._origin
+        self._steps, self._lost = 0, False
+
+    def _check_limit(self, dtype: type, extra: int, held: str) -> None:
+        """Refuse a walk whose state is ``dtype`` when :func:`memory_requirement`
+        of its targets, twice that for a complex state, plus ``extra`` bytes
+        held beside it exceed the memory limit."""
+        config = self._config
+        m = config.target_count
+        needed = memory_requirement(config.topology, config.edge_mode, m)
+        needed = needed * (np.dtype(dtype).itemsize // 8) + extra
+        _check_memory(needed, f"a walk's buffers and its {m} targets{held} need {needed} bytes")
 
     def _allocate(self, dtype: type) -> None:
-        """(Re)allocate the state, scratch, overlap and row buffers for ``dtype``,
-        one band of overlap and one of row, refusing when the walk would exceed
-        the memory limit: :func:`memory_requirement` of its targets, twice that
-        for a complex state.  Any helpers end first: the new buffers are private."""
+        """(Re)allocate the state buffer and the band buffers for ``dtype``: the
+        C - 1 edge rows of one band and its coin terms g and h.  Any helpers
+        end first: the new buffers are private."""
         topology, edge_mode = self._config.topology, self._config.edge_mode
-        m = self._config.target_count
-        needed = memory_requirement(topology, edge_mode, m) * (np.dtype(dtype).itemsize // 8)
-        _check_memory(needed, f"a walk's buffers and its {m} targets need {needed} bytes")
         self._helpers.stop()
-        self._shared = None  # the (state, scratch) pair the helpers were forked with
-        self._state = self._scratch = self._overlap = self._row = None  # free before allocating
-        self._state = np.empty((len(directions(edge_mode)), topology.n_vertices), dtype=dtype)
-        self._scratch = np.empty_like(self._state)
-        self._overlap = np.empty((_band_rows(topology, edge_mode), topology.side), dtype=dtype)
-        self._row = np.empty_like(self._overlap)
+        self._state = self._band = self._g = self._h = None  # free before allocating
+        coins, rows = len(directions(edge_mode)), _band_rows(topology, edge_mode)
+        self._state = np.empty((coins, topology.n_vertices), dtype=dtype)
+        self._band = np.empty((coins - 1, rows, topology.side), dtype=dtype)
+        self._g = np.empty((rows, topology.side), dtype=dtype)
+        self._h = np.empty_like(self._g)
 
     @property
     def config(self) -> WalkConfig:
@@ -553,27 +654,41 @@ class WalkEngine:
 
     @property
     def amplitudes(self) -> np.ndarray:
-        """Current state buffer (a live view; do not mutate)."""
+        """The current state: at even t a live view of the state buffer (do not
+        mutate), at odd t a new array read through the odd-parity label."""
+        self._restore()
+        if self._steps & 1:
+            side = self._config.topology.side
+            state = _unshifted(self._state.reshape(-1, side, side), self._moves)
+            return state.reshape(self._state.shape)
         return self._state
 
     def set_amplitudes(self, values: np.ndarray) -> None:
         """Load an arbitrary state (for analysis); resets the step counter.
 
         A complex array switches the buffers to complex128 and a real one
-        back to float64; the memory limit is checked before reallocating.
+        back to float64.  The walk keeps a copy of the state as the origin
+        it is rebuilt from after a failed step, so the memory limit is
+        checked, with that copy, before anything is reallocated.
         """
         self._check_owner()
         arr = np.asarray(values)
         if arr.shape != self._state.shape:
             raise ValueError(f"expected shape {self._state.shape}, got {arr.shape}")
         dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
+        self._check_limit(dtype, arr.size * np.dtype(dtype).itemsize, " and the state it loads")
         if self._state.dtype != dtype:
             self._allocate(dtype)
-        np.copyto(self._state, arr)
-        self._steps = 0
+        self._origin = None  # the last load's copy is freed before this one is made
+        self._origin = arr.astype(dtype)
+        np.copyto(self._state, self._origin)
+        self._steps, self._lost = 0, False
 
     def probability(self) -> float:
         """Success probability of the current state."""
+        self._restore()
+        if self._steps & 1:
+            return _block_probability(self._state.reshape(-1)[self._odd_targets])
         return success_probability(self._state, self._targets)
 
     def trace(self, steps: int) -> Iterator[float]:
@@ -586,8 +701,9 @@ class WalkEngine:
 
     def advance(self, steps: int = 1) -> None:
         """Apply the evolution operator ``steps`` times: the oracle, then band
-        by band the coin's shared terms g and h (in the overlap and row
-        buffers) and every coined row moved into the other state buffer.
+        by band the coin's shared terms g and h and the coin itself, in place
+        at even t and, at odd t, on the edge rows gathered into the band
+        buffer and written back where the shift puts them.
 
         An engine of more than one part runs every part on the calling
         process until, with no helper running, it has taken ``_WARMUP_STEPS``
@@ -597,100 +713,111 @@ class WalkEngine:
         the next.  A :meth:`set_amplitudes` of the same dtype keeps the helpers
         that run, so the next step runs on them; only a reallocation (a load
         that changes the dtype) ends them and starts the warm-up again.  A
-        helper that cannot start or dies leaves the rest of the walk, from the
-        step in progress on, on the calling process.  Raises RuntimeError in a
-        process other than the one that built the engine.
+        helper that cannot start or dies leaves the rest of the walk on the
+        calling process.  A step that raises, or whose helper dies, is undone
+        by replaying the walk before the next step or read; an interrupt is
+        raised again at once.  Raises RuntimeError in a process other than the
+        one that built the engine.
         """
         self._check_owner()
         for _ in range(steps):
+            self._restore()
             if len(self._parts) > 1 and not self._helpers.procs and self._steps >= _WARMUP_STEPS:
                 self._start_helpers()
-            self._step()
+            self._lost = True  # until the step ends: a raise leaves the buffer part-written
+            if self._step(self._steps & 1):
+                self._lost = False
+            self._steps += 1  # a step whose helper died is replayed by _restore, on this process
 
     def _check_owner(self) -> None:
         """Refuse to write the state in a process other than the one that
         built the engine, such as a forked child: its helpers may share the
-        state buffers, so the writes would reach that process's walk."""
+        state buffer, so the writes would reach that process's walk."""
         owner = self._helpers.owner
         if owner != os.getpid():
             raise RuntimeError(
                 f"this engine belongs to process {owner}, whose step helpers may share "
-                f"its state buffers; build a new engine in this process"
+                f"its state buffer; build a new engine in this process"
             )
 
-    def _step(self) -> None:
-        """One step, on the helpers if they run and every one of them steps its
-        part, else on this process, then swap the state buffers.  A step that
-        raises applies the oracle, its own inverse, again: the walk is as it was."""
-        apply_oracle(self._state, self._targets)
-        side = self._config.topology.side
-        src, dst = self._state.reshape(-1, side, side), self._scratch.reshape(-1, side, side)
-        try:
-            if not (self._helpers.procs and self._step_on_helpers(src, dst)):
-                for part in range(len(self._parts)):
-                    self._step_part(src, dst, part)
-        except BaseException:
-            apply_oracle(self._state, self._targets)
-            raise
-        self._stepped = max(self._stepped, 1 + len(self._helpers.procs))
-        self._state, self._scratch = self._scratch, self._state
-        self._steps += 1
+    def _restore(self) -> None:
+        """Rebuild a lost walk bit for bit: reload its origin and replay its t
+        steps, from the origin again should a helper die on the way.  An
+        interrupt leaves the walk lost, for the next call to rebuild."""
+        while self._lost:
+            self._check_owner()
+            np.copyto(self._state, self._origin)
+            self._lost = not all(self._step(t & 1) for t in range(self._steps))
 
-    def _step_on_helpers(self, src: np.ndarray, dst: np.ndarray) -> bool:
-        """Send each helper the index of the source buffer in ``_shared``, run
-        the first part, and read one ack byte per helper: whether every helper
-        stepped its part.  A helper that has died, or an interruption before
-        every ack, leaves the walk on this process (:meth:`_step_alone`)."""
+    def _step(self, odd: int) -> bool:
+        """One step from parity ``odd``: the oracle over the indices of that
+        parity, then every part, on the helpers if they run and every one of
+        them steps its part, else on this process.  False when a helper
+        stopped before the step ended, which leaves the buffer part-written."""
+        if odd:
+            self._state.reshape(-1)[self._odd_targets] *= -1.0
+        else:
+            apply_oracle(self._state, self._targets)
+        if self._helpers.procs:
+            return self._step_on_helpers(odd)
+        for part in range(len(self._parts)):
+            self._step_part(part, odd)
+        return True
+
+    def _step_on_helpers(self, odd: int) -> bool:
+        """Send each helper the step parity, run the first part, and read one
+        ack byte per helper: whether every helper stepped its part.  A helper
+        that has died, or an interruption before every ack, leaves the walk on
+        this process (:meth:`_step_alone`)."""
         procs, sent, acks = self._helpers.procs, 0, b""
-        source = bytes((self._state is self._shared[1],))
         try:
             try:
                 for _, command, _ in procs:
-                    os.write(command, source)
+                    os.write(command, bytes((odd,)))
                     sent += 1
-                self._step_part(src, dst, 0)
+                self._step_part(0, odd)
             except BrokenPipeError:  # that helper has died; the others finish first
                 pass
-            finally:  # no helper may still write into dst once the step returns
+            finally:  # no helper may still write into the state once the step returns
                 acks = b"".join(os.read(ack, 1) for _, _, ack in procs[:sent])
         finally:
             if len(acks) < len(procs):
                 self._step_alone("did not finish a step")
-        return len(acks) == len(procs)
+        if len(acks) < len(procs):
+            return False
+        self._stepped = max(self._stepped, 1 + len(procs))
+        return True
 
     def _step_alone(self, reason: str) -> None:
         """The one fallback for helpers that cannot start or stop stepping: end
-        every helper, keep a full buffer pair, log one warning and step every
-        band on this process from then on, as one part, the step in progress
-        first."""
+        every helper, log one warning and step every band on this process
+        from then on, as one part."""
         self._helpers.stop()
-        if self._scratch is None:
-            self._scratch = np.empty_like(self._state)
         self._parts = (sum(self._parts, ()),)
         logger.warning("step helpers %s; this walk steps on one process", reason)
 
     def _start_helpers(self) -> None:
-        """Move the state buffers into shared anonymous memory, one at a time so
-        that no more than the two that :func:`memory_requirement` counts are
-        held, then fork one helper per part past the first.  When a buffer or
-        a helper cannot be had (an OSError), or the start is interrupted, the
-        walk steps on this process from then on (:meth:`_step_alone`); an
-        interruption is raised again."""
+        """Move the state buffer into shared anonymous memory, if the walk with
+        the move's transient second buffer fits the memory limit, then fork
+        one helper per part past the first.  When the limit refuses the move
+        (a ResourceLimitError), a buffer or a helper cannot be had (an
+        OSError), or the start is interrupted, the walk steps on this process
+        from then on (:meth:`_step_alone`); an interruption is raised again."""
         import mmap  # only an engine that forks helpers loads it
 
-        shape, dtype, size = self._state.shape, self._state.dtype, self._state.nbytes
-        self._scratch = self._shared = None
+        state = self._state
         try:
-            state = np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
-            np.copyto(state, self._state)
-            self._state = state
-            self._scratch = np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
-            self._shared = (self._state, self._scratch)
+            self._check_limit(state.dtype, state.nbytes + self._origin.nbytes,
+                              " and a shared copy of its state")
+            shared = np.frombuffer(mmap.mmap(-1, state.nbytes), state.dtype).reshape(state.shape)
+            np.copyto(shared, state)
+            self._state = shared
+            del state  # the private buffer is freed before any helper forks
             for part in range(1, len(self._parts)):
                 self._helpers.procs.append(self._fork_helper(part))
         except BaseException as exc:  # a step on fewer helpers than parts would skip bands
             self._step_alone(f"could not start ({exc!r})")
-            if not isinstance(exc, OSError):  # an OSError (EAGAIN, ENOMEM) only falls back
+            if not isinstance(exc, (OSError, ResourceLimitError)):  # those only fall back
                 raise
 
     def _fork_helper(self, part: int) -> tuple[int, int, int]:
@@ -711,12 +838,12 @@ class WalkEngine:
         return pid, command_in, ack_out
 
     def _serve(self, part: int, command: int, ack: int) -> None:
-        """A helper's whole life after the fork: step ``part`` from the shared
-        buffer each command byte names, acknowledging each step with one byte,
-        and leave by ``os._exit`` on a quit byte, end of file or error.  It
-        ignores SIGINT, which the calling process handles, keeps no inherited
-        descriptor but its two pipe ends, and runs no garbage collection, so
-        no inherited object is finalised here."""
+        """A helper's whole life after the fork: step ``part`` of the shared
+        state buffer from the parity each command byte names, acknowledging
+        each step with one byte, and leave by ``os._exit`` on a quit byte, end
+        of file or error.  It ignores SIGINT, which the calling process
+        handles, keeps no inherited descriptor but its two pipe ends, and runs
+        no garbage collection, so no inherited object is finalised here."""
         code = 1
         try:
             import gc
@@ -728,21 +855,25 @@ class WalkEngine:
             os.closerange(0, low)
             os.closerange(low + 1, high)
             os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
-            side = self._config.topology.side
-            views = [buffer.reshape(-1, side, side) for buffer in self._shared]
-            while (source := os.read(command, 1)) in (b"\x00", b"\x01"):
-                self._step_part(views[source[0]], views[1 - source[0]], part)
+            while (parity := os.read(command, 1)) in (b"\x00", b"\x01"):
+                self._step_part(part, parity[0])
                 os.write(ack, b"+")
             code = 0
         finally:
             os._exit(code)
 
-    def _step_part(self, src: np.ndarray, dst: np.ndarray, part: int) -> None:
-        """Coin and shift the bands of one part in this process's band pair."""
+    def _step_part(self, part: int, odd: int) -> None:
+        """Step the bands of one part from parity ``odd`` in this process's
+        band buffers."""
+        side = self._config.topology.side
+        state = self._state.reshape(-1, side, side)
         for y0, y1 in self._parts[part]:
-            g, h = self._overlap[:y1 - y0], self._row[:y1 - y0]
-            _coin_terms(src[:, y0:y1], self._weights, g, h)
-            _shift_band(src, dst, y0, y1, g, h, self._moves)
+            g, h = self._g[:y1 - y0], self._h[:y1 - y0]
+            if odd:
+                band = self._band[:, :y1 - y0]
+                _unshift_band(state, y0, y1, band, g, h, self._weights, self._moves)
+            else:
+                _coin_band(state, y0, y1, g, h, self._weights)
 
 
 def run(config: WalkConfig, t_max: int) -> np.ndarray:

@@ -36,7 +36,13 @@ from hn4walk.engine import (
     success_probability,
     target_indices,
 )
-from hn4walk.topology import TopologyError, TopologyParams, compose, level_size
+from hn4walk.topology import (
+    TopologyError,
+    TopologyParams,
+    compose,
+    exceptional_lines,
+    level_size,
+)
 
 from dense_reference import dense_step
 
@@ -320,6 +326,30 @@ def test_engine_matches_public_stages_complex_multi_band():
     assert np.max(np.abs(engine.amplitudes - _public_stages(psi, config, 3))) <= 1e-13
 
 
+def _readout_targets(topo, count):
+    """One, a fifth of the vertices, or all A^2 admissible vertices."""
+    free = np.flatnonzero(~exceptional_lines(topo, EdgeMode.HN4))
+    pairs = np.stack(np.meshgrid(free, free), axis=-1).reshape(-1, 2)
+    m = {"one": 1, "fifth": round(0.2 * topo.n_vertices), "admissible": len(pairs)}[count]
+    return pairs[np.sort(np.random.default_rng(7).choice(len(pairs), m, replace=False))]
+
+
+@pytest.mark.parametrize("count", ["one", "fifth", "admissible"])
+@pytest.mark.parametrize("side", [16, 64])
+@pytest.mark.parametrize("mode", list(EdgeMode))
+def test_readout_matches_the_amplitudes_at_both_parities(mode, side, count):
+    # the engine reads its targets at even t by vertex and at odd t through
+    # the odd-parity label; either way each sample is the readout of the
+    # logical state, bit for bit
+    topo = TopologyParams.from_side(side)
+    config = WalkConfig.with_na(topo, 8.5, _readout_targets(topo, count), mode)
+    indices = target_indices(config)
+    walk = WalkEngine(config)
+    for t, probability in enumerate(walk.trace(25)):
+        assert walk.t == t
+        assert probability == success_probability(walk.amplitudes, indices)
+
+
 def _stepped(monkeypatch, config, cores, state=None, steps=20):
     monkeypatch.setattr(engine_module, "_step_cores", cores)
     engine = WalkEngine(config)
@@ -501,6 +531,43 @@ def test_interrupted_step_leaves_the_walk_as_it_was(monkeypatch, side, interrupt
     assert np.array_equal(walk.amplitudes, serial)
 
 
+@pytest.mark.parametrize(
+    "side, interrupted, helpers",
+    [(64, 7, 0), (512, engine_module._WARMUP_STEPS + 4, 1)],
+    ids=["one-process", "helpers"],
+)
+def test_interrupted_loaded_walk_is_rebuilt_from_its_load(monkeypatch, side, interrupted,
+                                                          helpers):
+    # a loaded complex walk interrupted after its caller's band pass of step
+    # `interrupted` (even at side 64, odd at 512) reads back the amplitudes
+    # of the step before, rebuilt from its own copy of the loaded state, and
+    # steps on to the serial walk
+    config = WalkConfig.with_na(TopologyParams.from_side(side), 8.5, ((1, 6), (side // 2 - 1, 5)))
+    psi = random_state(9, config.topology.n_vertices)
+    steps = interrupted + 4
+    _, serial = _stepped(monkeypatch, config, 1, psi, steps=steps)
+    monkeypatch.setattr(engine_module, "_step_cores", 2)
+    walk = WalkEngine(config)
+    walk.set_amplitudes(psi)
+    psi[...] = 0.0
+    walk.advance(interrupted - 1)
+    before = walk.amplitudes.copy()
+    step_part = walk._step_part
+
+    def step_then_interrupt(*args):
+        step_part(*args)
+        raise KeyboardInterrupt
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(walk, "_step_part", step_then_interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            walk.advance()
+    assert walk.t == interrupted - 1 and np.array_equal(walk.amplitudes, before)
+    walk.advance(steps - walk.t)
+    assert len(_helper_pids(walk)) == helpers
+    assert walk.amplitudes.dtype == np.complex128 and np.array_equal(walk.amplitudes, serial)
+
+
 def _refusals_in_forked_child(walk, state):
     """Whether a forked child's step and load of ``walk`` each raise
     RuntimeError naming the remedy."""
@@ -553,10 +620,10 @@ def test_forked_child_refuses_an_engine_that_never_started_helpers():
     assert np.array_equal(walk.amplitudes, fresh.amplitudes)
 
 
-@pytest.mark.parametrize("refused", [1, 2, 3], ids=["state-mmap", "scratch-mmap", "fork"])
+@pytest.mark.parametrize("refused", [1, 2], ids=["state-mmap", "fork"])
 def test_helper_that_cannot_start_leaves_the_walk_on_one_process(monkeypatch, caplog, refused):
-    # the first shared buffer, the second, or the helper itself refused by an
-    # OSError: one warning, a full buffer pair, and no second attempt
+    # the shared state buffer or the helper itself refused by an OSError: one
+    # warning, the walk on one process, and no second attempt
     config = WalkConfig.with_na(TopologyParams.from_side(512), 17.0, ((1, 6), (255, 5)))
     steps = engine_module._WARMUP_STEPS + 3
     _, serial = _stepped(monkeypatch, config, 1, steps=steps)
@@ -580,7 +647,7 @@ def test_helper_that_cannot_start_leaves_the_walk_on_one_process(monkeypatch, ca
         assert np.array_equal(walk.amplitudes, serial)
         walk.advance(steps)
     assert np.array_equal(walk.amplitudes, twice)
-    assert attempts == ["mmap", "mmap", "fork"][:refused]
+    assert attempts == ["mmap", "fork"][:refused]
     assert len(walk._parts) == 1 and not _helper_pids(walk)
     assert len([r for r in caplog.records if "could not start" in r.message]) == 1
 
@@ -657,8 +724,8 @@ def test_run_is_deterministic():
 
 def test_memory_requirement_and_limit(monkeypatch):
     topo = TopologyParams.from_side(16)
-    assert memory_requirement(topo, EdgeMode.HN4) == 2 * 8 * 9 * 256 + 2 * 8 * 256
-    assert memory_requirement(topo, EdgeMode.GRID) == 2 * 8 * 5 * 256 + 2 * 8 * 256
+    assert memory_requirement(topo, EdgeMode.HN4) == 8 * 9 * 256 + 8 * (9 + 1) * 256
+    assert memory_requirement(topo, EdgeMode.GRID) == 8 * 5 * 256 + 8 * (5 + 1) * 256
     assert memory_requirement(TopologyParams.from_side(4096), EdgeMode.HN4) <= DEFAULT_MEMORY_LIMIT
     config = WalkConfig.with_na(topo, 8.5, ((1, 6),))
     monkeypatch.setattr(engine_module, "DEFAULT_MEMORY_LIMIT", 1024)
@@ -676,12 +743,13 @@ def test_memory_requirement_and_limit(monkeypatch):
 @pytest.mark.parametrize("mode, side", BAND_CASES)
 def test_memory_requirement_covers_engine_allocations(mode, side):
     # every large allocation must be counted by the guard; "large" starts at
-    # the float64 overlap buffer, one band of y rows whatever the parts (the
-    # whole grid at side 64, 56 or 102 of its 512 rows at 512)
+    # the float64 coin term g, one band of y rows whatever the parts (the
+    # whole grid at side 64, 56 or 102 of its 512 rows at 512); a loaded
+    # complex state doubles every buffer and keeps a copy of what it loaded
     topo = TopologyParams.from_side(side)
     n_coins = len(directions(mode))
     config = WalkConfig.with_na(topo, 8.5, ((1, 6),), mode)
-    band_bytes = (memory_requirement(topo, mode) - 2 * 8 * n_coins * topo.n_vertices) // 2
+    band_bytes = (memory_requirement(topo, mode) - 8 * n_coins * topo.n_vertices) // (n_coins + 1)
     psi = random_state(n_coins, topo.n_vertices)
     tracemalloc.start()
     try:
@@ -696,24 +764,55 @@ def test_memory_requirement_covers_engine_allocations(mode, side):
         return sum(t.size for t in snap.traces if t.size >= band_bytes)
 
     assert large(snapshot) <= memory_requirement(topo, mode)
-    assert large(snapshot) >= 2 * 8 * n_coins * topo.n_vertices + 2 * band_bytes
+    assert large(snapshot) >= 8 * n_coins * topo.n_vertices + (n_coins + 1) * band_bytes
     assert engine.amplitudes.dtype == np.complex128
-    assert large(complex_snapshot) <= 2 * memory_requirement(topo, mode)
+    loaded = 16 * n_coins * topo.n_vertices
+    assert large(complex_snapshot) <= 2 * memory_requirement(topo, mode) + loaded
 
 
 @pytest.mark.parametrize("side", [512, 1024])
 @pytest.mark.parametrize("mode", list(EdgeMode))
 def test_memory_requirement_is_one_band_pair_on_any_cores(monkeypatch, mode, side):
-    # every process steps its parts in one overlap and one row buffer of the
-    # first band's R y rows, so the guard counts 16 * (C * N + R * L) bytes
-    # however many parts the step is split into
+    # every process steps its parts in one band buffer of C - 1 edge rows and
+    # one pair of coin terms g and h, each of the first band's R y rows, so
+    # the guard counts 8 * (C * N + (C + 1) * R * L) bytes however many parts
+    # the step is split into
     topo = TopologyParams.from_side(side)
     needed = set()
     for cores in (1, 2, 4):
         monkeypatch.setattr(engine_module, "_step_cores", cores)
         needed.add(memory_requirement(topo, mode))
         rows = engine_module._layout(topo, mode)[0][0][1]
-    assert needed == {16 * (len(directions(mode)) * topo.n_vertices + rows * side)}
+    coins = len(directions(mode))
+    assert needed == {8 * (coins * topo.n_vertices + (coins + 1) * rows * side)}
+
+
+def test_side_8192_walk_fits_the_memory_limit():
+    # one state buffer of 4.83 GB where two (9.66 GB) overran the 8 GiB limit
+    assert memory_requirement(TopologyParams.from_side(8192), EdgeMode.HN4) <= DEFAULT_MEMORY_LIMIT
+
+
+def test_helpers_need_room_to_move_the_state(monkeypatch, caplog):
+    # a limit that admits the walk but not the transient second state buffer
+    # of its move into shared memory leaves a two-part walk on one process,
+    # with one warning once the warm-up ends
+    topo = TopologyParams.from_side(512)
+    config = WalkConfig.with_na(topo, 17.0, ((1, 6), (255, 5)))
+    steps = engine_module._WARMUP_STEPS + 3
+    _, serial = _stepped(monkeypatch, config, 1, steps=steps)
+    state_bytes = 8 * 9 * topo.n_vertices
+    limit = memory_requirement(topo, EdgeMode.HN4, 2) + state_bytes // 2
+    monkeypatch.setattr(engine_module, "DEFAULT_MEMORY_LIMIT", limit)
+    monkeypatch.setattr(engine_module, "_step_cores", 2)
+    walk = WalkEngine(config)
+    assert len(walk._parts) == 2
+    with caplog.at_level(logging.WARNING, logger="hn4walk.engine"):
+        walk.advance(engine_module._WARMUP_STEPS)
+        assert caplog.records == []
+        walk.advance(steps - walk.t)
+    assert len(walk._parts) == 1 and not _helper_pids(walk)
+    assert len([r for r in caplog.records if "could not start" in r.message]) == 1
+    assert np.array_equal(walk.amplitudes, serial)
 
 
 def test_engine_counts_steps_and_resets():

@@ -619,8 +619,8 @@ TARGET_COUNTS = {
 
 def _unsized_bytes(side):
     """Bytes of a walk that grow with neither N nor M, which no
-    ``memory_requirement`` holds (it is exactly 16 * (C * N + R * L) at
-    m = 0): the engine's four L-entry int64 move lines (32 * L) and the
+    ``memory_requirement`` holds (it is exactly 8 * (C * N + (C + 1) * R * L)
+    at m = 0): the engine's four L-entry int64 move lines (32 * L) and the
     Python objects of an engine and a job (12 KiB).  The move lines'
     temporaries and the exceptional-target check come before the buffers,
     so they add nothing to the peak."""
