@@ -20,11 +20,12 @@ by q's own move, psi[q][v] = buffer[q ^ 1][f_q(v)]; the odd step reads each
 row through that label, coins it and writes it back through the same index,
 which leaves the labels the identity again.  The engine walks the grid in
 bands of consecutive y rows, sized so that the C rows of a band (about
-2 MiB) stay in cache between the two reads of it.  At even t a band is
-coined where it lies; at odd t its C - 1 edge rows are gathered into one
-band buffer, coined there and written back, and the hold row is coined in
-place.  A step needs no table and, beside the state buffer, one band buffer
-and the band-sized coin terms g and h.
+2 MiB) stay in cache between the two reads of it.  Both parities run one
+band pass: it computes the coin terms once, coins the hold row in place and
+subtracts every edge row from g.  At even t the edge rows are coined where
+they lie; at odd t the pass first gathers them into one band buffer and
+writes each back right after its coin.  A step needs no table and, beside
+the state buffer, one band buffer and the band-sized coin terms g and h.
 
 Bands are independent: at either parity each reads and writes only its own
 entries of the state buffer.  A lattice of at least two bands per core
@@ -354,42 +355,31 @@ def _unshifted(state: np.ndarray, moves: _Moves) -> np.ndarray:
     return out
 
 
-def _coin_band(state: np.ndarray, y0: int, y1: int, g: np.ndarray, h: np.ndarray,
-               weights: np.ndarray) -> None:
-    """Even parity: coin rows y0:y1 of every coin row where they lie; nothing
-    moves, so after it each edge row stands displaced by its move."""
-    band = state[:, y0:y1]
-    _coin_terms(band[:-1], band[-1], weights, g, h)
-    for row in band[:-1]:  # row by row: numpy buffers a broadcast in-place subtract
-        np.subtract(g, row, out=row)
-    np.subtract(h, band[-1], out=band[-1])
+def _step_band(state: np.ndarray, y0: int, y1: int, g: np.ndarray, h: np.ndarray,
+               weights: np.ndarray, moves: _Moves, band: np.ndarray | None) -> None:
+    """Coin rows y0:y1 of every coin row, the one band pass of either parity.
 
-
-def _unshift_band(
-    state: np.ndarray,
-    y0: int,
-    y1: int,
-    band: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
-    weights: np.ndarray,
-    moves: _Moves,
-) -> None:
-    """Odd parity: gather logical rows y0:y1 of every edge row into ``band``
-    (:func:`_gather`), coin them there with the hold row, which is coined in
-    place, and write each back through the same index: along x an L-entry
-    gather by the inverse line, along y a row scatter by the line itself.
-    Every entry goes back where it was read from, which is where the shift
-    puts it, so the labels are the identity again."""
-    _gather(state, y0, y1, band, moves)
+    At even t ``band`` is None and the edge rows are coined where they lie;
+    nothing moves, so after it each edge row stands displaced by its move.
+    At odd t the logical rows of every edge row are first gathered into
+    ``band`` (:func:`_gather`), coined there, and each written back through
+    the same index right after its coin: along x an L-entry gather by the
+    inverse line, along y a row scatter by the line itself.  Every entry goes
+    back where it was read from, which is where the shift puts it, so the
+    labels are the identity again.  The hold row is coined in place."""
     hold = state[-1, y0:y1]
+    gathered = band is not None
+    if gathered:
+        _gather(state, y0, y1, band, moves)
+    else:
+        band = state[:-1, y0:y1]
     _coin_terms(band, hold, weights, g, h)
     np.subtract(h, hold, out=hold)
-    for q, along_x, line, inverse in moves:
+    for q, along_x, line, inverse in moves:  # row by row: numpy buffers a broadcast subtract
         np.subtract(g, band[q], out=band[q])
-        if along_x:
+        if gathered and along_x:
             np.take(band[q], inverse, axis=1, out=state[q ^ 1, y0:y1], mode="clip")
-        else:
+        elif gathered:
             state[q ^ 1][line[y0:y1]] = band[q]
 
 
@@ -567,23 +557,23 @@ class _Helpers:
 class WalkEngine:
     """Owns the evolving state vector of one walk.
 
-    Steps one preallocated state buffer in place, by a step parity: at even
-    t each band is coined where it lies, leaving every edge row displaced by
-    its move; at odd t each band's edge rows are gathered through that
-    displacement into the band buffer, coined and written back where the
-    shift puts them.  The bands are split into one contiguous part per
-    process of :func:`_layout`, fixed at construction, all stepped in one
-    set of band buffers (each helper in its own copy).  Once the engine has
+    Steps one preallocated state buffer in place by one band pass at either
+    step parity: at even t the pass coins each band where it lies, leaving
+    every edge row displaced by its move; at odd t it gathers each band's edge
+    rows through that displacement into the band buffer, coins them and writes
+    each back where the shift puts it.  The bands are split into one contiguous
+    part per process of :func:`_layout`, fixed at construction, all stepped in
+    one set of band buffers (each helper in its own copy).  Once the engine has
     taken ``_WARMUP_STEPS`` steps on the calling process alone, it moves its
     state buffer into shared memory, if the move's transient second buffer
     fits the memory limit, and forks one helper process per part past the
     first; from then on the calling process runs the first part and the
-    helpers the others.  If they cannot start, or one dies, every helper
-    ends and every part runs on the calling process for the rest of the
-    engine's life.  :attr:`stepped_processes` counts the processes its steps
-    ran on.  The helpers end when the engine is dropped, at interpreter
-    exit, or before a reallocation (a complex :meth:`set_amplitudes`), after
-    which they start again past the warm-up.
+    helpers the others.  If they cannot start, or one dies, every helper ends
+    and every part runs on the calling process for the rest of the engine's
+    life.  :attr:`stepped_processes` counts the processes its steps ran on.  The
+    helpers end when the engine is dropped, at interpreter exit, or before a
+    reallocation (a complex :meth:`set_amplitudes`), after which they start
+    again past the warm-up.
 
     A step that raises, or whose helper dies, leaves the buffer part-written
     and the walk lost.  Before it next steps or is read, the walk is rebuilt
@@ -700,10 +690,11 @@ class WalkEngine:
             yield self.probability()
 
     def advance(self, steps: int = 1) -> None:
-        """Apply the evolution operator ``steps`` times: the oracle, then band
-        by band the coin's shared terms g and h and the coin itself, in place
-        at even t and, at odd t, on the edge rows gathered into the band
-        buffer and written back where the shift puts them.
+        """Apply the evolution operator ``steps`` times: the oracle, then one
+        band pass per band, which computes the coin's shared terms g and h and
+        coins the band, in place at even t and, at odd t, on the edge rows
+        gathered into the band buffer, each written back where the shift puts
+        it.
 
         An engine of more than one part runs every part on the calling
         process until, with no helper running, it has taken ``_WARMUP_STEPS``
@@ -868,12 +859,10 @@ class WalkEngine:
         side = self._config.topology.side
         state = self._state.reshape(-1, side, side)
         for y0, y1 in self._parts[part]:
-            g, h = self._g[:y1 - y0], self._h[:y1 - y0]
-            if odd:
-                band = self._band[:, :y1 - y0]
-                _unshift_band(state, y0, y1, band, g, h, self._weights, self._moves)
-            else:
-                _coin_band(state, y0, y1, g, h, self._weights)
+            rows = y1 - y0
+            band = self._band[:, :rows] if odd else None
+            _step_band(state, y0, y1, self._g[:rows], self._h[:rows], self._weights,
+                       self._moves, band)
 
 
 def run(config: WalkConfig, t_max: int) -> np.ndarray:

@@ -153,9 +153,8 @@ class NoPeakError(RuntimeError):
 
 
 def _qualifies(probs: Sequence[float], t: int, rule: PeakRule) -> bool:
-    """Whether step t of ``probs`` is a peak under ``rule`` (see :class:`PeakRule`)."""
-    if t < 1 or t + DECLINE_RUN * rule.stride >= len(probs):
-        return False
+    """Whether step t of ``probs`` is a peak under ``rule`` (see :class:`PeakRule`),
+    for 1 <= t with sample t + DECLINE_RUN * stride in ``probs``."""
     if probs[t] < MIN_GAIN * probs[0]:
         return False
     if probs[t] < probs[t - 1] or probs[t] < probs[t + 1]:

@@ -285,13 +285,17 @@ SWEEP_1_TO_3 = ["--na-min", "1", "--na-max", "3", "--na-step", "1"]
         ["sweep", "--side", "16", "--targets", "20,1", *SWEEP_1_TO_3],
         ["sweep", "--side", "16", "--targets", "1,6", "--na-min", "-5", "--na-max", "3",
          "--na-step", "1"],
+        ["scale", "--sides", "16", "--m", "2", "--na", "8.5", "--trials", "0"],
+        ["scale", "--sides", "16", "--m-list", "1,a", "--na", "8.5"],
+        ["scale", "--sides", "16", "--m", "1", "--na", "8.5", "--workers", "x"],
     ],
     ids=["density-m-zero", "scale-m-above-admissible", "scale-negative-na",
          "scale-repeated-side", "scale-repeated-m", "density-repeated-side",
-         "sweep-repeated-target", "sweep-target-off-lattice", "sweep-negative-na"],
+         "sweep-repeated-target", "sweep-target-off-lattice", "sweep-negative-na",
+         "scale-zero-trials", "scale-m-list-not-integer", "scale-workers-not-integer"],
 )
 def test_usage_error_in_a_job_writes_nothing(tmp_path, argv):
-    # every job is checked before the CSV is opened
+    # every argument and job is checked before the CSV is opened
     out = tmp_path / "records.csv"
     assert main(argv + ["--out", str(out)]) == 2
     assert not out.exists()

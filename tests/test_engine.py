@@ -92,6 +92,8 @@ def test_config_validation():
         WalkConfig(topo, 0.5, np.zeros((2, 3), dtype=np.int64))
     with pytest.raises(TopologyError):
         WalkConfig(topo, 0.5, [(True, False)])
+    with pytest.raises(TopologyError):
+        WalkConfig(topo, 0.5, [(1, 2), (3,)])
     config = WalkConfig.with_na(topo, 8.0, [(1, 2)])
     assert config.loop_weight == 0.5
     assert config.na == 8.0
@@ -568,6 +570,25 @@ def test_interrupted_loaded_walk_is_rebuilt_from_its_load(monkeypatch, side, int
     assert walk.amplitudes.dtype == np.complex128 and np.array_equal(walk.amplitudes, serial)
 
 
+@pytest.mark.parametrize("shape, dtype", [((9, 255), np.float64), ((5, 256), np.complex128)],
+                         ids=["vertices", "coins-complex"])
+def test_load_of_a_wrong_shape_leaves_the_walk_as_it_was(shape, dtype):
+    # refused before anything is reallocated or copied, naming both shapes
+    config = make_config(side=16, targets=((1, 6),))
+    walk = WalkEngine(config)
+    walk.advance(3)
+    before = walk.amplitudes.copy()
+    named = rf"expected shape \(9, 256\), got \({shape[0]}, {shape[1]}\)"
+    with pytest.raises(ValueError, match=named):
+        walk.set_amplitudes(np.zeros(shape, dtype))
+    assert walk.t == 3
+    assert walk.amplitudes.dtype == np.float64 and np.array_equal(walk.amplitudes, before)
+    walk.advance(2)
+    fresh = WalkEngine(config)
+    fresh.advance(5)
+    assert np.array_equal(walk.amplitudes, fresh.amplitudes)
+
+
 def _refusals_in_forked_child(walk, state):
     """Whether a forked child's step and load of ``walk`` each raise
     RuntimeError naming the remedy."""
@@ -620,12 +641,22 @@ def test_forked_child_refuses_an_engine_that_never_started_helpers():
     assert np.array_equal(walk.amplitudes, fresh.amplitudes)
 
 
-@pytest.mark.parametrize("refused", [1, 2], ids=["state-mmap", "fork"])
-def test_helper_that_cannot_start_leaves_the_walk_on_one_process(monkeypatch, caplog, refused):
-    # the shared state buffer or the helper itself refused by an OSError: one
-    # warning, the walk on one process, and no second attempt
+@pytest.mark.parametrize(
+    "refused, error",
+    [(1, OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))),
+     (2, OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))),
+     (2, KeyboardInterrupt())],
+    ids=["state-mmap", "fork", "fork-interrupted"],
+)
+def test_helper_that_cannot_start_leaves_the_walk_on_one_process(monkeypatch, caplog, refused,
+                                                                  error):
+    # the shared state buffer or the helper itself refused by an OSError, or
+    # an interrupt while the helper starts: one warning, the walk on one
+    # process, and no second attempt.  The interrupt is raised again, and
+    # leaves the walk at the step it had reached
     config = WalkConfig.with_na(TopologyParams.from_side(512), 17.0, ((1, 6), (255, 5)))
     steps = engine_module._WARMUP_STEPS + 3
+    _, warm = _stepped(monkeypatch, config, 1, steps=engine_module._WARMUP_STEPS)
     _, serial = _stepped(monkeypatch, config, 1, steps=steps)
     _, twice = _stepped(monkeypatch, config, 1, steps=2 * steps)
     attempts = []
@@ -634,7 +665,7 @@ def test_helper_that_cannot_start_leaves_the_walk_on_one_process(monkeypatch, ca
         def refuse_or_call(*args):
             attempts.append(call.__name__)
             if len(attempts) == refused:
-                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+                raise error
             return call(*args)
         return refuse_or_call
 
@@ -643,7 +674,12 @@ def test_helper_that_cannot_start_leaves_the_walk_on_one_process(monkeypatch, ca
     monkeypatch.setattr(engine_module, "_step_cores", 2)
     walk = WalkEngine(config)
     with caplog.at_level(logging.WARNING, logger="hn4walk.engine"):
-        walk.advance(steps)
+        if isinstance(error, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                walk.advance(steps)
+            assert walk.t == engine_module._WARMUP_STEPS
+            assert np.array_equal(walk.amplitudes, warm)
+        walk.advance(steps - walk.t)
         assert np.array_equal(walk.amplitudes, serial)
         walk.advance(steps)
     assert np.array_equal(walk.amplitudes, twice)
