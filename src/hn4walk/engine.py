@@ -531,26 +531,30 @@ def memory_requirement(topology: TopologyParams, edge_mode: EdgeMode, m: int = 0
 class _Helpers:
     """The forked step helpers of one engine: (pid, command fd, ack fd) of
     each, and ``owner``, the pid of the process that built the engine, the
-    only one that may start, drive or end its helpers."""
+    only one that may start, drive or end its helpers.  A helper's two
+    descriptors are registered before it forks, with pid 0 until the fork
+    returns, so :meth:`stop` is the one code that closes them or reaps it."""
 
     def __init__(self) -> None:
         self.procs: list[tuple[int, int, int]] = []
         self.owner = os.getpid()
 
     def stop(self) -> None:
-        """End every helper by a quit byte and reap it.  A process other than
-        the owner, a forked child, only closes its copies of the pipes."""
+        """End every helper by a quit byte, close its pipes and reap it if it
+        forked.  A quit byte to a helper that never forked, or has died, meets
+        a closed pipe and is dropped.  A process other than the owner, a
+        forked child, only closes its copies of the pipes."""
         procs, self.procs = self.procs, []
         owner = os.getpid() == self.owner
         for pid, command, ack in procs:
             if owner:
                 try:
                     os.write(command, b"q")
-                except BrokenPipeError:  # the helper has died; reap it all the same
+                except BrokenPipeError:  # the helper has died or never forked
                     pass
             os.close(command)
             os.close(ack)
-            if owner:
+            if owner and pid:
                 os.waitpid(pid, 0)
 
 
@@ -790,10 +794,13 @@ class WalkEngine:
     def _start_helpers(self) -> None:
         """Move the state buffer into shared anonymous memory, if the walk with
         the move's transient second buffer fits the memory limit, then fork
-        one helper per part past the first.  When the limit refuses the move
-        (a ResourceLimitError), a buffer or a helper cannot be had (an
-        OSError), or the start is interrupted, the walk steps on this process
-        from then on (:meth:`_step_alone`); an interruption is raised again."""
+        one helper per part past the first, each on two pipes whose parent
+        ends are registered in the helpers before the fork.  When the limit
+        refuses the move (a ResourceLimitError), a buffer or a helper cannot
+        be had (an OSError), or the start is interrupted, the walk steps on
+        this process from then on (:meth:`_step_alone`), whose
+        :meth:`_Helpers.stop` closes every registered pipe and reaps every
+        forked helper; an interruption is raised again."""
         import mmap  # only an engine that forks helpers loads it
 
         state = self._state
@@ -805,28 +812,22 @@ class WalkEngine:
             self._state = shared
             del state  # the private buffer is freed before any helper forks
             for part in range(1, len(self._parts)):
-                self._helpers.procs.append(self._fork_helper(part))
+                command_out, command_in = os.pipe()
+                ack_out, ack_in = os.pipe()
+                # registered first, so that stop closes them if the fork fails
+                self._helpers.procs.append((0, command_in, ack_out))
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        self._serve(part, command_out, ack_in)
+                    self._helpers.procs[-1] = (pid, command_in, ack_out)
+                finally:
+                    os.close(command_out)
+                    os.close(ack_in)
         except BaseException as exc:  # a step on fewer helpers than parts would skip bands
             self._step_alone(f"could not start ({exc!r})")
             if not isinstance(exc, (OSError, ResourceLimitError)):  # those only fall back
                 raise
-
-    def _fork_helper(self, part: int) -> tuple[int, int, int]:
-        """Fork the helper of ``part``: its (pid, command fd, ack fd)."""
-        command_out, command_in = os.pipe()
-        ack_out, ack_in = os.pipe()
-        try:
-            pid = os.fork()
-            if pid == 0:
-                self._serve(part, command_out, ack_in)
-        except OSError:
-            os.close(command_in)
-            os.close(ack_out)
-            raise
-        finally:
-            os.close(command_out)
-            os.close(ack_in)
-        return pid, command_in, ack_out
 
     def _serve(self, part: int, command: int, ack: int) -> None:
         """A helper's whole life after the fork: step ``part`` of the shared

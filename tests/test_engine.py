@@ -94,6 +94,9 @@ def test_config_validation():
         WalkConfig(topo, 0.5, [(True, False)])
     with pytest.raises(TopologyError):
         WalkConfig(topo, 0.5, [(1, 2), (3,)])
+    for mode in EdgeMode:
+        with pytest.raises(ValueError):
+            coin_weights(-1.0, mode)
     config = WalkConfig.with_na(topo, 8.0, [(1, 2)])
     assert config.loop_weight == 0.5
     assert config.na == 8.0
@@ -472,15 +475,30 @@ def _helper_engine(monkeypatch, config, state=None):
     return walk
 
 
-def test_dead_helper_leaves_the_walk_on_one_process(monkeypatch, caplog):
+@pytest.mark.parametrize("exited", [False, True], ids=["killed", "exited"])
+def test_dead_helper_leaves_the_walk_on_one_process(monkeypatch, caplog, exited):
     # the step in progress and every later one run on the calling process,
-    # so the walk is the serial walk of the same steps
+    # so the walk is the serial walk of the same steps.  Stepped at once, the
+    # command byte may still reach the dying helper's pipe; stepped after the
+    # helper has exited (not reaped), writing it raises BrokenPipeError
     config = WalkConfig.with_na(TopologyParams.from_side(512), 17.0, ((1, 6), (255, 5)))
     steps = engine_module._WARMUP_STEPS + 3
     _, serial = _stepped(monkeypatch, config, 1, steps=steps)
     walk = _helper_engine(monkeypatch, config)
     (pid,) = _helper_pids(walk)
     os.kill(pid, signal.SIGKILL)
+    broken, write = [], os.write
+    if exited:
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+
+        def write_or_record(fd, data):
+            try:
+                return write(fd, data)
+            except BrokenPipeError:
+                broken.append(bytes(data))
+                raise
+
+        monkeypatch.setattr(os, "write", write_or_record)
     raised = []
 
     def step():
@@ -495,6 +513,8 @@ def test_dead_helper_leaves_the_walk_on_one_process(monkeypatch, caplog):
         stepper.join(60)
     assert not stepper.is_alive(), "a step hung on a dead helper"
     assert raised == [] and _reaped(pid)
+    if exited:  # the step's command byte, then stop's quit byte
+        assert broken == [bytes(((engine_module._WARMUP_STEPS + 1) % 2,)), b"q"]
     assert len(walk._parts) == 1 and not _helper_pids(walk)
     assert len([r for r in caplog.records if "one process" in r.message]) == 1
     assert walk.t == steps and np.array_equal(walk.amplitudes, serial)
@@ -653,7 +673,8 @@ def test_helper_that_cannot_start_leaves_the_walk_on_one_process(monkeypatch, ca
     # the shared state buffer or the helper itself refused by an OSError, or
     # an interrupt while the helper starts: one warning, the walk on one
     # process, and no second attempt.  The interrupt is raised again, and
-    # leaves the walk at the step it had reached
+    # leaves the walk at the step it had reached.  No descriptor the start
+    # opened stays open
     config = WalkConfig.with_na(TopologyParams.from_side(512), 17.0, ((1, 6), (255, 5)))
     steps = engine_module._WARMUP_STEPS + 3
     _, warm = _stepped(monkeypatch, config, 1, steps=engine_module._WARMUP_STEPS)
@@ -673,6 +694,7 @@ def test_helper_that_cannot_start_leaves_the_walk_on_one_process(monkeypatch, ca
     monkeypatch.setattr(os, "fork", attempt(os.fork))
     monkeypatch.setattr(engine_module, "_step_cores", 2)
     walk = WalkEngine(config)
+    fds = sorted(os.listdir("/dev/fd"))
     with caplog.at_level(logging.WARNING, logger="hn4walk.engine"):
         if isinstance(error, KeyboardInterrupt):
             with pytest.raises(KeyboardInterrupt):
@@ -680,6 +702,7 @@ def test_helper_that_cannot_start_leaves_the_walk_on_one_process(monkeypatch, ca
             assert walk.t == engine_module._WARMUP_STEPS
             assert np.array_equal(walk.amplitudes, warm)
         walk.advance(steps - walk.t)
+        assert sorted(os.listdir("/dev/fd")) == fds, "a failed start left a pipe open"
         assert np.array_equal(walk.amplitudes, serial)
         walk.advance(steps)
     assert np.array_equal(walk.amplitudes, twice)
@@ -741,6 +764,8 @@ def test_trace_starts_at_m_over_n():
     trace = run(config, 0)
     assert len(trace) == 1
     assert trace[0] == pytest.approx(3 / 256, abs=1e-15)
+    with pytest.raises(ValueError):
+        run(config, -1)
 
 
 def test_trace_invariant_under_target_permutation():

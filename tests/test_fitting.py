@@ -82,6 +82,10 @@ def test_fit_preconditions():
     two_n = [record(4096, 1, 100), record(16384, 1, 200), record(16384, 1, 210)]
     with pytest.raises(FitError):
         fit_scaling(two_n, RuntimeModel.SQRT)
+    # peak steps a records CSV accepts but no fit through the origin can use
+    never = [record(n, 1, 0) for n in (4096, 16384, 65536)]
+    with pytest.raises(FitError, match="non-positive"):
+        fit_scaling(never, RuntimeModel.SQRT)
 
 
 def test_sqrt_log_refuses_pooled_target_counts():
