@@ -1,4 +1,5 @@
 import errno
+import gc
 import logging
 import math
 import mmap
@@ -544,7 +545,9 @@ def test_interrupted_step_leaves_the_walk_as_it_was(monkeypatch, side, interrupt
         raise KeyboardInterrupt
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(*((os, "read") if on_ack else (walk, "_step_part")), interrupt)
+        # on the class: undoing a patch of the instance would leave its bound
+        # method in the instance, a cycle that keeps the helper past the test
+        patch.setattr(*((os, "read") if on_ack else (WalkEngine, "_step_part")), interrupt)
         with pytest.raises(KeyboardInterrupt):
             walk.advance()
     assert walk.t == interrupted - 1 and np.array_equal(walk.amplitudes, before)
@@ -574,14 +577,14 @@ def test_interrupted_loaded_walk_is_rebuilt_from_its_load(monkeypatch, side, int
     psi[...] = 0.0
     walk.advance(interrupted - 1)
     before = walk.amplitudes.copy()
-    step_part = walk._step_part
+    step_part = WalkEngine._step_part
 
     def step_then_interrupt(*args):
         step_part(*args)
         raise KeyboardInterrupt
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(walk, "_step_part", step_then_interrupt)
+        patch.setattr(WalkEngine, "_step_part", step_then_interrupt)
         with pytest.raises(KeyboardInterrupt):
             walk.advance()
     assert walk.t == interrupted - 1 and np.array_equal(walk.amplitudes, before)
@@ -694,6 +697,7 @@ def test_helper_that_cannot_start_leaves_the_walk_on_one_process(monkeypatch, ca
     monkeypatch.setattr(os, "fork", attempt(os.fork))
     monkeypatch.setattr(engine_module, "_step_cores", 2)
     walk = WalkEngine(config)
+    gc.collect()  # an earlier test's engine left in a cycle must not close its pipes mid-test
     fds = sorted(os.listdir("/dev/fd"))
     with caplog.at_level(logging.WARNING, logger="hn4walk.engine"):
         if isinstance(error, KeyboardInterrupt):
