@@ -324,7 +324,10 @@ def sweep_jobs(
         raise ValueError(f"sweep bounds must be finite, got {na_min}, {na_max}, {na_step}")
     if na_step <= 0:
         raise ValueError(f"na_step must be > 0, got {na_step}")
-    count = math.floor((na_max - na_min) / na_step + 1e-9) + 1
+    span = (na_max - na_min) / na_step
+    if not math.isfinite(span):
+        raise ValueError(f"sweep of [{na_min}, {na_max}] by {na_step} has too many points")
+    count = math.floor(span + 1e-9) + 1
     if count < 1:
         raise ValueError(f"empty sweep range [{na_min}, {na_max}]")
     warn_exceptional_targets(
@@ -535,7 +538,9 @@ def run_jobs(jobs: Sequence[TrialJob], workers: int) -> Iterator[JobResult]:
     already fill the cores.  A failing job raises at its own position, after
     every earlier result has been yielded; then, or when the iterator is
     closed early, the pool's workers are terminated, ending the jobs they
-    still run instead of waiting them out.  A worker that dies raises
+    still run instead of waiting them out, and the jobs that have not run
+    fail with them, unread.  That is the one failure path, so a failed run
+    raises its own error and prints nothing else.  A worker that dies raises
     ``BrokenProcessPool``.
     """
     largest = max((memory_requirement(TopologyParams.from_side(job.side), job.edge_mode, job.m)
@@ -556,8 +561,9 @@ def run_jobs(jobs: Sequence[TrialJob], workers: int) -> Iterator[JobResult]:
                     max_workers=engines, initializer=_step_on_one_core
                 ))
                 before = set(multiprocessing.active_children())
-                done = pool.map(trial_record, jobs)  # submits every job, so starts every worker
+                futures = [pool.submit(trial_record, job) for job in jobs]  # starts every worker
                 started = set(multiprocessing.active_children()) - before
+                done = (future.result() for future in futures)
             try:
                 for i, result in enumerate(done, 1):
                     logger.info("job %d/%d: %s", i, len(jobs), result)

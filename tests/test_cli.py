@@ -227,6 +227,34 @@ def test_sweep_of_targets_only_on_exceptional_lines_exits_3(tmp_path, capsys):
     assert not (tmp_path / "s.manifest.json").exists()
 
 
+def test_refused_pooled_sweep_prints_the_same_two_lines(tmp_path):
+    # the failing job ends the pool's workers; the weights not yet run add nothing to stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(hn4walk.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "hn4walk", "sweep", "--side", "64", "--targets", "31,6",
+            "--na-min", "8", "--na-max", "30", "--na-step", "0.5", "--workers", "2",
+            "--out", str(tmp_path / "s.csv")]
+    expected = [
+        "1 of 1 targets lie on an exceptional line (their long-range edges degenerate to"
+        " self-loops), first (31, 6)",
+        "hn4walk: every target lies on an exceptional line, where the HN4 walk never finds"
+        " one (P(0) = 0.000244141)",
+    ]
+    for _ in range(5):
+        result = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert (result.returncode, result.stderr.splitlines()) == (3, expected)
+
+
+def test_unexpected_runtime_error_is_raised_not_mapped(tmp_path, monkeypatch):
+    def boom(job):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(experiments, "trial_record", boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["scale", "--sides", "16", "--m", "1", "--na", "8.5", "--trials", "1",
+              "--workers", "1", "--out", str(tmp_path / "records.csv")])
+    assert not (tmp_path / "records.manifest.json").exists()
+
+
 def test_scale_then_fit_round_trip(tmp_path):
     records_path = tmp_path / "records.csv"
     code = main([
@@ -288,11 +316,14 @@ SWEEP_1_TO_3 = ["--na-min", "1", "--na-max", "3", "--na-step", "1"]
         ["scale", "--sides", "16", "--m", "2", "--na", "8.5", "--trials", "0"],
         ["scale", "--sides", "16", "--m-list", "1,a", "--na", "8.5"],
         ["scale", "--sides", "16", "--m", "1", "--na", "8.5", "--workers", "x"],
+        ["sweep", "--side", "16", "--targets", "1,6", "--na-min", "0", "--na-max", "1",
+         "--na-step", "1e-320"],
     ],
     ids=["density-m-zero", "scale-m-above-admissible", "scale-negative-na",
          "scale-repeated-side", "scale-repeated-m", "density-repeated-side",
          "sweep-repeated-target", "sweep-target-off-lattice", "sweep-negative-na",
-         "scale-zero-trials", "scale-m-list-not-integer", "scale-workers-not-integer"],
+         "scale-zero-trials", "scale-m-list-not-integer", "scale-workers-not-integer",
+         "sweep-step-count-overflows"],
 )
 def test_usage_error_in_a_job_writes_nothing(tmp_path, argv):
     # every argument and job is checked before the CSV is opened

@@ -466,8 +466,10 @@ def _recording_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, func, jobs):
-            return map(func, jobs)
+        def submit(self, func, job):
+            future = concurrent.futures.Future()
+            future.set_result(func(job))
+            return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiments, "trial_record", lambda job: job.trial + 1)
